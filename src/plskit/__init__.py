@@ -58,7 +58,7 @@ from .matching import (
     symmetric_difference_components,
 )
 from .oracle import Budget, DEFAULT_BUDGET, enumerate_pls, exists_full
-from .realization import distribute_rows, realize_degree_matrix, rebalance_columns
+from .realization import distribute_rows, realize_degree_matrix
 from .sweep import (
     SweepResult,
     sweep_row_params,
@@ -112,7 +112,6 @@ __all__ = [
     "occupancy_graph",
     "parameters_of",
     "realize_degree_matrix",
-    "rebalance_columns",
     "render_grid",
     "saturating_matching",
     "split_symbols",

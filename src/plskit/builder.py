@@ -10,7 +10,10 @@ it drops the maximum count to exactly p - 1.
 
 The three build_* entry points chain the feasibility predicate, the
 degree matrix realization, the symbol fill, and the symbol split into
-complete constructions for the three kinds of prescription.
+complete constructions for the three kinds of prescription.  Their
+output is normalized without a relabeling pass: the realization fills
+every row 1..r and column 1..c, every peel layer is nonempty so the fill
+uses every symbol 1..max, and the split adds symbols max+1, max+2, ...
 """
 
 from __future__ import annotations
@@ -18,17 +21,16 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterator, Sequence
 
-from .core import (
-    CellSet,
-    PartialLatinSquare,
-    Triple,
-    normalize,
-    validate,
-)
+from .core import CellSet, PartialLatinSquare, Triple, positive_int, validate
 from .errors import Infeasible, PreconditionViolated
-from .feasibility import check_construction, check_row_params, check_sizes
+from .feasibility import (
+    FeasibilityReport,
+    check_construction,
+    check_row_params,
+    check_sizes,
+)
 from .matching import BipartiteGraph, merge_matchings, saturating_matching
-from .realization import distribute_rows, realize_degree_matrix, rebalance_columns
+from .realization import distribute_rows, realize_degree_matrix
 
 
 def iter_symbol_layers(cell_set: CellSet) -> Iterator[tuple[int, frozenset[tuple[int, int]]]]:
@@ -80,8 +82,7 @@ def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:
     symbols occurring at least twice ever lose a cell and no existing
     symbol disappears.
     """
-    if not isinstance(s, int) or s < 1:
-        raise PreconditionViolated("s must be a positive integer")
+    positive_int("s", s)
     triples = set(pls.triples)
     symbols = {t.sym for t in triples}
     if not (len(symbols) <= s <= len(triples)):
@@ -104,6 +105,12 @@ def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:
     return validate(triples)
 
 
+def _require_feasible(report: FeasibilityReport) -> None:
+    if not report.feasible:
+        detail = "; ".join(f"{c.id}: {c.witness}" for c in report.violated())
+        raise Infeasible(f"no such square exists ({detail})", report=report)
+
+
 def build_theorem(n: Sequence[int], m: Sequence[int], s: int) -> PartialLatinSquare:
     """Construct a PLS with row parameters n, column parameters m, s symbols.
 
@@ -111,34 +118,23 @@ def build_theorem(n: Sequence[int], m: Sequence[int], s: int) -> PartialLatinSqu
     Infeasible carrying the check_construction report when the profile is
     impossible.
     """
-    report = check_construction(n, m, s)
-    if not report.feasible:
-        detail = "; ".join(f"{c.id}: {c.witness}" for c in report.violated())
-        raise Infeasible(f"no such square exists ({detail})", report=report)
+    _require_feasible(check_construction(n, m, s))
     cells = realize_degree_matrix(n, m)
     filled = fill_symbols(cells)
-    return normalize(split_symbols(filled, s))
+    return split_symbols(filled, s)
 
 
 def build_proposition(n: Sequence[int], c: int, s: int) -> PartialLatinSquare:
     """Construct a PLS with row parameters n, c columns, and s symbols.
 
-    Starts from the leftmost placement (row i occupies columns 1..n[i]),
-    rebalances columns into [1, s], and hands the resulting column counts
-    to build_theorem.  Raises Infeasible with the check_row_params report.
+    Hands build_theorem the most even column counts, distribute_rows(v,
+    c, s).  When check_row_params holds, c <= v <= c * s puts every count
+    in [1, s], and since the even split is minimal in the majorization
+    order, Gale-Ryser realizes it against any n whose entries are at most
+    min(c, s).  Raises Infeasible with the check_row_params report.
     """
-    report = check_row_params(n, c, s)
-    if not report.feasible:
-        detail = "; ".join(f"{cond.id}: {cond.witness}" for cond in report.violated())
-        raise Infeasible(f"no such square exists ({detail})", report=report)
-    n = tuple(n)
-    leftmost = CellSet(
-        frozenset((i + 1, j + 1) for i, k in enumerate(n) for j in range(k)),
-        rows=len(n),
-        cols=c,
-    )
-    balanced = rebalance_columns(leftmost, s)
-    return build_theorem(n, balanced.col_counts(), s)
+    _require_feasible(check_row_params(n, c, s))
+    return build_theorem(n, distribute_rows(sum(n), c, s), s)
 
 
 def build_corollary(r: int, c: int, s: int, v: int) -> PartialLatinSquare:
@@ -147,9 +143,6 @@ def build_corollary(r: int, c: int, s: int, v: int) -> PartialLatinSquare:
     Spreads the volume evenly over the rows and delegates to
     build_proposition.  Raises Infeasible with the check_sizes report.
     """
-    report = check_sizes(r, c, s, v)
-    if not report.feasible:
-        detail = "; ".join(f"{cond.id}: {cond.witness}" for cond in report.violated())
-        raise Infeasible(f"no such square exists ({detail})", report=report)
+    _require_feasible(check_sizes(r, c, s, v))
     n = distribute_rows(v, r, min(c, s))
     return build_proposition(n, c, s)

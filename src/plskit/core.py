@@ -15,9 +15,35 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ColSymbolClash, DuplicateCell, EmptyInput, RowSymbolClash
+from .errors import (
+    ColSymbolClash,
+    DuplicateCell,
+    EmptyInput,
+    PreconditionViolated,
+    RowSymbolClash,
+)
 
 AXES = ("row", "col", "sym")
+
+
+def _is_positive_int(value) -> bool:
+    # bool is a subclass of int, but True is not a label or a count.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def positive_int(name: str, value: int) -> int:
+    """Return ``value`` if it is a positive integer, else raise PreconditionViolated."""
+    if not _is_positive_int(value):
+        raise PreconditionViolated(f"{name} must be a positive integer")
+    return value
+
+
+def positive_ints(name: str, values: Sequence[int]) -> tuple[int, ...]:
+    """Return ``values`` as a tuple if it is a nonempty run of positive integers."""
+    values = tuple(values)
+    if not values or not all(_is_positive_int(k) for k in values):
+        raise PreconditionViolated(f"{name} must be a nonempty sequence of positive integers")
+    return values
 
 
 @dataclass(frozen=True, order=True)
@@ -35,14 +61,11 @@ class Triple:
     def __post_init__(self) -> None:
         for axis in AXES:
             value = getattr(self, axis)
-            if not isinstance(value, int) or value < 1:
+            if not _is_positive_int(value):
                 raise ValueError(f"{axis} label must be a positive integer, got {value!r}")
 
     def __str__(self) -> str:
         return f"({self.row}, {self.col}, {self.sym})"
-
-
-TripleLike = "Triple | tuple[int, int, int]"
 
 
 def _coerce_triples(triples: Iterable) -> frozenset[Triple]:
@@ -223,8 +246,8 @@ class CellSet:
 
     ``rows`` and ``cols`` bound the board: every cell (i, j) satisfies
     1 <= i <= rows and 1 <= j <= cols.  Lines outside the occupied range
-    still count as (empty) lines of the board, which matters to the
-    column rebalancing step.
+    still count as (empty) lines of the board, so ``row_counts`` and
+    ``col_counts`` report them as zeros.
     """
 
     cells: frozenset[tuple[int, int]]

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import PreconditionViolated, SumMismatch
+from .core import positive_int, positive_ints
+from .errors import SumMismatch
 
 
 @dataclass(frozen=True)
@@ -43,19 +44,6 @@ class FeasibilityReport:
         return tuple(c for c in self.conditions if not c.satisfied)
 
 
-def _params(name: str, values: Sequence[int]) -> tuple[int, ...]:
-    values = tuple(values)
-    if not values or any(not isinstance(k, int) or k < 1 for k in values):
-        raise PreconditionViolated(f"{name} must be a nonempty sequence of positive integers")
-    return values
-
-
-def _scalar(name: str, value: int) -> int:
-    if not isinstance(value, int) or value < 1:
-        raise PreconditionViolated(f"{name} must be a positive integer")
-    return value
-
-
 def dominance_check(
     n: Sequence[int], m: Sequence[int]
 ) -> tuple[bool, tuple[int, int] | None]:
@@ -65,32 +53,37 @@ def dominance_check(
     ``sum(top k of n) + sum(top l of m) <= v + k * l`` for every prefix
     pair (k, l) of the sorted parameter lists; prefixes of the sorted
     lists suffice because both sides are monotone in the chosen subsets.
-    Returns (True, None) or (False, (k, l)) with a most violated pair.
-    Raises SumMismatch when the totals differ.
+    For a fixed k the excess grows with l exactly while the next column
+    count exceeds k, so the worst l is #{j : m[j] > k} and one pointer
+    walking down the sorted m finds it for every k.  Returns (True, None)
+    or (False, (k, l)) with the first pair, in (k, l) order, of strictly
+    largest excess.  Raises SumMismatch when the totals differ.
     """
-    n = _params("n", n)
-    m = _params("m", m)
+    n = positive_ints("n", n)
+    m = positive_ints("m", m)
     if sum(n) != sum(m):
         raise SumMismatch(f"sum(n) = {sum(n)} but sum(m) = {sum(m)}")
 
     v = sum(n)
     n_desc = sorted(n, reverse=True)
     m_desc = sorted(m, reverse=True)
-    n_prefix = [0]
-    for k in n_desc:
-        n_prefix.append(n_prefix[-1] + k)
     m_prefix = [0]
     for k in m_desc:
         m_prefix.append(m_prefix[-1] + k)
 
     worst_excess = 0
     worst_pair = None
+    n_sum = 0
+    l = len(m)
     for k in range(len(n) + 1):
-        for l in range(len(m) + 1):
-            excess = n_prefix[k] + m_prefix[l] - v - k * l
-            if excess > worst_excess:
-                worst_excess = excess
-                worst_pair = (k, l)
+        if k:
+            n_sum += n_desc[k - 1]
+        while l and m_desc[l - 1] <= k:
+            l -= 1
+        excess = n_sum + m_prefix[l] - v - k * l
+        if excess > worst_excess:
+            worst_excess = excess
+            worst_pair = (k, l)
     return (worst_pair is None, worst_pair)
 
 
@@ -102,9 +95,9 @@ def check_construction(n: Sequence[int], m: Sequence[int], s: int) -> Feasibilit
     reported) when the totals agree, since the volume is undefined
     otherwise.
     """
-    n = _params("n", n)
-    m = _params("m", m)
-    s = _scalar("s", s)
+    n = positive_ints("n", n)
+    m = positive_ints("m", m)
+    s = positive_int("s", s)
 
     if sum(n) != sum(m):
         return FeasibilityReport.from_conditions(
@@ -145,9 +138,9 @@ def check_row_params(n: Sequence[int], c: int, s: int) -> FeasibilityReport:
     Conditions: max(c, s) <= volume <= c * s, and every row parameter at
     most min(c, s).
     """
-    n = _params("n", n)
-    c = _scalar("c", c)
-    s = _scalar("s", s)
+    n = positive_ints("n", n)
+    c = positive_int("c", c)
+    s = positive_int("s", s)
 
     v = sum(n)
     if v < max(c, s):
@@ -172,10 +165,10 @@ def check_sizes(r: int, c: int, s: int, v: int) -> FeasibilityReport:
 
     Conditions: max(r, c, s) <= v and v <= min(r * c, c * s, r * s).
     """
-    r = _scalar("r", r)
-    c = _scalar("c", c)
-    s = _scalar("s", s)
-    v = _scalar("v", v)
+    r = positive_int("r", r)
+    c = positive_int("c", c)
+    s = positive_int("s", s)
+    v = positive_int("v", v)
 
     if v < max(r, c, s):
         lower = Condition("lower-bound", False, f"v = {v} < max(r, c, s) = {max(r, c, s)}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import PartialLatinSquare, normalize, validate
+from .core import PartialLatinSquare, normalize, positive_int, positive_ints, validate
 from .errors import BudgetExceeded, PreconditionViolated
 
 
@@ -35,17 +35,12 @@ DEFAULT_BUDGET = Budget()
 
 
 def _family(name: str, params: Sequence[int] | None) -> tuple[int, ...] | None:
-    if params is None:
-        return None
-    params = tuple(params)
-    if not params or any(not isinstance(k, int) or k < 1 for k in params):
-        raise PreconditionViolated(f"{name} must be a nonempty sequence of positive integers")
-    return params
+    return None if params is None else positive_ints(name, params)
 
 
 def _merge_scalar(name: str, scalar: int | None, family: tuple[int, ...] | None) -> int | None:
-    if scalar is not None and (not isinstance(scalar, int) or scalar < 1):
-        raise PreconditionViolated(f"{name} must be a positive integer")
+    if scalar is not None:
+        positive_int(name, scalar)
     if family is None:
         return scalar
     if scalar is not None and scalar != len(family):
@@ -79,8 +74,8 @@ def exists_full(
     r_eff = _merge_scalar("r", r, rm)
     c_eff = _merge_scalar("c", c, cm)
     s_eff = _merge_scalar("s", s, sm)
-    if v is not None and (not isinstance(v, int) or v < 1):
-        raise PreconditionViolated("v must be a positive integer")
+    if v is not None:
+        positive_int("v", v)
     if all(x is None for x in (rm, cm, sm, r_eff, c_eff, s_eff, v)):
         raise PreconditionViolated("at least one constraint is required")
 
@@ -242,7 +237,16 @@ def exists_full(
             return False
         return recurse(idx + 1)
 
-    if recurse(0):
+    try:
+        found = recurse(0)
+    except RecursionError:
+        # One stack frame per board cell: a pinned board this large cannot
+        # be searched, which is a budget verdict, not a negative answer.
+        raise BudgetExceeded(
+            f"search over a {n_rows} x {n_cols} board needs more stack depth "
+            "than the interpreter allows"
+        ) from None
+    if found:
         assert result is not None
         return True, normalize(validate(result))
     if truncated:
@@ -270,8 +274,7 @@ def enumerate_pls(
     # first pull from the generator.
     caps = {"row": max_rows, "column": max_cols, "symbol": max_symbols, "cell": max_cells}
     for what, cap in caps.items():
-        if not isinstance(cap, int) or cap < 1:
-            raise PreconditionViolated(f"{what} cap must be a positive integer")
+        positive_int(f"{what} cap", cap)
     for what, cap, allowed in (
         ("row", max_rows, budget.max_rows),
         ("column", max_cols, budget.max_cols),

@@ -2,25 +2,20 @@
 
 realize_degree_matrix builds a 0-1 matrix with given row and column sums
 by the classical greedy argument behind the Gale-Ryser theorem.
-rebalance_columns massages a cell set until every board column holds
-between 1 and s cells, and distribute_rows splits a volume into near
-equal row counts.
+distribute_rows splits a volume into near equal line counts.  That split
+is minimal in the majorization order, so by Gale-Ryser it is realizable
+as column sums against any row sums of the same total whose entries do
+not exceed the number of columns; the builders use it in place of any
+search for column counts.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import CellSet
+from .core import CellSet, positive_int, positive_ints
 from .errors import Infeasible, PreconditionViolated
 from .feasibility import dominance_check
-
-
-def _check_positive(name: str, values: Sequence[int]) -> tuple[int, ...]:
-    values = tuple(values)
-    if not values or any(not isinstance(k, int) or k < 1 for k in values):
-        raise PreconditionViolated(f"{name} must be a nonempty sequence of positive integers")
-    return values
 
 
 def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
@@ -32,8 +27,8 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
     when the totals differ or the dominance condition fails; the witness
     is the violating prefix pair from dominance_check.
     """
-    n = _check_positive("n", n)
-    m = _check_positive("m", m)
+    n = positive_ints("n", n)
+    m = positive_ints("m", m)
     if sum(n) != sum(m):
         raise Infeasible(
             f"row total {sum(n)} differs from column total {sum(m)}",
@@ -59,58 +54,14 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
     return CellSet(frozenset(cells), rows=len(n), cols=len(m))
 
 
-def rebalance_columns(cell_set: CellSet, s: int) -> CellSet:
-    """Move cells within their rows until every column count lies in [1, s].
-
-    Preconditions: every row of ``cell_set`` holds at most min(cols, s)
-    cells and cols <= volume <= cols * s.  Each move takes one cell from a
-    fullest column to a column below s (an empty one when available, then
-    the lowest index), choosing the lowest row that occupies the source
-    but not the destination.  Row counts never change.
-    """
-    if s < 1:
-        raise PreconditionViolated("s must be positive")
-    c = cell_set.cols
-    cap = min(c, s)
-    for i, count in enumerate(cell_set.row_counts()):
-        if count > cap:
-            raise PreconditionViolated(f"row {i + 1} holds {count} cells, above min(c, s) = {cap}")
-    if not (c <= cell_set.volume <= c * s):
-        raise PreconditionViolated(
-            f"volume {cell_set.volume} outside [{c}, {c * s}] for {c} columns and s = {s}"
-        )
-
-    cells = set(cell_set.cells)
-    counts = list(cell_set.col_counts())
-    while max(counts) > s or 0 in counts:
-        src = counts.index(max(counts))
-        empties = [j for j, k in enumerate(counts) if k == 0]
-        if empties:
-            dst = empties[0]
-        else:
-            below = [j for j, k in enumerate(counts) if k < s]
-            assert below, "no destination column below s"
-            dst = below[0]
-        movable = sorted(
-            i for (i, j) in cells if j == src + 1 and (i, dst + 1) not in cells
-        )
-        assert movable, "source column has no row missing the destination"
-        row = movable[0]
-        cells.remove((row, src + 1))
-        cells.add((row, dst + 1))
-        counts[src] -= 1
-        counts[dst] += 1
-    return CellSet(frozenset(cells), rows=cell_set.rows, cols=cell_set.cols)
-
-
 def distribute_rows(v: int, r: int, cap: int) -> tuple[int, ...]:
     """Split a volume of v cells over r rows, each holding 1..cap cells.
 
     The split is as even as possible (largest and smallest counts differ
     by at most one) with the larger counts first.
     """
-    if r < 1 or cap < 1:
-        raise PreconditionViolated("row count and cap must be positive")
+    positive_int("row count", r)
+    positive_int("cap", cap)
     if not (r <= v <= r * cap):
         raise PreconditionViolated(f"volume {v} outside [{r}, {r * cap}] for {r} rows with cap {cap}")
     base, extra = divmod(v, r)

@@ -23,6 +23,7 @@ from plskit import (
     exists_full,
     fill_symbols,
     merge_matchings,
+    normalize,
     parameters_of,
     realize_degree_matrix,
     saturating_matching,
@@ -81,27 +82,36 @@ def test_criterion_4_constructive_soundness():
         if not check_construction(n, m, s).feasible:
             continue
         built += 1
-        profile = parameters_of(build_theorem(n, m, s))
+        pls = build_theorem(n, m, s)
+        profile = parameters_of(pls)
         if not (
             profile.row_params == tuple(n)
             and profile.col_params == tuple(m)
             and profile.s == s
         ):
             failures.append(("theorem", n, m, s))
+        elif normalize(pls) != pls:
+            failures.append(("theorem", n, m, s, "not normalized"))
     for n, c, s in row_params_tuples(3, 3, 3):
         if not check_row_params(n, c, s).feasible:
             continue
         built += 1
-        profile = parameters_of(build_proposition(n, c, s))
+        pls = build_proposition(n, c, s)
+        profile = parameters_of(pls)
         if not (profile.row_params == tuple(n) and profile.c == c and profile.s == s):
             failures.append(("rows", n, c, s))
+        elif normalize(pls) != pls:
+            failures.append(("rows", n, c, s, "not normalized"))
     for r, c, s, v in sizes_tuples(3, 9):
         if not check_sizes(r, c, s, v).feasible:
             continue
         built += 1
-        profile = parameters_of(build_corollary(r, c, s, v))
+        pls = build_corollary(r, c, s, v)
+        profile = parameters_of(pls)
         if (profile.r, profile.c, profile.s, profile.volume) != (r, c, s, v):
             failures.append(("sizes", r, c, s, v))
+        elif normalize(pls) != pls:
+            failures.append(("sizes", r, c, s, v, "not normalized"))
     report(
         "criterion 4: constructive soundness on every feasible tuple",
         not failures,

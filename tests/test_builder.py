@@ -16,6 +16,7 @@ from plskit import (
     build_theorem,
     fill_symbols,
     iter_symbol_layers,
+    normalize,
     parameters_of,
     split_symbols,
     validate,
@@ -212,8 +213,12 @@ class TestBuildCorollary:
 
 class TestDeterminism:
     def test_identical_inputs_identical_outputs(self):
-        assert build_theorem((3, 2, 2), (3, 2, 2), 4) == build_theorem(
-            (3, 2, 2), (3, 2, 2), 4
-        )
-        assert build_proposition((2, 2), 3, 3) == build_proposition((2, 2), 3, 3)
-        assert build_corollary(3, 3, 3, 7) == build_corollary(3, 3, 3, 7)
+        for build, args in (
+            (build_theorem, ((3, 2, 2), (3, 2, 2), 4)),
+            (build_proposition, ((2, 2), 3, 3)),
+            (build_corollary, (3, 3, 3, 7)),
+        ):
+            pls = build(*args)
+            assert pls == build(*args)
+            # The builders emit normalized labels without relabeling.
+            assert normalize(pls) == pls

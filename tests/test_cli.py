@@ -158,6 +158,23 @@ class TestOracle:
         assert code == 3
         assert "budget" in err
 
+    def test_board_too_deep_to_search_is_a_budget_error(self):
+        # One row of 1100 cells: the search would recurse once per cell.
+        # Running out of stack must not read as "does not exist" (exit 1).
+        code, out, err = invoke(
+            [
+                "oracle", "exists",
+                "--r", "1", "--c", "1100", "--s", "1100", "--v", "1100",
+                "--budget-cols", "1100",
+                "--budget-symbols", "1100",
+                "--budget-cells", "1100",
+            ]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_budget_flags_extend_the_search(self):
         code, _, _ = invoke(
             ["oracle", "exists", "--r", "7", "--v", "7", "--budget-rows", "7"]

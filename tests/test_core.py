@@ -37,7 +37,7 @@ class TestTriple:
         assert (t.row, t.col, t.sym) == (1, 2, 3)
         assert str(t) == "(1, 2, 3)"
 
-    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -1, 1), (1, 1, 0)])
+    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (True, 1, 1)])
     def test_labels_must_be_positive(self, bad):
         with pytest.raises(ValueError):
             Triple(*bad)

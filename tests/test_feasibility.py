@@ -32,6 +32,20 @@ def dominance_brute_force(n, m):
     return True
 
 
+def dominance_double_loop(n, m):
+    """The O(r * c) scan over every prefix pair; first strictly worst pair wins."""
+    v = sum(n)
+    n_desc = sorted(n, reverse=True)
+    m_desc = sorted(m, reverse=True)
+    worst_excess, worst_pair = 0, None
+    for k in range(len(n) + 1):
+        for l in range(len(m) + 1):
+            excess = sum(n_desc[:k]) + sum(m_desc[:l]) - v - k * l
+            if excess > worst_excess:
+                worst_excess, worst_pair = excess, (k, l)
+    return (worst_pair is None, worst_pair)
+
+
 def random_composition(rng, total, max_parts):
     parts = rng.randint(1, min(max_parts, total))
     cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
@@ -57,6 +71,8 @@ class TestDominanceCheck:
     def test_rejects_nonpositive(self):
         with pytest.raises(PreconditionViolated):
             dominance_check((1, 0), (1,))
+        with pytest.raises(PreconditionViolated):
+            dominance_check((True,), (1,))
 
     def test_prefix_equals_brute_force_exhaustively(self):
         # Every equal-sum pair with small entries; the prefix reduction
@@ -74,6 +90,9 @@ class TestDominanceCheck:
             for n, m in itertools.product(group, repeat=2):
                 holds, witness = dominance_check(n, m)
                 assert holds == dominance_brute_force(n, m), (n, m)
+                # The witness is what `plskit check` prints, so pin it to
+                # the plain scan over every prefix pair.
+                assert (holds, witness) == dominance_double_loop(n, m), (n, m)
                 checked += 1
                 if not holds:
                     k, l = witness
@@ -143,6 +162,12 @@ class TestCheckConstruction:
         assert "(k = 2, l = 1)" in dominance.witness
         assert "8 > 6" in dominance.witness
 
+    def test_rejects_bool_entries(self):
+        with pytest.raises(PreconditionViolated):
+            check_construction((True,), (1,), 1)
+        with pytest.raises(PreconditionViolated):
+            check_construction((1,), (1,), True)
+
     @given(
         st.lists(st.integers(1, 3), min_size=1, max_size=4),
         st.lists(st.integers(1, 3), min_size=1, max_size=4),
@@ -201,3 +226,5 @@ class TestCheckSizes:
     def test_rejects_nonpositive(self):
         with pytest.raises(PreconditionViolated):
             check_sizes(0, 1, 1, 1)
+        with pytest.raises(PreconditionViolated):
+            check_sizes(True, 1, 1, 1)

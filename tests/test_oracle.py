@@ -110,6 +110,12 @@ class TestExistsFull:
         with pytest.raises(PreconditionViolated):
             exists_full()
 
+    def test_bool_inputs_rejected(self):
+        with pytest.raises(PreconditionViolated):
+            exists_full(r=True)
+        with pytest.raises(PreconditionViolated):
+            exists_full(row_params=(True,))
+
     def test_volume_disagreement_rejected(self):
         with pytest.raises(PreconditionViolated):
             exists_full(row_params=(2, 1), col_params=(2, 2))
@@ -204,6 +210,8 @@ class TestEnumerate:
     def test_rejects_bad_caps(self):
         with pytest.raises(PreconditionViolated):
             enumerate_pls(0, 2, 2, 4)
+        with pytest.raises(PreconditionViolated):
+            enumerate_pls(True, 2, 2, 4)
 
 
 class TestOracleAgreesWithEnumeration:

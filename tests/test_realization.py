@@ -1,4 +1,4 @@
-"""Degree matrix realization, column rebalancing, row distribution."""
+"""Degree matrix realization and row distribution."""
 
 import random
 
@@ -7,15 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plskit import (
-    CellSet,
     Infeasible,
     PreconditionViolated,
     distribute_rows,
     realize_degree_matrix,
-    rebalance_columns,
 )
-
-from conftest import cell_sets
 
 
 def random_feasible_pair(rng, max_side=6):
@@ -65,6 +61,8 @@ class TestRealizeDegreeMatrix:
             realize_degree_matrix((2, 0), (1, 1))
         with pytest.raises(PreconditionViolated):
             realize_degree_matrix((), (1,))
+        with pytest.raises(PreconditionViolated):
+            realize_degree_matrix((True,), (1,))
 
     def test_random_feasible_pairs_realize_exactly(self):
         rng = random.Random(7)
@@ -74,47 +72,6 @@ class TestRealizeDegreeMatrix:
             assert out.row_counts() == n
             assert out.col_counts() == m
             assert realize_degree_matrix(n, m).cells == out.cells
-
-
-class TestRebalanceColumns:
-    def test_already_balanced_is_unchanged(self):
-        cs = CellSet(frozenset({(1, 1), (2, 2)}), rows=2, cols=2)
-        assert rebalance_columns(cs, 1).cells == cs.cells
-
-    def test_single_column_spreads_out(self):
-        cs = CellSet(frozenset({(1, 1), (2, 1), (3, 1)}), rows=3, cols=3)
-        out = rebalance_columns(cs, 2)
-        assert out.col_counts() == (1, 1, 1)
-        assert out.row_counts() == cs.row_counts()
-        # Pinned move order: lowest rows leave the full column first.
-        assert out.cells == frozenset({(1, 2), (2, 3), (3, 1)})
-
-    def test_volume_above_cs_is_rejected(self):
-        cs = CellSet(frozenset({(1, 1), (1, 2), (2, 1)}), rows=2, cols=2)
-        with pytest.raises(PreconditionViolated):
-            rebalance_columns(cs, 1)
-
-    def test_row_above_cap_is_rejected(self):
-        cs = CellSet(frozenset({(1, 1), (1, 2)}), rows=1, cols=2)
-        with pytest.raises(PreconditionViolated):
-            rebalance_columns(cs, 1)
-
-    def test_volume_below_column_count_is_rejected(self):
-        cs = CellSet(frozenset({(1, 1)}), rows=1, cols=2)
-        with pytest.raises(PreconditionViolated):
-            rebalance_columns(cs, 1)
-
-    @given(cell_sets(), st.integers(1, 6))
-    def test_balances_whenever_preconditions_hold(self, cs, s):
-        cap = min(cs.cols, s)
-        if max(cs.row_counts()) > cap or not (cs.cols <= cs.volume <= cs.cols * s):
-            with pytest.raises(PreconditionViolated):
-                rebalance_columns(cs, s)
-            return
-        out = rebalance_columns(cs, s)
-        assert out.row_counts() == cs.row_counts()
-        assert out.volume == cs.volume
-        assert all(1 <= k <= s for k in out.col_counts())
 
 
 class TestDistributeRows:
@@ -132,6 +89,8 @@ class TestDistributeRows:
             distribute_rows(7, 3, 2)
         with pytest.raises(PreconditionViolated):
             distribute_rows(2, 3, 2)
+        with pytest.raises(PreconditionViolated):
+            distribute_rows(1, True, 1)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
     def test_split_properties(self, v, r, cap):
