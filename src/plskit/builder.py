@@ -8,20 +8,28 @@ have degree p in the occupancy graph of the remaining cells, whose
 maximum degree is p, so a matching covering all of them exists; removing
 it drops the maximum count to exactly p - 1.
 
+The peeling engine, iter_symbol_layers, keeps one row and one column
+adjacency list for the whole run, removes each layer's cells from them in
+place, and reads every line count off the list lengths; it calls the
+matching module's dict-based primitives directly and builds no graph or
+matching object.
+
 The three build_* entry points chain the feasibility predicate, the
 degree matrix realization, the symbol fill, and the symbol split into
-complete constructions for the three kinds of prescription.  Their
-output is normalized without a relabeling pass: the realization fills
-every row 1..r and column 1..c, every peel layer is nonempty so the fill
-uses every symbol 1..max, and the split adds symbols max+1, max+2, ...
+complete constructions for the three kinds of prescription.  The fill
+and the split hand a plain {(row, col): symbol} map to each other, and
+the square is validated once, when the finished map becomes a
+PartialLatinSquare.  Its output is normalized without a relabeling pass:
+the realization fills every row 1..r and column 1..c, every peel layer
+is nonempty so the fill uses every symbol 1..max, and the split adds
+symbols max+1, max+2, ...
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterator, Sequence
 
-from .core import CellSet, PartialLatinSquare, Triple, positive_int, validate
+from .core import CellSet, PartialLatinSquare, positive_int, validate
 from .errors import Infeasible, PreconditionViolated
 from .feasibility import (
     FeasibilityReport,
@@ -29,8 +37,10 @@ from .feasibility import (
     check_row_params,
     check_sizes,
 )
-from .matching import BipartiteGraph, merge_matchings, saturating_matching
+from .matching import LEFT, RIGHT, _merge, _saturate
 from .realization import distribute_rows, realize_degree_matrix
+
+Labels = dict[tuple[int, int], int]  # (row, col) -> symbol
 
 
 def iter_symbol_layers(cell_set: CellSet) -> Iterator[tuple[int, frozenset[tuple[int, int]]]]:
@@ -40,23 +50,34 @@ def iter_symbol_layers(cell_set: CellSet) -> Iterator[tuple[int, frozenset[tuple
     more cells; the generator checks this instead of assuming it.  The
     yielded cell groups partition the input cell set.
     """
-    remaining = set(cell_set.cells)
-    top = max(max(cell_set.row_counts()), max(cell_set.col_counts()))
+    rows: dict[int, list[int]] = {}
+    cols: dict[int, list[int]] = {}
+    for i, j in sorted(cell_set.cells):
+        rows.setdefault(i, []).append(j)
+        cols.setdefault(j, []).append(i)
+    top = max(max(map(len, rows.values())), max(map(len, cols.values())))
     for p in range(top, 0, -1):
-        row_counts = Counter(i for i, _ in remaining)
-        col_counts = Counter(j for _, j in remaining)
-        peak = max(max(row_counts.values()), max(col_counts.values()))
+        peak = max(max(map(len, rows.values())), max(map(len, cols.values())))
         assert peak == p, f"expected maximum line count {p}, found {peak}"
 
-        graph = BipartiteGraph(cell_set.rows, cell_set.cols, frozenset(remaining))
-        x1 = sorted(i for i, k in row_counts.items() if k == p)
-        y1 = sorted(j for j, k in col_counts.items() if k == p)
-        m = saturating_matching(graph, "left", x1)
-        n = saturating_matching(graph, "right", y1)
-        layer = merge_matchings(graph, m, n, x1, y1).edges
+        x1 = sorted(i for i, line in rows.items() if len(line) == p)
+        y1 = sorted(j for j, line in cols.items() if len(line) == p)
+        m = _saturate(rows, x1, LEFT)
+        n = _saturate(cols, y1, RIGHT)
+        layer = _merge(m, n, set(x1), set(y1))
         yield p, frozenset(layer)
-        remaining -= layer
-    assert not remaining, "cells left over after the final layer"
+        for i, j in layer:
+            rows[i].remove(j)
+            cols[j].remove(i)
+    assert not any(rows.values()), "cells left over after the final layer"
+
+
+def _fill(cell_set: CellSet) -> Labels:
+    return {cell: p for p, layer in iter_symbol_layers(cell_set) for cell in layer}
+
+
+def _square(labels: Labels) -> PartialLatinSquare:
+    return validate((i, j, sym) for (i, j), sym in labels.items())
 
 
 def fill_symbols(cell_set: CellSet) -> PartialLatinSquare:
@@ -66,11 +87,32 @@ def fill_symbols(cell_set: CellSet) -> PartialLatinSquare:
     equals the maximum line count of the cell set; the cells removed at
     count p all receive symbol p.
     """
-    triples = set()
-    for p, layer in iter_symbol_layers(cell_set):
-        for i, j in layer:
-            triples.add(Triple(i, j, p))
-    return validate(triples)
+    return _square(_fill(cell_set))
+
+
+def _split(labels: Labels, s: int) -> None:
+    # Relabel cells in place until s symbols are in use.  Symbols wait in
+    # buckets by count; the donor is the smallest label in the highest
+    # bucket, which drops to the bucket below.  A bucket is sorted when
+    # its turn comes, by then holding every symbol demoted into it.
+    cells_of: dict[int, list[tuple[int, int]]] = {}
+    for cell in sorted(labels, reverse=True):
+        cells_of.setdefault(labels[cell], []).append(cell)
+    by_count: dict[int, list[int]] = {}
+    for sym, cells in cells_of.items():
+        by_count.setdefault(len(cells), []).append(sym)
+
+    fresh = max(cells_of)
+    level = max(by_count) + 1
+    queue: list[int] = []
+    for _ in range(s - len(cells_of)):
+        while not queue:
+            level -= 1
+            queue = sorted(by_count.pop(level, ()), reverse=True)
+        donor = queue.pop()
+        by_count.setdefault(level - 1, []).append(donor)
+        fresh += 1
+        labels[cells_of[donor].pop()] = fresh
 
 
 def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:
@@ -83,26 +125,14 @@ def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:
     symbol disappears.
     """
     positive_int("s", s)
-    triples = set(pls.triples)
-    symbols = {t.sym for t in triples}
-    if not (len(symbols) <= s <= len(triples)):
+    labels = {(t.row, t.col): t.sym for t in pls.triples}
+    symbols = len(set(labels.values()))
+    if not (symbols <= s <= len(labels)):
         raise PreconditionViolated(
-            f"target symbol count {s} outside [{len(symbols)}, {len(triples)}]"
+            f"target symbol count {s} outside [{symbols}, {len(labels)}]"
         )
-
-    fresh = max(symbols)
-    while len(symbols) < s:
-        counts = Counter(t.sym for t in triples)
-        donor = max(
-            (sym for sym, k in counts.items() if k >= 2),
-            key=lambda sym: (counts[sym], -sym),
-        )
-        cell = min((t for t in triples if t.sym == donor), key=lambda t: (t.row, t.col))
-        fresh += 1
-        triples.remove(cell)
-        triples.add(Triple(cell.row, cell.col, fresh))
-        symbols.add(fresh)
-    return validate(triples)
+    _split(labels, s)
+    return _square(labels)
 
 
 def _require_feasible(report: FeasibilityReport) -> None:
@@ -119,9 +149,9 @@ def build_theorem(n: Sequence[int], m: Sequence[int], s: int) -> PartialLatinSqu
     impossible.
     """
     _require_feasible(check_construction(n, m, s))
-    cells = realize_degree_matrix(n, m)
-    filled = fill_symbols(cells)
-    return split_symbols(filled, s)
+    labels = _fill(realize_degree_matrix(n, m))
+    _split(labels, s)
+    return _square(labels)
 
 
 def build_proposition(n: Sequence[int], c: int, s: int) -> PartialLatinSquare:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the request is feasible, valid, or equivalent; 1 when
 it is infeasible, invalid, or a sweep found a mismatch; 2 on usage or
-I/O errors; 3 when the oracle budget was exceeded.
+I/O errors; 3 when the oracle budget was exceeded; 4 when the program
+itself failed, so that a crash never reads as a negative answer.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _positive_int(text: str) -> int:
@@ -316,6 +318,9 @@ def run(
     except PlsError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=err)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -75,14 +76,19 @@ def _coerce_triples(triples: Iterable) -> frozenset[Triple]:
     return frozenset(coerced)
 
 
+_ROW_MAJOR = attrgetter("row", "col", "sym")
+
+
 def _check_triples(triples: frozenset[Triple]) -> None:
     # Scan in row-major order so the reported offending pair is deterministic.
+    # Sorting by an attribute key gives Triple's own order without calling
+    # the dataclass comparison once per pair.
     if not triples:
         raise EmptyInput()
     by_cell: dict[tuple[int, int], Triple] = {}
     by_row_sym: dict[tuple[int, int], Triple] = {}
     by_col_sym: dict[tuple[int, int], Triple] = {}
-    for t in sorted(triples):
+    for t in sorted(triples, key=_ROW_MAJOR):
         cell = (t.row, t.col)
         if cell in by_cell:
             raise DuplicateCell(by_cell[cell], t)
@@ -139,7 +145,7 @@ def validate(triples: Iterable) -> PartialLatinSquare:
     EmptyInput, DuplicateCell, RowSymbolClash, or ColSymbolClash; the two
     offending triples are named on the error.
     """
-    return PartialLatinSquare(frozenset(_coerce_triples(triples)))
+    return PartialLatinSquare(triples)
 
 
 @dataclass(frozen=True)

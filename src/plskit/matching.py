@@ -6,13 +6,22 @@ exactly n.  The constructive route implemented here builds one matching M
 saturating the left-side degree-n vertices X1, another matching N
 saturating the right-side degree-n vertices Y1, and merges them into a
 single matching covering X1 and Y1 by walking the components of the
-symmetric difference M xor N.
+symmetric difference M xor N (Mendelsohn and Dulmage, 1958).
+
+Two primitives on plain ints and dicts do the work: ``_saturate`` grows
+augmenting paths with an explicit stack, so path length is bounded by
+memory rather than by the interpreter's recursion limit, and ``_merge``
+walks M xor N on dict matchings and (side, index) vertices.  Either side
+is saturated from that side's own adjacency lists, never from a flipped
+copy of the graph.  The builder's peeling engine calls the primitives
+directly; the public functions below are thin wrappers that check their
+arguments and convert to and from the frozen graph and matching types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import AbstractSet, Iterable, Literal, Mapping, Sequence
 
 from .core import CellSet
 from .errors import NoSaturation, PreconditionViolated
@@ -86,9 +95,6 @@ class Matching:
     def right_vertices(self) -> frozenset[int]:
         return frozenset(r for _, r in self.edges)
 
-    def flipped(self) -> "Matching":
-        return Matching(frozenset((r, l) for l, r in self.edges))
-
 
 def occupancy_graph(cell_set: CellSet) -> BipartiteGraph:
     """Rows on the left, columns on the right, one edge per occupied cell."""
@@ -96,28 +102,68 @@ def occupancy_graph(cell_set: CellSet) -> BipartiteGraph:
 
 
 def _augment(
-    u: int,
-    adj: dict[int, tuple[int, ...]],
-    match_left: dict[int, int],
-    match_right: dict[int, int],
+    root: int,
+    adj: Mapping[int, Sequence[int]],
+    match: dict[int, int],
+    owner: dict[int, int],
     visited: set[int],
 ) -> bool:
-    # Prefer a free neighbor before rerouting matched ones; neighbors are
-    # scanned in increasing index order in both passes.
-    neighbors = adj.get(u, ())
-    for v in neighbors:
-        if v not in visited and v not in match_right:
-            match_right[v] = u
-            match_left[u] = v
-            return True
-    for v in neighbors:
-        if v not in visited:
-            visited.add(v)
-            if _augment(match_right[v], adj, match_left, match_right, visited):
-                match_right[v] = u
-                match_left[u] = v
+    # Depth-first search for an augmenting path from ``root``.  On entering
+    # a vertex, a free neighbor is taken first; failing that, matched
+    # neighbors are rerouted in increasing index order.  ``stack`` holds
+    # [vertex, neighbors, next neighbor index] for each vertex on the
+    # current path and ``via[k]`` the neighbor leading from stack[k] to
+    # stack[k + 1].  The matching changes only once a path is found, so
+    # every neighbor the free scan passes over has an owner to reroute.
+    stack: list[list] = []
+    via: list[int] = []
+    u = root
+    while True:
+        neighbors = adj.get(u, ())
+        for v in neighbors:
+            if v not in owner:
+                match[u] = v
+                owner[v] = u
+                for frame, w in zip(stack, via):
+                    match[frame[0]] = w
+                    owner[w] = frame[0]
                 return True
-    return False
+        stack.append([u, neighbors, 0])
+        while True:
+            frame = stack[-1]
+            _, neighbors, i = frame
+            while i < len(neighbors) and neighbors[i] in visited:
+                i += 1
+            if i < len(neighbors):
+                v = neighbors[i]
+                frame[2] = i + 1
+                visited.add(v)
+                via.append(v)
+                u = owner[v]
+                break
+            stack.pop()
+            if not stack:
+                return False
+            via.pop()
+
+
+def _saturate(
+    adj: Mapping[int, Sequence[int]], targets: Iterable[int], side: str
+) -> dict[int, int]:
+    """Match every target, taken in the given order, to one neighbor.
+
+    ``adj`` maps each target-side vertex to its neighbors in increasing
+    order.  Returns target -> neighbor.  Raises NoSaturation on ``side``
+    when some target cannot be reached, with the target-side vertices of
+    the failed search as a Hall witness.
+    """
+    match: dict[int, int] = {}
+    owner: dict[int, int] = {}
+    for u in targets:
+        visited: set[int] = set()
+        if not _augment(u, adj, match, owner, visited):
+            raise NoSaturation(side=side, witness=frozenset({u} | {owner[v] for v in visited}))
+    return match
 
 
 def saturating_matching(
@@ -132,26 +178,17 @@ def saturating_matching(
     """
     if side not in (LEFT, RIGHT):
         raise PreconditionViolated(f"side must be 'left' or 'right', got {side!r}")
-    if side == RIGHT:
-        try:
-            return saturating_matching(graph.flipped(), LEFT, targets).flipped()
-        except NoSaturation as exc:
-            raise NoSaturation(side=RIGHT, witness=exc.witness) from None
-
+    size = graph.left_size if side == LEFT else graph.right_size
     target_list = sorted(set(targets))
     for u in target_list:
-        if not (1 <= u <= graph.left_size):
-            raise PreconditionViolated(f"target {u} is not a left vertex of the graph")
+        if not (1 <= u <= size):
+            raise PreconditionViolated(f"target {u} is not a {side} vertex of the graph")
 
-    adj = graph.left_adjacency()
-    match_left: dict[int, int] = {}
-    match_right: dict[int, int] = {}
-    for u in target_list:
-        visited: set[int] = set()
-        if not _augment(u, adj, match_left, match_right, visited):
-            blockers = frozenset({u} | {match_right[v] for v in visited})
-            raise NoSaturation(side=LEFT, witness=blockers)
-    return Matching(frozenset(match_left.items()))
+    if side == LEFT:
+        match = _saturate(graph.left_adjacency(), target_list, LEFT)
+        return Matching(frozenset(match.items()))
+    match = _saturate(graph.right_adjacency(), target_list, RIGHT)
+    return Matching(frozenset((l, r) for r, l in match.items()))
 
 
 @dataclass(frozen=True)
@@ -177,6 +214,67 @@ def _vertex_key(vertex: Vertex) -> tuple[int, int]:
     return (_SIDE_RANK[vertex[0]], vertex[1])
 
 
+Component = tuple[str, list[Vertex], list[Edge], list[str]]
+
+
+def _components(m: Mapping[int, int], n: Mapping[int, int]) -> list[Component]:
+    """The maximal paths and cycles of M xor N as (kind, vertices, edges, tags).
+
+    ``m`` maps left to right vertices and ``n`` right to left ones.  A
+    path is walked from its endpoint with the smaller (side, index) key,
+    left before right; a cycle from its smallest vertex, M edge first.
+    Paths come first, each group in order of its starting vertex.
+    """
+    m_right = {r: l for l, r in m.items()}
+    n_left = {l: r for r, l in n.items()}
+    # (M partner, N partner) of each vertex of the difference, in key
+    # order.  The M and N edges at a vertex differ exactly when neither
+    # is shared, and a missing edge reads None.
+    partners: dict[Vertex, tuple[int | None, int | None]] = {}
+    for u in sorted(m.keys() | n_left.keys()):
+        pair = (m.get(u), n_left.get(u))
+        if pair[0] != pair[1]:
+            partners[(LEFT, u)] = pair
+    for v in sorted(m_right.keys() | n.keys()):
+        pair = (m_right.get(v), n.get(v))
+        if pair[0] != pair[1]:
+            partners[(RIGHT, v)] = pair
+
+    used: set[Vertex] = set()
+
+    def walk(start: Vertex, tag: str) -> Component:
+        vertices, edges, tags = [start], [], []
+        used.add(start)
+        current = start
+        while True:
+            partner = partners[current][0 if tag == "M" else 1]
+            if partner is None:
+                return ("path", vertices, edges, tags)
+            if current[0] == LEFT:
+                other = (RIGHT, partner)
+                edges.append((current[1], partner))
+            else:
+                other = (LEFT, partner)
+                edges.append((partner, current[1]))
+            tags.append(tag)
+            if other == start:
+                return ("cycle", vertices, edges, tags)
+            vertices.append(other)
+            used.add(other)
+            current = other
+            tag = "N" if tag == "M" else "M"
+
+    components = []
+    for vertex, (m_partner, n_partner) in partners.items():
+        if vertex not in used and (m_partner is None or n_partner is None):
+            components.append(walk(vertex, "N" if m_partner is None else "M"))
+    for vertex in partners:
+        # Every vertex of the difference left unwalked lies on a cycle.
+        if vertex not in used:
+            components.append(walk(vertex, "M"))
+    return components
+
+
 def symmetric_difference_components(
     m: Matching, n: Matching
 ) -> tuple[AlternatingComponent, ...]:
@@ -189,64 +287,12 @@ def symmetric_difference_components(
     follows its M edge first.  Components are reported sorted by their
     starting vertex.
     """
-    tagged: list[tuple[Edge, str]] = []
-    for edge in sorted(m.edges - n.edges):
-        tagged.append((edge, "M"))
-    for edge in sorted(n.edges - m.edges):
-        tagged.append((edge, "N"))
-
-    incident: dict[Vertex, list[tuple[Edge, str]]] = {}
-    for edge, tag in tagged:
-        left, right = edge
-        incident.setdefault((LEFT, left), []).append((edge, tag))
-        incident.setdefault((RIGHT, right), []).append((edge, tag))
-
-    used: set[tuple[Edge, str]] = set()
-
-    def walk(start: Vertex, first: tuple[Edge, str]) -> AlternatingComponent:
-        vertices = [start]
-        edges = []
-        tags = []
-        current = start
-        step = first
-        while True:
-            used.add(step)
-            edge, tag = step
-            edges.append(edge)
-            tags.append(tag)
-            side, index = current
-            other: Vertex = (
-                (RIGHT, edge[1]) if side == LEFT else (LEFT, edge[0])
-            )
-            if other == start:
-                return AlternatingComponent("cycle", tuple(vertices), tuple(edges), tuple(tags))
-            vertices.append(other)
-            current = other
-            candidates = [e for e in incident[other] if e not in used]
-            if not candidates:
-                return AlternatingComponent("path", tuple(vertices), tuple(edges), tuple(tags))
-            step = candidates[0]  # degree <= 2: at most one unused edge remains
-
-    components: list[AlternatingComponent] = []
-    endpoints = sorted(
-        (v for v, inc in incident.items() if len(inc) == 1), key=_vertex_key
-    )
-    for vertex in endpoints:
-        remaining = [e for e in incident[vertex] if e not in used]
-        if remaining:
-            components.append(walk(vertex, remaining[0]))
-
-    cycle_vertices = sorted(
-        (v for v, inc in incident.items() if any(e not in used for e in inc)),
-        key=_vertex_key,
-    )
-    for vertex in cycle_vertices:
-        remaining = [e for e in incident[vertex] if e not in used]
-        if not remaining:
-            continue
-        m_first = [e for e in remaining if e[1] == "M"]
-        components.append(walk(vertex, m_first[0] if m_first else remaining[0]))
-
+    components = [
+        AlternatingComponent(kind, tuple(vertices), tuple(edges), tuple(tags))
+        for kind, vertices, edges, tags in _components(
+            dict(m.edges), {r: l for l, r in n.edges}
+        )
+    ]
     return tuple(sorted(components, key=lambda comp: _vertex_key(comp.vertices[0])))
 
 
@@ -255,15 +301,13 @@ def _require(condition: bool, detail: str) -> None:
         raise PreconditionViolated(f"matching merge invariant failed: {detail}")
 
 
-def _select_path_edges(
-    comp: AlternatingComponent, x1: frozenset[int], y1: frozenset[int]
-) -> tuple[Edge, ...]:
-    # Case analysis for one maximal path.  Preconditions guarantee that
-    # every M edge has its left endpoint in X1 and every N edge has its
-    # right endpoint in Y1; each derived membership below is checked
-    # rather than assumed.
-    verts = comp.vertices
-    tags = comp.tags
+def _path_tag(
+    verts: Sequence[Vertex], tags: Sequence[str], x1: AbstractSet[int], y1: AbstractSet[int]
+) -> str:
+    # Case analysis for one maximal path; returns the tag whose edges it
+    # keeps.  Preconditions guarantee that every M edge has its left
+    # endpoint in X1 and every N edge has its right endpoint in Y1; each
+    # derived membership below is checked rather than assumed.
     v1, v2, vm = verts[0], verts[1], verts[-1]
 
     def in_x1(v: Vertex) -> bool:
@@ -279,9 +323,9 @@ def _select_path_edges(
             _require(in_x1(v2), f"vertex {v2} should lie in X1")
             _require(v1[0] == RIGHT and not in_y1(v1), f"vertex {v1} should avoid Y1")
             if in_x1(vm):
-                return comp.edges_tagged("M")
+                return "M"
             if in_y1(vm):
-                return comp.edges_tagged("N")
+                return "N"
             raise PreconditionViolated(
                 f"matching merge invariant failed: far end {vm} lies in neither X1 nor Y1"
             )
@@ -293,16 +337,16 @@ def _select_path_edges(
             _require(not in_y1(vm), f"vertex {vm} should avoid Y1")
         if tags[-1] == "N" and vm[0] == LEFT:
             _require(not in_x1(vm), f"vertex {vm} should avoid X1")
-        return comp.edges_tagged("M")
+        return "M"
 
     # Mirror image for paths that start with an N edge.
     if v2[0] == RIGHT:
         _require(in_y1(v2), f"vertex {v2} should lie in Y1")
         _require(v1[0] == LEFT and not in_x1(v1), f"vertex {v1} should avoid X1")
         if in_y1(vm):
-            return comp.edges_tagged("N")
+            return "N"
         if in_x1(vm):
-            return comp.edges_tagged("M")
+            return "M"
         raise PreconditionViolated(
             f"matching merge invariant failed: far end {vm} lies in neither X1 nor Y1"
         )
@@ -313,7 +357,32 @@ def _select_path_edges(
         _require(not in_x1(vm), f"vertex {vm} should avoid X1")
     if tags[-1] == "M" and vm[0] == RIGHT:
         _require(not in_y1(vm), f"vertex {vm} should avoid Y1")
-    return comp.edges_tagged("N")
+    return "N"
+
+
+def _merge(
+    m: Mapping[int, int], n: Mapping[int, int], x1: AbstractSet[int], y1: AbstractSet[int]
+) -> list[Edge]:
+    """Merge M (left -> right, covering X1) and N (right -> left, covering Y1).
+
+    Returns the (left, right) edges of one matching inside M union N that
+    covers X1 and Y1, after checking that it does.
+    """
+    kept = [(l, r) for l, r in m.items() if n.get(r) == l]
+    for kind, verts, edges, tags in _components(m, n):
+        chosen = "M" if kind == "cycle" else _path_tag(verts, tags, x1, y1)
+        kept.extend(e for e, t in zip(edges, tags) if t == chosen)
+
+    lefts = {l for l, _ in kept}
+    rights = {r for _, r in kept}
+    _require(len(lefts) == len(kept), "merged edges share a left endpoint")
+    _require(len(rights) == len(kept), "merged edges share a right endpoint")
+    _require(x1 <= lefts, "merged matching misses part of X1")
+    _require(y1 <= rights, "merged matching misses part of Y1")
+    _require(
+        all(m.get(l) == r or n.get(r) == l for l, r in kept), "merged matching left M union N"
+    )
+    return kept
 
 
 def merge_matchings(
@@ -342,20 +411,4 @@ def merge_matchings(
         raise PreconditionViolated("M must cover X1 with exactly |X1| edges")
     if len(n.edges) != len(y1) or not y1 <= n.right_vertices():
         raise PreconditionViolated("N must cover Y1 with exactly |Y1| edges")
-
-    kept: set[Edge] = set(m.edges & n.edges)
-    for comp in symmetric_difference_components(m, n):
-        if comp.kind == "cycle":
-            chosen = comp.edges_tagged("M")
-        else:
-            chosen = _select_path_edges(comp, x1, y1)
-        kept.update(chosen)
-
-    lefts = [l for l, _ in kept]
-    rights = [r for _, r in kept]
-    _require(len(set(lefts)) == len(lefts), "merged edges share a left endpoint")
-    _require(len(set(rights)) == len(rights), "merged edges share a right endpoint")
-    _require(x1 <= set(lefts), "merged matching misses part of X1")
-    _require(y1 <= set(rights), "merged matching misses part of Y1")
-    _require(kept <= (m.edges | n.edges), "merged matching left M union N")
-    return Matching(frozenset(kept))
+    return Matching(frozenset(_merge(dict(m.edges), {r: l for l, r in n.edges}, x1, y1)))

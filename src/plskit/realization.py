@@ -23,9 +23,12 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
 
     Rows are processed in decreasing count order (ties by index) and each
     row's cells go to the columns with the largest remaining demand (ties
-    by index), so the construction is deterministic.  Raises Infeasible
-    when the totals differ or the dominance condition fails; the witness
-    is the violating prefix pair from dominance_check.
+    by index), so the construction is deterministic.  By Gale-Ryser this
+    greedy fills every row exactly when the dominance condition holds, so
+    dominance_check runs only once a row finds too few columns with
+    demand left, to name the witness.  Raises Infeasible when the totals
+    differ or the dominance condition fails; the witness is the violating
+    prefix pair from dominance_check.
     """
     n = positive_ints("n", n)
     m = positive_ints("m", m)
@@ -34,21 +37,21 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
             f"row total {sum(n)} differs from column total {sum(m)}",
             witness=(sum(n), sum(m)),
         )
-    holds, witness = dominance_check(n, m)
-    if not holds:
-        k, l = witness
-        raise Infeasible(
-            f"degree matrix infeasible: top {k} rows and top {l} columns "
-            f"demand more cells than the board admits",
-            witness=witness,
-        )
 
     remaining = list(m)
     cells = set()
     for i in sorted(range(len(n)), key=lambda i: (-n[i], i)):
         columns = sorted(range(len(m)), key=lambda j: (-remaining[j], j))[: n[i]]
+        if len(columns) < n[i] or not remaining[columns[-1]]:
+            holds, witness = dominance_check(n, m)
+            assert not holds, "greedy realization failed although dominance holds"
+            k, l = witness
+            raise Infeasible(
+                f"degree matrix infeasible: top {k} rows and top {l} columns "
+                f"demand more cells than the board admits",
+                witness=witness,
+            )
         for j in columns:
-            assert remaining[j] > 0, "greedy placement exhausted a column"
             remaining[j] -= 1
             cells.add((i + 1, j + 1))
     return CellSet(frozenset(cells), rows=len(n), cols=len(m))

@@ -222,3 +222,60 @@ class TestDeterminism:
             assert pls == build(*args)
             # The builders emit normalized labels without relabeling.
             assert normalize(pls) == pls
+
+
+def grid_triples(rows):
+    """Sorted triples of a grid given row by row; "." marks an empty cell."""
+    return tuple(
+        Triple(i, j, int(sym))
+        for i, row in enumerate(rows, 1)
+        for j, sym in enumerate(row.split(), 1)
+        if sym != "."
+    )
+
+
+class TestGoldenOutput:
+    """Exact squares, so that a faster engine must reproduce them cell for cell."""
+
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            (
+                ((6,) * 6, (6,) * 6, 6),
+                [
+                    "6 5 4 3 2 1",
+                    "5 6 3 4 1 2",
+                    "2 1 6 5 4 3",
+                    "1 2 5 6 3 4",
+                    "3 4 2 1 6 5",
+                    "4 3 1 2 5 6",
+                ],
+            ),
+            (
+                ((6,) * 6, (6,) * 6, 20),
+                [
+                    "12 11 10  9  8  7",
+                    "17 18 15 16 13 14",
+                    "20 19  6  5  4  3",
+                    " 1  2  5  6  3  4",
+                    " 3  4  2  1  6  5",
+                    " 4  3  1  2  5  6",
+                ],
+            ),
+            (
+                ((2, 5, 3, 4, 1, 3, 4), (3, 4, 2, 3, 1, 4, 2, 3), 7),
+                [
+                    ". . . . . 4 6 .",
+                    "5 4 . 7 . 1 . 2",
+                    "3 2 . . . . . 1",
+                    "4 3 1 . . 2 . .",
+                    ". . . . . . . 3",
+                    ". . 3 2 1 . . .",
+                    ". 1 . 4 . 3 2 .",
+                ],
+            ),
+        ],
+        ids=["latin6-s6", "latin6-s20", "profile7x8-s7"],
+    )
+    def test_build_theorem_output_is_pinned(self, args, rows):
+        assert build_theorem(*args).sorted_triples() == grid_triples(rows)

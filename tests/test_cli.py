@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import plskit.cli
 from plskit import parameters_of, validate
 from plskit.cli import run
 
@@ -244,6 +245,18 @@ class TestUsage:
     def test_missing_required_flag(self):
         code, _, _ = invoke(["check", "theorem", "--rows", "1"])
         assert code == 2
+
+    def test_crash_is_an_internal_error_not_a_verdict(self, monkeypatch):
+        def crash(args, out, fin):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(plskit.cli, "_cmd_check", crash)
+        code, out, err = invoke(
+            ["check", "theorem", "--rows", "1", "--cols", "1", "--symbols", "1"]
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: boom\n"
 
     def test_help_exits_zero(self):
         code, _, err = invoke(["--help"])

@@ -126,6 +126,16 @@ class TestSaturatingMatching:
         with pytest.raises(PreconditionViolated):
             saturating_matching(COMPLETE_2x2, "left", (3,))
 
+    def test_deep_augmenting_chain_saturates(self):
+        # Left u ~ {u, u + 1} and left N ~ {1}: the last target reroutes
+        # every earlier match, an augmenting path with N steps.
+        size = 3000
+        edges = {(u, u) for u in range(1, size)} | {(u, u + 1) for u in range(1, size)}
+        graph = BipartiteGraph(size, size, frozenset(edges | {(size, 1)}))
+        m = saturating_matching(graph, "left", range(1, size + 1))
+        assert len(m.edges) == size
+        assert m.edges <= graph.edges
+
     @given(graphs())
     def test_covers_max_degree_vertices(self, graph):
         # Max degree d, targets of degree exactly d: Hall holds, so the

@@ -1,15 +1,18 @@
 """Degree matrix realization and row distribution."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import plskit.realization
 from plskit import (
     Infeasible,
     PreconditionViolated,
     distribute_rows,
+    dominance_check,
     realize_degree_matrix,
 )
 
@@ -72,6 +75,35 @@ class TestRealizeDegreeMatrix:
             assert out.row_counts() == n
             assert out.col_counts() == m
             assert realize_degree_matrix(n, m).cells == out.cells
+
+    def test_greedy_fails_exactly_when_dominance_fails(self):
+        # Every equal-sum pair with length <= 5 and entries <= 3.
+        by_total = {}
+        for length in range(1, 6):
+            for seq in itertools.product(range(1, 4), repeat=length):
+                by_total.setdefault(sum(seq), []).append(seq)
+        failures = 0
+        for group in by_total.values():
+            for n, m in itertools.product(group, repeat=2):
+                holds, witness = dominance_check(n, m)
+                try:
+                    out = realize_degree_matrix(n, m)
+                except Infeasible as exc:
+                    assert not holds, (n, m)
+                    assert exc.witness == witness
+                    failures += 1
+                else:
+                    assert holds, (n, m)
+                    assert (out.row_counts(), out.col_counts()) == (n, m)
+        assert failures > 0
+
+    def test_feasible_pair_skips_dominance_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            plskit.realization, "dominance_check", lambda *args: calls.append(args)
+        )
+        realize_degree_matrix((3, 3, 3, 1), (4, 3, 2, 1))
+        assert calls == []
 
 
 class TestDistributeRows:
