@@ -48,15 +48,7 @@ from .feasibility import (
     dominance_check,
 )
 from .formats import PlsDocument, SpecDocument, render_grid
-from .matching import (
-    AlternatingComponent,
-    BipartiteGraph,
-    Matching,
-    merge_matchings,
-    occupancy_graph,
-    saturating_matching,
-    symmetric_difference_components,
-)
+from .matching import merge_matchings, saturating_matching
 from .oracle import Budget, DEFAULT_BUDGET, enumerate_pls, exists_full
 from .realization import distribute_rows, realize_degree_matrix
 from .sweep import (
@@ -67,8 +59,6 @@ from .sweep import (
 )
 
 __all__ = [
-    "AlternatingComponent",
-    "BipartiteGraph",
     "Budget",
     "BudgetExceeded",
     "CellSet",
@@ -80,7 +70,6 @@ __all__ = [
     "EmptyInput",
     "FeasibilityReport",
     "Infeasible",
-    "Matching",
     "NoSaturation",
     "ParameterProfile",
     "PartialLatinSquare",
@@ -109,7 +98,6 @@ __all__ = [
     "iter_symbol_layers",
     "merge_matchings",
     "normalize",
-    "occupancy_graph",
     "parameters_of",
     "realize_degree_matrix",
     "render_grid",
@@ -118,7 +106,6 @@ __all__ = [
     "sweep_row_params",
     "sweep_sizes",
     "sweep_theorem",
-    "symmetric_difference_components",
     "validate",
 ]
 

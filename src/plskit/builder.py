@@ -10,9 +10,10 @@ it drops the maximum count to exactly p - 1.
 
 The peeling engine, iter_symbol_layers, keeps one row and one column
 adjacency list for the whole run, removes each layer's cells from them in
-place, and reads every line count off the list lengths; it calls the
-matching module's dict-based primitives directly and builds no graph or
-matching object.
+place, and reads every line count off the list lengths.  Those lists are
+the adjacency dicts that the public saturating_matching takes, so each
+layer is two saturating_matching calls and one merge_matchings call, the
+same API any other caller uses.
 
 The three build_* entry points chain the feasibility predicate, the
 degree matrix realization, the symbol fill, and the symbol split into
@@ -37,7 +38,7 @@ from .feasibility import (
     check_row_params,
     check_sizes,
 )
-from .matching import LEFT, RIGHT, _merge, _saturate
+from .matching import LEFT, RIGHT, merge_matchings, saturating_matching
 from .realization import distribute_rows, realize_degree_matrix
 
 Labels = dict[tuple[int, int], int]  # (row, col) -> symbol
@@ -62,9 +63,9 @@ def iter_symbol_layers(cell_set: CellSet) -> Iterator[tuple[int, frozenset[tuple
 
         x1 = sorted(i for i, line in rows.items() if len(line) == p)
         y1 = sorted(j for j, line in cols.items() if len(line) == p)
-        m = _saturate(rows, x1, LEFT)
-        n = _saturate(cols, y1, RIGHT)
-        layer = _merge(m, n, set(x1), set(y1))
+        m = saturating_matching(rows, LEFT, x1)
+        n = saturating_matching(cols, RIGHT, y1)
+        layer = merge_matchings(m, n, x1, y1)
         yield p, frozenset(layer)
         for i, j in layer:
             rows[i].remove(j)

@@ -114,9 +114,11 @@ def _cmd_build(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
 
 
 def _read_source(path: str, fin: IO[str]) -> str:
-    if path == "-":
-        return fin.read()
-    return Path(path).read_text()
+    try:
+        return fin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise DocumentError(f"{source} is not UTF-8 text: {exc}") from None
 
 
 def _cmd_verify(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
@@ -137,31 +139,23 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
 
 
 def _cmd_oracle_exists(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
-    flags = (args.rows, args.cols, args.symbols, args.r, args.c, args.s, args.v)
+    # The flags and a SpecDocument carry the same field names.
+    source = args
     if args.file is not None:
+        flags = (args.rows, args.cols, args.symbols, args.r, args.c, args.s, args.v)
         if any(value is not None for value in flags):
             raise PreconditionViolated("give either --file or constraint flags, not both")
-        spec = SpecDocument.from_json(_read_source(args.file, fin))
-        constraints = dict(
-            row_params=spec.rows,
-            col_params=spec.cols,
-            sym_params=spec.symbols,
-            r=spec.r,
-            c=spec.c,
-            s=spec.s,
-            v=spec.v,
-        )
-    else:
-        constraints = dict(
-            row_params=args.rows,
-            col_params=args.cols,
-            sym_params=args.symbols,
-            r=args.r,
-            c=args.c,
-            s=args.s,
-            v=args.v,
-        )
-    found, witness = exists_full(budget=_budget_from(args), **constraints)
+        source = SpecDocument.from_json(_read_source(args.file, fin))
+    found, witness = exists_full(
+        row_params=source.rows,
+        col_params=source.cols,
+        sym_params=source.symbols,
+        r=source.r,
+        c=source.c,
+        s=source.s,
+        v=source.v,
+        budget=_budget_from(args),
+    )
     if found:
         print("exists", file=out)
         print(PlsDocument.from_pls(witness).to_json(), file=out)
@@ -309,13 +303,7 @@ def run(
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=err)
         return EXIT_BUDGET
-    except (DocumentError, PreconditionViolated) as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
-    except PlsError as exc:
+    except (OSError, PlsError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
     except Exception as exc:

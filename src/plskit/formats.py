@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import PartialLatinSquare, validate
-from .errors import DocumentError
+from .errors import DocumentError, PreconditionViolated
+from .oracle import check_prescription
 
 SCHEMA_VERSION = "1"
 
@@ -80,8 +81,10 @@ class PlsDocument:
 class SpecDocument:
     """Wire form of a prescription: parameter lists and scalar counts.
 
-    Every field is optional, but at least one constraint must be present
-    and all implied volumes (list totals and v) must agree.
+    Every field is optional, but the fields must pass the oracle's
+    check_prescription: at least one constraint is present, each scalar
+    matches its list's length, and all implied volumes (list totals and v)
+    agree.
     """
 
     rows: tuple[int, ...] | None = None
@@ -94,27 +97,10 @@ class SpecDocument:
     schema: str = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        if all(
-            getattr(self, name) is None
-            for name in ("rows", "cols", "symbols", "r", "c", "s", "v")
-        ):
-            raise DocumentError("prescription must contain at least one constraint")
-        for list_name, scalar_name in (("rows", "r"), ("cols", "c"), ("symbols", "s")):
-            family = getattr(self, list_name)
-            scalar = getattr(self, scalar_name)
-            if family is not None and scalar is not None and len(family) != scalar:
-                raise DocumentError(
-                    f"{scalar_name} = {scalar} disagrees with {len(family)} {list_name} entries"
-                )
-        volumes = {
-            sum(family)
-            for family in (self.rows, self.cols, self.symbols)
-            if family is not None
-        }
-        if self.v is not None:
-            volumes.add(self.v)
-        if len(volumes) > 1:
-            raise DocumentError(f"implied volumes disagree: {sorted(volumes)}")
+        try:
+            check_prescription(self.rows, self.cols, self.symbols, self.r, self.c, self.s, self.v)
+        except PreconditionViolated as exc:
+            raise DocumentError(str(exc)) from None
 
     @classmethod
     def from_json(cls, text: str) -> "SpecDocument":

@@ -5,7 +5,8 @@ a mix of constraints: parameter families matched as multisets and scalar
 line or volume counts matched exactly.  enumerate_pls streams every
 normalized square within given caps.  Neither function consults the
 feasibility predicates, so the two routes can be compared against each
-other in tests.
+other in tests.  check_prescription is the one consistency check for a
+mix of constraints; exists_full and the CLI's SpecDocument both run it.
 
 Soundness over the budget: when a dimension left unconstrained by the
 caller had to be capped by the budget, a fruitless search proves nothing,
@@ -50,6 +51,43 @@ def _merge_scalar(name: str, scalar: int | None, family: tuple[int, ...] | None)
     return len(family)
 
 
+def check_prescription(
+    row_params: Sequence[int] | None = None,
+    col_params: Sequence[int] | None = None,
+    sym_params: Sequence[int] | None = None,
+    r: int | None = None,
+    c: int | None = None,
+    s: int | None = None,
+    v: int | None = None,
+) -> tuple:
+    """Check that a mix of constraints is well formed and consistent.
+
+    Every given family and scalar must be positive, at least one
+    constraint must be given, each scalar must equal the length of its
+    family, and every implied volume (family totals and v) must agree.
+    Returns (row_params, col_params, sym_params, r, c, s, v) with the
+    families as tuples and every scalar or volume the others imply filled
+    in; raises PreconditionViolated otherwise.
+    """
+    rm = _family("row_params", row_params)
+    cm = _family("col_params", col_params)
+    sm = _family("sym_params", sym_params)
+    r_eff = _merge_scalar("r", r, rm)
+    c_eff = _merge_scalar("c", c, cm)
+    s_eff = _merge_scalar("s", s, sm)
+    if v is not None:
+        positive_int("v", v)
+    if all(x is None for x in (rm, cm, sm, r_eff, c_eff, s_eff, v)):
+        raise PreconditionViolated("at least one constraint is required")
+
+    volumes = {sum(fam) for fam in (rm, cm, sm) if fam is not None}
+    if v is not None:
+        volumes.add(v)
+    if len(volumes) > 1:
+        raise PreconditionViolated(f"implied volumes disagree: {sorted(volumes)}")
+    return rm, cm, sm, r_eff, c_eff, s_eff, (volumes.pop() if volumes else None)
+
+
 def exists_full(
     row_params: Sequence[int] | None = None,
     col_params: Sequence[int] | None = None,
@@ -68,23 +106,9 @@ def exists_full(
     must agree.  Returns (True, witness) or (False, None); raises
     BudgetExceeded when the answer cannot be settled within the budget.
     """
-    rm = _family("row_params", row_params)
-    cm = _family("col_params", col_params)
-    sm = _family("sym_params", sym_params)
-    r_eff = _merge_scalar("r", r, rm)
-    c_eff = _merge_scalar("c", c, cm)
-    s_eff = _merge_scalar("s", s, sm)
-    if v is not None:
-        positive_int("v", v)
-    if all(x is None for x in (rm, cm, sm, r_eff, c_eff, s_eff, v)):
-        raise PreconditionViolated("at least one constraint is required")
-
-    volumes = {sum(fam) for fam in (rm, cm, sm) if fam is not None}
-    if v is not None:
-        volumes.add(v)
-    if len(volumes) > 1:
-        raise PreconditionViolated(f"implied volumes disagree: {sorted(volumes)}")
-    v_eff = volumes.pop() if volumes else None
+    rm, cm, sm, r_eff, c_eff, s_eff, v_eff = check_prescription(
+        row_params, col_params, sym_params, r, c, s, v
+    )
 
     # Board planning.  A dimension the caller pinned must fit the budget
     # outright; a free dimension is capped, and if the cap truncates the

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .feasibility import check_construction, check_row_params, check_sizes
+from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
 from .oracle import Budget, exists_full
 
 
@@ -30,6 +30,28 @@ def _vectors(max_len: int, max_entry: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(range(1, max_entry + 1), repeat=length)
 
 
+def _sweep(
+    cases: Iterable[tuple],
+    predicate: Callable[..., FeasibilityReport],
+    oracle_kwargs: Sequence[str],
+    budget: Budget,
+) -> SweepResult:
+    # The predicate takes each case's values in order, the oracle takes
+    # them as the constraints named in oracle_kwargs.  exists_full is read
+    # from the module globals on every call, and each sweep passes the
+    # predicate it reads there, so a wrapper set on this module's
+    # attributes (a tracer, a test double) sees every call.
+    mismatches = []
+    checked = 0
+    for case in cases:
+        checked += 1
+        predicted = predicate(*case).feasible
+        actual, _ = exists_full(**dict(zip(oracle_kwargs, case)), budget=budget)
+        if predicted != actual:
+            mismatches.append((*case, predicted, actual))
+    return SweepResult(checked, tuple(mismatches))
+
+
 def theorem_tuples(
     max_side: int = 3, max_entry: int = 3, max_cells: int = 9
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
@@ -46,16 +68,12 @@ def theorem_tuples(
 
 
 def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> SweepResult:
-    budget = Budget(max_cells=max(max_cells, 12), max_symbols=max_cells)
-    mismatches = []
-    checked = 0
-    for n, m, s in theorem_tuples(max_side, max_entry, max_cells):
-        checked += 1
-        predicted = check_construction(n, m, s).feasible
-        actual, _ = exists_full(row_params=n, col_params=m, s=s, budget=budget)
-        if predicted != actual:
-            mismatches.append((n, m, s, predicted, actual))
-    return SweepResult(checked, tuple(mismatches))
+    return _sweep(
+        theorem_tuples(max_side, max_entry, max_cells),
+        check_construction,
+        ("row_params", "col_params", "s"),
+        Budget(max_cells=max(max_cells, 12), max_symbols=max_cells),
+    )
 
 
 def row_params_tuples(
@@ -69,16 +87,12 @@ def row_params_tuples(
 
 
 def sweep_row_params(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3) -> SweepResult:
-    budget = Budget(max_cells=max(12, max_side * max_entry))
-    mismatches = []
-    checked = 0
-    for n, c, s in row_params_tuples(max_side, max_entry, max_symbols):
-        checked += 1
-        predicted = check_row_params(n, c, s).feasible
-        actual, _ = exists_full(row_params=n, c=c, s=s, budget=budget)
-        if predicted != actual:
-            mismatches.append((n, c, s, predicted, actual))
-    return SweepResult(checked, tuple(mismatches))
+    return _sweep(
+        row_params_tuples(max_side, max_entry, max_symbols),
+        check_row_params,
+        ("row_params", "c", "s"),
+        Budget(max_cells=max(12, max_side * max_entry)),
+    )
 
 
 def sizes_tuples(
@@ -91,13 +105,9 @@ def sizes_tuples(
 
 
 def sweep_sizes(max_side: int = 3, max_cells: int = 9) -> SweepResult:
-    budget = Budget(max_cells=max(max_cells, 12))
-    mismatches = []
-    checked = 0
-    for r, c, s, v in sizes_tuples(max_side, max_cells):
-        checked += 1
-        predicted = check_sizes(r, c, s, v).feasible
-        actual, _ = exists_full(r=r, c=c, s=s, v=v, budget=budget)
-        if predicted != actual:
-            mismatches.append((r, c, s, v, predicted, actual))
-    return SweepResult(checked, tuple(mismatches))
+    return _sweep(
+        sizes_tuples(max_side, max_cells),
+        check_sizes,
+        ("r", "c", "s", "v"),
+        Budget(max_cells=max(max_cells, 12)),
+    )

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from plskit import BipartiteGraph, CellSet, PartialLatinSquare, validate
+from plskit import CellSet, PartialLatinSquare, validate
 
 
 @st.composite
@@ -48,8 +48,11 @@ def cell_sets(draw, max_rows: int = 6, max_cols: int = 6) -> CellSet:
 
 
 @st.composite
-def graphs(draw, max_side: int = 6, max_degree: int = 4) -> BipartiteGraph:
-    """A bipartite graph with at least one edge and max degree capped."""
+def graphs(draw, max_side: int = 6, max_degree: int = 4) -> frozenset[tuple[int, int]]:
+    """The (left, right) edges of a bipartite graph with max degree capped.
+
+    There is at least one edge; vertices are numbered from 1 per side.
+    """
     left = draw(st.integers(1, max_side))
     right = draw(st.integers(1, max_side))
     pool = [(u, v) for u in range(1, left + 1) for v in range(1, right + 1)]
@@ -63,4 +66,13 @@ def graphs(draw, max_side: int = 6, max_degree: int = 4) -> BipartiteGraph:
         edges.add((u, v))
         left_deg[u] += 1
         right_deg[v] += 1
-    return BipartiteGraph(left, right, frozenset(edges))
+    return frozenset(edges)
+
+
+def adjacency(edges, side: str) -> dict[int, list[int]]:
+    """Neighbor lists, in increasing order, of the vertices on ``side``."""
+    pairs = edges if side == "left" else [(v, u) for u, v in edges]
+    adj: dict[int, list[int]] = {}
+    for u, v in sorted(pairs):
+        adj.setdefault(u, []).append(v)
+    return adj

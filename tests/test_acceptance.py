@@ -10,7 +10,6 @@ import random
 import time
 
 from plskit import (
-    BipartiteGraph,
     Budget,
     CellSet,
     build_corollary,
@@ -37,6 +36,8 @@ from plskit.sweep import (
     sweep_theorem,
     theorem_tuples,
 )
+
+from conftest import adjacency
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -137,13 +138,12 @@ def random_bounded_graph(rng: random.Random, max_side: int = 8, max_degree: int 
         edges.add(pool[0])
         left_deg[pool[0][0]] += 1
         right_deg[pool[0][1]] += 1
-    graph = BipartiteGraph(left, right, frozenset(edges))
     top = max(max(left_deg), max(right_deg))
     x1_full = [u for u in range(1, left + 1) if left_deg[u] == top]
     y1_full = [v for v in range(1, right + 1) if right_deg[v] == top]
     x1 = frozenset(rng.sample(x1_full, rng.randint(0, len(x1_full))))
     y1 = frozenset(rng.sample(y1_full, rng.randint(0, len(y1_full))))
-    return graph, x1, y1
+    return frozenset(edges), x1, y1
 
 
 def test_criterion_5_matching_merge_property_suite():
@@ -151,14 +151,16 @@ def test_criterion_5_matching_merge_property_suite():
     started = time.monotonic()
     failures = 0
     for _ in range(10_000):
-        graph, x1, y1 = random_bounded_graph(rng)
-        m = saturating_matching(graph, "left", x1)
-        n = saturating_matching(graph, "right", y1)
-        k = merge_matchings(graph, m, n, x1, y1)
+        edges, x1, y1 = random_bounded_graph(rng)
+        m = saturating_matching(adjacency(edges, "left"), "left", x1)
+        n = saturating_matching(adjacency(edges, "right"), "right", y1)
+        k = set(merge_matchings(m, n, x1, y1))
+        m_edges = set(m.items())
+        n_edges = {(l, r) for r, l in n.items()}
         if not (
-            k.edges <= (m.edges | n.edges)
-            and x1 <= k.left_vertices()
-            and y1 <= k.right_vertices()
+            k <= (m_edges | n_edges)
+            and x1 <= {l for l, _ in k}
+            and y1 <= {r for _, r in k}
         ):
             failures += 1
     elapsed = time.monotonic() - started

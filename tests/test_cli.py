@@ -120,6 +120,21 @@ class TestVerify:
         assert code == 0
         assert "volume: 2" in out
 
+    def test_non_utf8_file_is_a_document_error(self, tmp_path):
+        data = b'\xff{"schema": "1", "r": 1}'
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        for argv in (["verify", str(path)], ["oracle", "exists", "--file", str(path)]):
+            code, _, err = invoke(argv)
+            assert code == 2
+            assert err.startswith("error:")
+            assert "internal error" not in err
+        # Standard input decoded strictly, as under a UTF-8 locale.
+        err = io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+        assert run(["verify", "-"], stdout=io.StringIO(), stderr=err, stdin=stdin) == 2
+        assert "internal error" not in err.getvalue()
+
 
 class TestOracle:
     def test_exists_prints_witness(self):

@@ -3,251 +3,193 @@
 import pytest
 from hypothesis import given, settings
 
-from plskit import (
-    BipartiteGraph,
-    CellSet,
-    Matching,
-    NoSaturation,
-    PreconditionViolated,
-    merge_matchings,
-    occupancy_graph,
-    saturating_matching,
-    symmetric_difference_components,
-)
+from plskit import NoSaturation, PreconditionViolated, merge_matchings, saturating_matching
+from plskit.matching import _components
 
-from conftest import graphs
+from conftest import adjacency, graphs
 
-COMPLETE_2x2 = BipartiteGraph(2, 2, frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
+COMPLETE_2x2 = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
 
 
-def max_degree_targets(graph):
+def max_degree_targets(edges):
     """(X1, Y1): all vertices of maximum degree, per side."""
-    left_deg = {u: graph.degree("left", u) for u in range(1, graph.left_size + 1)}
-    right_deg = {v: graph.degree("right", v) for v in range(1, graph.right_size + 1)}
-    top = max(max(left_deg.values()), max(right_deg.values()))
-    x1 = frozenset(u for u, d in left_deg.items() if d == top)
-    y1 = frozenset(v for v, d in right_deg.items() if d == top)
+    left = adjacency(edges, "left")
+    right = adjacency(edges, "right")
+    top = max(len(vs) for vs in (*left.values(), *right.values()))
+    x1 = frozenset(u for u, vs in left.items() if len(vs) == top)
+    y1 = frozenset(v for v, us in right.items() if len(us) == top)
     return x1, y1
 
 
-class TestBipartiteGraph:
-    def test_adjacency_is_sorted(self):
-        g = BipartiteGraph(2, 3, frozenset({(1, 3), (1, 1), (2, 2)}))
-        assert g.left_adjacency() == {1: (1, 3), 2: (2,)}
-        assert g.right_adjacency() == {1: (1,), 2: (2,), 3: (1,)}
-
-    def test_degree(self):
-        g = BipartiteGraph(2, 2, frozenset({(1, 1), (2, 1)}))
-        assert g.degree("left", 1) == 1
-        assert g.degree("right", 1) == 2
-        assert g.degree("right", 2) == 0
-
-    def test_flipped_swaps_sides(self):
-        g = BipartiteGraph(1, 2, frozenset({(1, 2)}))
-        assert g.flipped() == BipartiteGraph(2, 1, frozenset({(2, 1)}))
-
-    def test_rejects_out_of_range_edges(self):
-        with pytest.raises(ValueError):
-            BipartiteGraph(1, 1, frozenset({(1, 2)}))
-
-    def test_isolated_vertices_are_fine(self):
-        g = BipartiteGraph(3, 3, frozenset({(1, 1)}))
-        assert g.degree("left", 3) == 0
+def as_edges(match, side):
+    """A saturating_matching result as (left, right) edges."""
+    return {(u, v) if side == "left" else (v, u) for u, v in match.items()}
 
 
-class TestMatching:
-    def test_rejects_shared_endpoint(self):
-        with pytest.raises(ValueError):
-            Matching(frozenset({(1, 1), (1, 2)}))
-        with pytest.raises(ValueError):
-            Matching(frozenset({(1, 1), (2, 1)}))
-
-    def test_vertex_views(self):
-        m = Matching(frozenset({(1, 2), (3, 1)}))
-        assert m.left_vertices() == frozenset({1, 3})
-        assert m.right_vertices() == frozenset({1, 2})
-
-
-class TestOccupancyGraph:
-    def test_path_shape(self):
-        cs = CellSet(frozenset({(1, 1), (1, 2), (2, 1)}), rows=2, cols=2)
-        g = occupancy_graph(cs)
-        assert g.edges == frozenset({(1, 1), (1, 2), (2, 1)})
-        assert g.degree("left", 1) == 2
-        assert g.degree("right", 2) == 1
-
-    def test_line_counts_become_degrees(self):
-        cs = CellSet(frozenset({(1, 1), (2, 1), (3, 1)}), rows=3, cols=2)
-        g = occupancy_graph(cs)
-        assert g.degree("right", 1) == 3
-        assert g.degree("right", 2) == 0
+def is_matching(edges):
+    lefts = [u for u, _ in edges]
+    rights = [v for _, v in edges]
+    return len(set(lefts)) == len(lefts) and len(set(rights)) == len(rights)
 
 
 class TestSaturatingMatching:
     def test_complete_2x2_both_targets(self):
         # Pinned scan order: a free neighbor is taken before rerouting,
         # so vertex 2 pairs with column 2 instead of displacing (1, 1).
-        m = saturating_matching(COMPLETE_2x2, "left", (1, 2))
-        assert m.edges == frozenset({(1, 1), (2, 2)})
+        m = saturating_matching(adjacency(COMPLETE_2x2, "left"), "left", (1, 2))
+        assert m == {1: 1, 2: 2}
 
     def test_empty_targets_give_empty_matching(self):
-        m = saturating_matching(COMPLETE_2x2, "left", ())
-        assert m.edges == frozenset()
+        assert saturating_matching(adjacency(COMPLETE_2x2, "left"), "left", ()) == {}
 
     def test_right_side(self):
-        m = saturating_matching(COMPLETE_2x2, "right", (1, 2))
-        assert m.edges == frozenset({(1, 1), (2, 2)})
+        m = saturating_matching(adjacency(COMPLETE_2x2, "right"), "right", (1, 2))
+        assert m == {1: 1, 2: 2}
 
     def test_hall_violation_witness(self):
-        g = BipartiteGraph(2, 2, frozenset({(1, 1), (2, 1)}))
+        adj = adjacency({(1, 1), (2, 1)}, "left")
         with pytest.raises(NoSaturation) as exc:
-            saturating_matching(g, "left", (1, 2))
+            saturating_matching(adj, "left", (1, 2))
         assert exc.value.side == "left"
         assert exc.value.witness == frozenset({1, 2})
 
     def test_right_side_failure_reports_right(self):
-        g = BipartiteGraph(2, 2, frozenset({(1, 1), (1, 2)}))
+        adj = adjacency({(1, 1), (1, 2)}, "right")
         with pytest.raises(NoSaturation) as exc:
-            saturating_matching(g, "right", (1, 2))
+            saturating_matching(adj, "right", (1, 2))
         assert exc.value.side == "right"
         assert exc.value.witness == frozenset({1, 2})
 
     def test_augmenting_reroutes_when_needed(self):
         # Vertex 2 only likes column 1, so vertex 1 must move to column 2.
-        g = BipartiteGraph(2, 2, frozenset({(1, 1), (1, 2), (2, 1)}))
-        m = saturating_matching(g, "left", (1, 2))
-        assert m.edges == frozenset({(1, 2), (2, 1)})
+        adj = adjacency({(1, 1), (1, 2), (2, 1)}, "left")
+        assert saturating_matching(adj, "left", (1, 2)) == {1: 2, 2: 1}
 
     def test_rejects_bad_side(self):
         with pytest.raises(PreconditionViolated):
-            saturating_matching(COMPLETE_2x2, "top", (1,))
+            saturating_matching(adjacency(COMPLETE_2x2, "left"), "top", (1,))
 
     def test_rejects_out_of_range_target(self):
-        with pytest.raises(PreconditionViolated):
-            saturating_matching(COMPLETE_2x2, "left", (3,))
+        # A target without an adjacency entry has no neighbors: a Hall
+        # violation on its own.
+        with pytest.raises(NoSaturation) as exc:
+            saturating_matching(adjacency(COMPLETE_2x2, "left"), "left", (3,))
+        assert exc.value.side == "left"
+        assert exc.value.witness == frozenset({3})
 
     def test_deep_augmenting_chain_saturates(self):
         # Left u ~ {u, u + 1} and left N ~ {1}: the last target reroutes
         # every earlier match, an augmenting path with N steps.
         size = 3000
         edges = {(u, u) for u in range(1, size)} | {(u, u + 1) for u in range(1, size)}
-        graph = BipartiteGraph(size, size, frozenset(edges | {(size, 1)}))
-        m = saturating_matching(graph, "left", range(1, size + 1))
-        assert len(m.edges) == size
-        assert m.edges <= graph.edges
+        edges.add((size, 1))
+        m = saturating_matching(adjacency(edges, "left"), "left", range(1, size + 1))
+        assert len(m) == size
+        assert as_edges(m, "left") <= edges
+        assert is_matching(as_edges(m, "left"))
 
     @given(graphs())
-    def test_covers_max_degree_vertices(self, graph):
+    def test_covers_max_degree_vertices(self, edges):
         # Max degree d, targets of degree exactly d: Hall holds, so the
         # matching exists, has one edge per target, and stays in the graph.
-        x1, y1 = max_degree_targets(graph)
+        x1, y1 = max_degree_targets(edges)
         for side, targets in (("left", x1), ("right", y1)):
-            m = saturating_matching(graph, side, targets)
-            assert len(m.edges) == len(targets)
-            assert m.edges <= graph.edges
-            covered = m.left_vertices() if side == "left" else m.right_vertices()
-            assert targets <= covered
+            m = saturating_matching(adjacency(edges, side), side, targets)
+            assert m.keys() == targets
+            assert as_edges(m, side) <= edges
+            assert is_matching(as_edges(m, side))
 
     @given(graphs(max_side=5, max_degree=3))
-    def test_failure_witness_beats_its_neighborhood(self, graph):
-        # Ask for every left vertex; either all get covered or the witness
-        # set genuinely violates Hall's condition.
-        targets = tuple(range(1, graph.left_size + 1))
-        adj = graph.left_adjacency()
+    def test_failure_witness_beats_its_neighborhood(self, edges):
+        # Ask for every left vertex up to the largest one with an edge;
+        # either all get covered or the witness set genuinely violates
+        # Hall's condition.
+        adj = adjacency(edges, "left")
+        targets = tuple(range(1, max(adj) + 1))
         try:
-            m = saturating_matching(graph, "left", targets)
+            m = saturating_matching(adj, "left", targets)
         except NoSaturation as exc:
             neighborhood = set()
             for u in exc.witness:
                 neighborhood.update(adj.get(u, ()))
             assert len(exc.witness) > len(neighborhood)
         else:
-            assert m.left_vertices() == set(targets)
+            assert m.keys() == set(targets)
+            assert is_matching(as_edges(m, "left"))
 
 
 class TestSymmetricDifference:
+    # _components takes M as left -> right and N as right -> left, the
+    # two dicts saturating_matching returns; merge_matchings walks its
+    # output in this order.
     def test_equal_matchings_give_nothing(self):
-        m = Matching(frozenset({(1, 1)}))
-        assert symmetric_difference_components(m, m) == ()
+        assert _components({1: 1}, {1: 1}) == []
 
     def test_two_edge_path(self):
-        m = Matching(frozenset({(1, 1)}))
-        n = Matching(frozenset({(2, 1)}))
-        (comp,) = symmetric_difference_components(m, n)
-        assert comp.kind == "path"
-        assert comp.vertices == (("left", 1), ("right", 1), ("left", 2))
-        assert comp.edges == ((1, 1), (2, 1))
-        assert comp.tags == ("M", "N")
+        ((kind, vertices, edges, tags),) = _components({1: 1}, {1: 2})
+        assert kind == "path"
+        assert vertices == [("left", 1), ("right", 1), ("left", 2)]
+        assert edges == [(1, 1), (2, 1)]
+        assert tags == ["M", "N"]
 
     def test_four_cycle(self):
-        m = Matching(frozenset({(1, 1), (2, 2)}))
-        n = Matching(frozenset({(1, 2), (2, 1)}))
-        (comp,) = symmetric_difference_components(m, n)
-        assert comp.kind == "cycle"
-        assert len(comp.edges) == 4
-        assert comp.vertices[0] == ("left", 1)
-        assert comp.tags == ("M", "N", "M", "N")
-        assert comp.edges_tagged("M") == ((1, 1), (2, 2))
+        ((kind, vertices, edges, tags),) = _components({1: 1, 2: 2}, {2: 1, 1: 2})
+        assert kind == "cycle"
+        assert len(edges) == 4
+        assert vertices[0] == ("left", 1)
+        assert tags == ["M", "N", "M", "N"]
+        assert [e for e, t in zip(edges, tags) if t == "M"] == [(1, 1), (2, 2)]
 
     def test_components_partition_the_difference(self):
-        m = Matching(frozenset({(1, 1), (2, 2), (3, 3)}))
-        n = Matching(frozenset({(1, 2), (3, 4)}))
-        comps = symmetric_difference_components(m, n)
-        seen = [e for comp in comps for e in comp.edges]
-        assert sorted(seen) == sorted((m.edges | n.edges) - (m.edges & n.edges))
+        m = {1: 1, 2: 2, 3: 3}
+        n = {2: 1, 4: 3}
+        m_edges = set(m.items())
+        n_edges = as_edges(n, "right")
+        seen = [e for _, _, edges, _ in _components(m, n) for e in edges]
+        assert sorted(seen) == sorted((m_edges | n_edges) - (m_edges & n_edges))
         assert len(seen) == len(set(seen))
 
 
 class TestMergeMatchings:
     def test_disjoint_union(self):
-        g = BipartiteGraph(2, 2, frozenset({(1, 1), (2, 2)}))
-        m = Matching(frozenset({(1, 1)}))
-        n = Matching(frozenset({(2, 2)}))
-        k = merge_matchings(g, m, n, x1=(1,), y1=(2,))
-        assert k.edges == frozenset({(1, 1), (2, 2)})
+        k = merge_matchings({1: 1}, {2: 2}, x1=(1,), y1=(2,))
+        assert set(k) == {(1, 1), (2, 2)}
 
     def test_two_edge_path_takes_the_m_side(self):
         # Proof case: path starts at x1 with an M edge whose right end is
         # in Y1, so the M edge alone covers both.
-        g = BipartiteGraph(2, 1, frozenset({(1, 1), (2, 1)}))
-        m = Matching(frozenset({(1, 1)}))
-        n = Matching(frozenset({(2, 1)}))
-        k = merge_matchings(g, m, n, x1=(1,), y1=(1,))
-        assert k.edges == frozenset({(1, 1)})
+        k = merge_matchings({1: 1}, {1: 2}, x1=(1,), y1=(1,))
+        assert k == [(1, 1)]
 
     def test_equal_matchings_pass_through(self):
-        g = BipartiteGraph(2, 2, frozenset({(1, 1), (2, 2)}))
-        m = Matching(frozenset({(1, 1), (2, 2)}))
-        k = merge_matchings(g, m, m, x1=(1, 2), y1=(1, 2))
-        assert k.edges == m.edges
+        m = {1: 1, 2: 2}
+        k = merge_matchings(m, m, x1=(1, 2), y1=(1, 2))
+        assert set(k) == {(1, 1), (2, 2)}
 
     def test_rejects_uncovered_x1(self):
-        g = COMPLETE_2x2
-        m = Matching(frozenset({(1, 1)}))
-        n = Matching(frozenset({(2, 2)}))
         with pytest.raises(PreconditionViolated):
-            merge_matchings(g, m, n, x1=(2,), y1=(2,))
+            merge_matchings({1: 1}, {2: 2}, x1=(2,), y1=(2,))
 
     def test_rejects_oversized_m(self):
-        g = COMPLETE_2x2
-        m = Matching(frozenset({(1, 1), (2, 2)}))
-        n = Matching(frozenset({(2, 2)}))
         with pytest.raises(PreconditionViolated):
-            merge_matchings(g, m, n, x1=(1,), y1=(2,))
+            merge_matchings({1: 1, 2: 2}, {2: 2}, x1=(1,), y1=(2,))
 
-    def test_rejects_edges_outside_graph(self):
-        g = BipartiteGraph(2, 2, frozenset({(1, 1)}))
-        m = Matching(frozenset({(2, 2)}))
+    def test_rejects_repeated_partner(self):
+        # Two targets sharing a partner is no matching; the merge must say
+        # so rather than fail inside the component walk.
         with pytest.raises(PreconditionViolated):
-            merge_matchings(g, m, Matching(frozenset()), x1=(2,), y1=())
+            merge_matchings({1: 1, 2: 1}, {1: 1}, x1=(1, 2), y1=(1,))
+        with pytest.raises(PreconditionViolated):
+            merge_matchings({1: 1}, {1: 1, 2: 1}, x1=(1,), y1=(1, 2))
 
     @settings(max_examples=300)
     @given(graphs())
-    def test_pipeline_covers_both_target_sets(self, graph):
-        x1, y1 = max_degree_targets(graph)
-        m = saturating_matching(graph, "left", x1)
-        n = saturating_matching(graph, "right", y1)
-        k = merge_matchings(graph, m, n, x1, y1)
-        assert k.edges <= m.edges | n.edges
-        assert x1 <= k.left_vertices()
-        assert y1 <= k.right_vertices()
+    def test_pipeline_covers_both_target_sets(self, edges):
+        x1, y1 = max_degree_targets(edges)
+        m = saturating_matching(adjacency(edges, "left"), "left", x1)
+        n = saturating_matching(adjacency(edges, "right"), "right", y1)
+        k = set(merge_matchings(m, n, x1, y1))
+        assert k <= as_edges(m, "left") | as_edges(n, "right")
+        assert is_matching(k)
+        assert x1 <= {u for u, _ in k}
+        assert y1 <= {v for _, v in k}
