@@ -262,13 +262,19 @@ class CellSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("board dimensions must be positive")
+        rows, cols = self.rows, self.cols
+        if not (_is_positive_int(rows) and _is_positive_int(cols)):
+            raise ValueError(f"board dimensions must be positive integers, got {rows!r} x {cols!r}")
         if not self.cells:
             raise ValueError("cell set must be nonempty")
         for i, j in self.cells:
-            if not (1 <= i <= self.rows and 1 <= j <= self.cols):
-                raise ValueError(f"cell ({i}, {j}) outside the {self.rows} x {self.cols} board")
+            # Plain ints on the board pass without two calls per cell.
+            if type(i) is type(j) is int and 0 < i <= rows and 0 < j <= cols:
+                continue
+            if not (_is_positive_int(i) and _is_positive_int(j)):
+                raise ValueError(f"cell ({i!r}, {j!r}) must have positive integer coordinates")
+            if i > rows or j > cols:
+                raise ValueError(f"cell ({i}, {j}) outside the {rows} x {cols} board")
 
     @property
     def volume(self) -> int:

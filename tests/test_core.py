@@ -206,5 +206,13 @@ class TestCellSet:
             CellSet(frozenset(), rows=1, cols=1)
 
     def test_rejects_bad_dimensions(self):
-        with pytest.raises(ValueError):
-            CellSet(frozenset({(1, 1)}), rows=0, cols=1)
+        for bad in (0, True, 1.5):
+            with pytest.raises(ValueError):
+                CellSet(frozenset({(1, 1)}), rows=bad, cols=1)
+            with pytest.raises(ValueError):
+                CellSet(frozenset({(1, 1)}), rows=1, cols=bad)
+
+    @pytest.mark.parametrize("cell", [(1.5, 1), (1, 1.5), (True, 1), (1, True), ("1", 1)])
+    def test_rejects_non_integer_coordinates(self, cell):
+        with pytest.raises(ValueError, match="positive integer coordinates"):
+            CellSet(frozenset({cell}), rows=2, cols=2)

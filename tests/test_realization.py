@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,24 @@ from plskit import (
     dominance_check,
     realize_degree_matrix,
 )
+
+
+def reference_realization(n, m):
+    """The greedy with every column re-sorted for every row, O(r*c log c).
+
+    Returns the cells, or None when some row finds too few columns with
+    demand left.
+    """
+    remaining = list(m)
+    cells = set()
+    for i in sorted(range(len(n)), key=lambda i: (-n[i], i)):
+        columns = sorted(range(len(m)), key=lambda j: (-remaining[j], j))[: n[i]]
+        if len(columns) < n[i] or not remaining[columns[-1]]:
+            return None
+        for j in columns:
+            remaining[j] -= 1
+            cells.add((i + 1, j + 1))
+    return frozenset(cells)
 
 
 def random_feasible_pair(rng, max_side=6):
@@ -91,11 +110,41 @@ class TestRealizeDegreeMatrix:
                 except Infeasible as exc:
                     assert not holds, (n, m)
                     assert exc.witness == witness
+                    assert reference_realization(n, m) is None, (n, m)
                     failures += 1
                 else:
                     assert holds, (n, m)
                     assert (out.row_counts(), out.col_counts()) == (n, m)
+                    assert out.cells == reference_realization(n, m), (n, m)
         assert failures > 0
+
+    def test_matches_reference_on_sparse_profiles(self):
+        # build_theorem's sparse shape (rows of 1-6 cells scattered over as
+        # many columns) and build_proposition's flat distribute_rows columns.
+        rng = random.Random(550)
+        for _ in range(3):
+            n = tuple(rng.randint(1, 6) for _ in range(550))
+            counts = [0] * 550
+            for k in n:
+                for j in rng.sample(range(550), k):
+                    counts[j] += 1
+            for m in (tuple(k for k in counts if k), distribute_rows(sum(n), 550, 6)):
+                assert realize_degree_matrix(n, m).cells == reference_realization(n, m)
+
+    @pytest.mark.parametrize(
+        "n, m, witness",
+        [((10**9,), (10**9,), (1, 1)), ((5 * 10**8, 5 * 10**8), (10**9,), (2, 1))],
+    )
+    def test_huge_demand_allocates_nothing_proportional(self, n, m, witness):
+        tracemalloc.start()
+        try:
+            with pytest.raises(Infeasible) as exc:
+                realize_degree_matrix(n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.witness == witness
+        assert peak < 1 << 20
 
     def test_feasible_pair_skips_dominance_check(self, monkeypatch):
         calls = []
@@ -123,6 +172,10 @@ class TestDistributeRows:
             distribute_rows(2, 3, 2)
         with pytest.raises(PreconditionViolated):
             distribute_rows(1, True, 1)
+        with pytest.raises(PreconditionViolated):
+            distribute_rows(2.5, 2, 2)
+        with pytest.raises(PreconditionViolated):
+            distribute_rows(True, 1, 1)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
     def test_split_properties(self, v, r, cap):
