@@ -20,7 +20,6 @@ from .core import (
     PartialLatinSquare,
     Triple,
     conjugate,
-    invert_axes,
     normalize,
     parameters_of,
     validate,
@@ -94,7 +93,6 @@ __all__ = [
     "enumerate_pls",
     "exists_full",
     "fill_symbols",
-    "invert_axes",
     "iter_symbol_layers",
     "merge_matchings",
     "normalize",

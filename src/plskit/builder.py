@@ -126,7 +126,7 @@ def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:
     symbol disappears.
     """
     positive_int("s", s)
-    labels = {(t.row, t.col): t.sym for t in pls.triples}
+    labels = {(i, j): k for i, j, k in pls.triples}
     symbols = len(set(labels.values()))
     if not (symbols <= s <= len(labels)):
         raise PreconditionViolated(

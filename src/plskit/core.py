@@ -7,13 +7,16 @@ no symbol repeats within a column.  Labels are positive integers with no
 upper bound; occupied rows, columns, and symbols need not form contiguous
 ranges.  The builders in this package always emit normalized labels, i.e.
 occupied rows are exactly 1..r, columns 1..c, and symbols 1..s.
+
+A Triple is a tuple ``(row, col, sym)`` whose labels were checked on
+construction; it compares and hashes equal to the plain tuple, and tuple
+order is the row-major order used throughout.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -27,14 +30,15 @@ from .errors import (
 AXES = ("row", "col", "sym")
 
 
-def _is_positive_int(value) -> bool:
+def is_positive_int(value) -> bool:
+    """True for an int of at least 1; the one positivity rule for labels and counts."""
     # bool is a subclass of int, but True is not a label or a count.
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def positive_int(name: str, value: int) -> int:
     """Return ``value`` if it is a positive integer, else raise PreconditionViolated."""
-    if not _is_positive_int(value):
+    if not is_positive_int(value):
         raise PreconditionViolated(f"{name} must be a positive integer")
     return value
 
@@ -42,65 +46,62 @@ def positive_int(name: str, value: int) -> int:
 def positive_ints(name: str, values: Sequence[int]) -> tuple[int, ...]:
     """Return ``values`` as a tuple if it is a nonempty run of positive integers."""
     values = tuple(values)
-    if not values or not all(_is_positive_int(k) for k in values):
+    if not values or not all(is_positive_int(k) for k in values):
         raise PreconditionViolated(f"{name} must be a nonempty sequence of positive integers")
     return values
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
+class Triple(namedtuple("Triple", AXES)):
     """One occupied cell: symbol ``sym`` placed at (``row``, ``col``).
 
-    All three labels are positive integers.  Ordering is lexicographic in
+    All three labels are positive integers.  A Triple is a tuple, so it
+    equals the plain tuple (row, col, sym) and sorts lexicographically in
     (row, col, sym), which gives the row-major order used throughout.
     """
 
-    row: int
-    col: int
-    sym: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for axis in AXES:
-            value = getattr(self, axis)
-            if not _is_positive_int(value):
-                raise ValueError(f"{axis} label must be a positive integer, got {value!r}")
+    def __new__(cls, row: int, col: int, sym: int) -> "Triple":
+        if not (is_positive_int(row) and is_positive_int(col) and is_positive_int(sym)):
+            for axis, value in zip(AXES, (row, col, sym)):
+                if not is_positive_int(value):
+                    raise ValueError(f"{axis} label must be a positive integer, got {value!r}")
+        return tuple.__new__(cls, (row, col, sym))
+
+    @classmethod
+    def _make(cls, iterable) -> "Triple":
+        # namedtuple's own _make, which _replace also calls, skips __new__.
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"({self.row}, {self.col}, {self.sym})"
 
 
-def _coerce_triples(triples: Iterable) -> frozenset[Triple]:
-    coerced = set()
-    for t in triples:
-        coerced.add(t if isinstance(t, Triple) else Triple(*t))
-    return frozenset(coerced)
-
-
-_ROW_MAJOR = attrgetter("row", "col", "sym")
-
-
-def _check_triples(triples: frozenset[Triple]) -> None:
-    # Scan in row-major order so the reported offending pair is deterministic.
-    # Sorting by an attribute key gives Triple's own order without calling
-    # the dataclass comparison once per pair.
-    if not triples:
+def _check_triples(triples: Iterable) -> frozenset[Triple]:
+    # The one pass that coerces, label-checks and clash-checks a square.
+    # A set collapses exact duplicates; the clash scan runs in row-major
+    # order so the reported offending pair is deterministic.
+    checked = frozenset(t if isinstance(t, Triple) else Triple(*t) for t in triples)
+    if not checked:
         raise EmptyInput()
     by_cell: dict[tuple[int, int], Triple] = {}
     by_row_sym: dict[tuple[int, int], Triple] = {}
     by_col_sym: dict[tuple[int, int], Triple] = {}
-    for t in sorted(triples, key=_ROW_MAJOR):
-        cell = (t.row, t.col)
+    for t in sorted(checked):
+        row, col, sym = t
+        cell = (row, col)
         if cell in by_cell:
             raise DuplicateCell(by_cell[cell], t)
-        row_sym = (t.row, t.sym)
+        row_sym = (row, sym)
         if row_sym in by_row_sym:
             raise RowSymbolClash(by_row_sym[row_sym], t)
-        col_sym = (t.col, t.sym)
+        col_sym = (col, sym)
         if col_sym in by_col_sym:
             raise ColSymbolClash(by_col_sym[col_sym], t)
         by_cell[cell] = t
         by_row_sym[row_sym] = t
         by_col_sym[col_sym] = t
+    return checked
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,7 @@ class PartialLatinSquare:
     triples: frozenset[Triple]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "triples", _coerce_triples(self.triples))
-        _check_triples(self.triples)
+        object.__setattr__(self, "triples", _check_triples(self.triples))
 
     @property
     def volume(self) -> int:
@@ -164,10 +164,9 @@ class ParameterProfile:
 
     def __post_init__(self) -> None:
         for name in ("row_params", "col_params", "sym_params"):
-            family = getattr(self, name)
-            object.__setattr__(self, name, tuple(family))
-            family = getattr(self, name)
-            if not family or any(k < 1 for k in family):
+            family = tuple(getattr(self, name))
+            object.__setattr__(self, name, family)
+            if not family or not all(is_positive_int(k) for k in family):
                 raise ValueError(f"{name} must be nonempty with positive entries")
             if sum(family) != self.volume:
                 raise ValueError(f"{name} must sum to the volume {self.volume}")
@@ -200,13 +199,6 @@ def parameters_of(pls: PartialLatinSquare) -> ParameterProfile:
     )
 
 
-def _check_axis_permutation(perm: Sequence[str]) -> tuple[str, str, str]:
-    perm = tuple(perm)
-    if sorted(perm) != sorted(AXES):
-        raise ValueError(f"perm must be a permutation of {AXES}, got {perm!r}")
-    return perm
-
-
 def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquare:
     """Permute the three coordinate roles of every triple.
 
@@ -215,18 +207,11 @@ def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquar
     swaps the row and symbol roles, sending (1, 2, 3) to (3, 2, 1).
     Conjugation permutes the three parameter families the same way.
     """
-    perm = _check_axis_permutation(perm)
-    moved = {
-        Triple(*(getattr(t, axis) for axis in perm)) for t in pls.triples
-    }
-    return PartialLatinSquare(frozenset(moved))
-
-
-def invert_axes(perm: Sequence[str]) -> tuple[str, str, str]:
-    """Return the axis permutation that undoes ``perm`` under conjugate()."""
-    perm = _check_axis_permutation(perm)
-    inverse = {src: AXES[i] for i, src in enumerate(perm)}
-    return tuple(inverse[axis] for axis in AXES)  # type: ignore[return-value]
+    perm = tuple(perm)
+    if sorted(perm) != sorted(AXES):
+        raise ValueError(f"perm must be a permutation of {AXES}, got {perm!r}")
+    a, b, c = (AXES.index(axis) for axis in perm)
+    return PartialLatinSquare(frozenset((t[a], t[b], t[c]) for t in pls.triples))
 
 
 def normalize(pls: PartialLatinSquare) -> PartialLatinSquare:
@@ -235,15 +220,13 @@ def normalize(pls: PartialLatinSquare) -> PartialLatinSquare:
     The relabeling preserves the relative order of labels within each
     axis, so normalize is idempotent and preserves the parameter profile.
     """
-    maps = {}
-    for axis in AXES:
-        values = sorted({getattr(t, axis) for t in pls.triples})
-        maps[axis] = {value: i + 1 for i, value in enumerate(values)}
-    moved = {
-        Triple(maps["row"][t.row], maps["col"][t.col], maps["sym"][t.sym])
-        for t in pls.triples
-    }
-    return PartialLatinSquare(frozenset(moved))
+    rows, cols, syms = (
+        {value: rank for rank, value in enumerate(sorted(set(labels)), 1)}
+        for labels in zip(*pls.triples)
+    )
+    return PartialLatinSquare(
+        frozenset((rows[i], cols[j], syms[k]) for i, j, k in pls.triples)
+    )
 
 
 @dataclass(frozen=True)
@@ -261,9 +244,10 @@ class CellSet:
     cols: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
+        if not isinstance(self.cells, frozenset):
+            object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
         rows, cols = self.rows, self.cols
-        if not (_is_positive_int(rows) and _is_positive_int(cols)):
+        if not (is_positive_int(rows) and is_positive_int(cols)):
             raise ValueError(f"board dimensions must be positive integers, got {rows!r} x {cols!r}")
         if not self.cells:
             raise ValueError("cell set must be nonempty")
@@ -271,7 +255,7 @@ class CellSet:
             # Plain ints on the board pass without two calls per cell.
             if type(i) is type(j) is int and 0 < i <= rows and 0 < j <= cols:
                 continue
-            if not (_is_positive_int(i) and _is_positive_int(j)):
+            if not (is_positive_int(i) and is_positive_int(j)):
                 raise ValueError(f"cell ({i!r}, {j!r}) must have positive integer coordinates")
             if i > rows or j > cols:
                 raise ValueError(f"cell ({i}, {j}) outside the {rows} x {cols} board")

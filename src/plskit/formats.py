@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .core import PartialLatinSquare, validate
+from .core import PartialLatinSquare, is_positive_int, validate
 from .errors import DocumentError, PreconditionViolated
 from .oracle import check_prescription
 
@@ -23,6 +23,8 @@ def _load_object(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     schema = data.get("schema")
@@ -32,7 +34,7 @@ def _load_object(text: str) -> dict:
 
 
 def _int_field(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    if not is_positive_int(value):
         raise DocumentError(f"{where} must be a positive integer, got {value!r}")
     return value
 
@@ -52,7 +54,7 @@ class PlsDocument:
 
     @classmethod
     def from_pls(cls, pls: PartialLatinSquare) -> "PlsDocument":
-        return cls(tuple((t.row, t.col, t.sym) for t in pls.sorted_triples()))
+        return cls(pls.sorted_triples())
 
     @classmethod
     def from_json(cls, text: str) -> "PlsDocument":

@@ -135,6 +135,15 @@ class TestVerify:
         assert run(["verify", "-"], stdout=io.StringIO(), stderr=err, stdin=stdin) == 2
         assert "internal error" not in err.getvalue()
 
+    def test_deeply_nested_json_is_a_document_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        for argv in (["verify", str(path)], ["oracle", "exists", "--file", str(path)]):
+            code, out, err = invoke(argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: not valid JSON")
+
 
 class TestOracle:
     def test_exists_prints_witness(self):

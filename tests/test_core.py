@@ -13,7 +13,6 @@ from plskit import (
     RowSymbolClash,
     Triple,
     conjugate,
-    invert_axes,
     normalize,
     parameters_of,
     validate,
@@ -49,6 +48,15 @@ class TestTriple:
         with pytest.raises(AttributeError):
             Triple(1, 1, 1).row = 2
 
+    def test_equals_the_plain_tuple(self):
+        assert Triple(1, 2, 3) == (1, 2, 3)
+        assert hash(Triple(1, 2, 3)) == hash((1, 2, 3))
+
+    def test_replace_is_checked(self):
+        assert Triple(1, 2, 3)._replace(sym=4) == Triple(1, 2, 4)
+        with pytest.raises(ValueError, match="row label"):
+            Triple(1, 2, 3)._replace(row=0)
+
 
 class TestValidate:
     def test_disjoint_triples_are_valid(self):
@@ -81,6 +89,25 @@ class TestValidate:
             validate([(1, 1, 3), (1, 1, 2), (1, 1, 1)])
         assert exc.value.first == Triple(1, 1, 1)
         assert exc.value.second == Triple(1, 1, 2)
+
+    @pytest.mark.parametrize(
+        "bad, axis", [((0, 1, 1), "row"), ((1, True, 1), "col"), ((1, 1, 1.5), "sym")]
+    )
+    def test_rejects_bad_labels_naming_the_axis(self, bad, axis):
+        with pytest.raises(ValueError, match=f"^{axis} label must be a positive integer"):
+            validate([(1, 2, 2), bad])
+
+    def test_rejects_a_short_triple(self):
+        with pytest.raises(TypeError):
+            validate([(1, 1)])
+
+    def test_exact_duplicates_collapse(self):
+        assert validate([(1, 1, 1), (1, 1, 1)]).volume == 1
+
+    def test_duplicate_cell_message(self):
+        with pytest.raises(DuplicateCell) as exc:
+            validate([(1, 1, 2), (1, 1, 1)])
+        assert str(exc.value) == "two triples occupy the same cell: (1, 1, 1) and (1, 1, 2)"
 
     def test_accepts_triple_instances(self):
         pls = validate([Triple(1, 1, 1)])
@@ -126,6 +153,9 @@ class TestParameterProfile:
     def test_entries_must_be_positive(self):
         with pytest.raises(ValueError):
             ParameterProfile((0, 3), (3,), (3,), 3)
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match="row_params must be nonempty with positive"):
+                ParameterProfile((bad,), (1,), (1,), 1)
 
     def test_families_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -146,8 +176,12 @@ class TestConjugate:
             conjugate(validate([(1, 1, 1)]), ("row", "row", "sym"))
 
     @given(squares(), st.sampled_from(AXIS_PERMS))
-    def test_inverse_undoes(self, pls, perm):
-        assert conjugate(conjugate(pls, perm), invert_axes(perm)) == pls
+    def test_six_conjugations_undo(self, pls, perm):
+        # Every permutation of three axes has order 1, 2 or 3.
+        out = pls
+        for _ in range(6):
+            out = conjugate(out, perm)
+        assert out == pls
 
     @given(squares(), st.sampled_from(AXIS_PERMS))
     def test_profile_permutes_with_the_axes(self, pls, perm):
