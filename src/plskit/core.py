@@ -163,6 +163,8 @@ class ParameterProfile:
     volume: int
 
     def __post_init__(self) -> None:
+        if not is_positive_int(self.volume):
+            raise ValueError("volume must be a positive integer")
         for name in ("row_params", "col_params", "sym_params"):
             family = tuple(getattr(self, name))
             object.__setattr__(self, name, family)

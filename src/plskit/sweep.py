@@ -3,6 +3,15 @@
 Each sweep walks a bounded family of prescriptions, asks the predicate
 and the exhaustive oracle independently, and records every tuple where
 the two verdicts differ.  A correct implementation yields no mismatches.
+
+The predicate is asked about every ordered prescription.  The oracle is
+asked once per distinct sorted key: the prescription with each parameter
+family sorted and the scalars left alone.  That key is the oracle's own
+canonical form, since exists_full uses a family only through its sum,
+its length and its sorted order, so its verdict on the key is its
+verdict on every ordering and the memo is exact by construction.  A
+wrapper set on this module's ``exists_full`` therefore sees each
+distinct key once, not every ordered case.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .core import positive_int
 from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
 from .oracle import Budget, exists_full
 
@@ -30,6 +40,12 @@ def _vectors(max_len: int, max_entry: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(range(1, max_entry + 1), repeat=length)
 
 
+def _check_bounds(**bounds: int) -> None:
+    # A bound below 1 would make an empty range, and so a vacuous clean.
+    for name, value in bounds.items():
+        positive_int(name, value)
+
+
 def _sweep(
     cases: Iterable[tuple],
     predicate: Callable[..., FeasibilityReport],
@@ -37,16 +53,24 @@ def _sweep(
     budget: Budget,
 ) -> SweepResult:
     # The predicate takes each case's values in order, the oracle takes
-    # them as the constraints named in oracle_kwargs.  exists_full is read
-    # from the module globals on every call, and each sweep passes the
-    # predicate it reads there, so a wrapper set on this module's
-    # attributes (a tracer, a test double) sees every call.
+    # them as the constraints named in oracle_kwargs.  The oracle's verdict
+    # is kept per sorted key for the length of the sweep (exact, see the
+    # module docstring), so exists_full runs once per distinct key.  It is
+    # read from the module globals on every call, and each sweep passes
+    # the predicate it reads there, so a wrapper set on this module's
+    # attributes (a tracer, a test double) sees every predicate call and
+    # every oracle search.
+    verdicts: dict[tuple, bool] = {}
     mismatches = []
     checked = 0
     for case in cases:
         checked += 1
         predicted = predicate(*case).feasible
-        actual, _ = exists_full(**dict(zip(oracle_kwargs, case)), budget=budget)
+        key = tuple(tuple(sorted(x)) if isinstance(x, tuple) else x for x in case)
+        actual = verdicts.get(key)
+        if actual is None:
+            actual, _ = exists_full(**dict(zip(oracle_kwargs, key)), budget=budget)
+            verdicts[key] = actual
         if predicted != actual:
             mismatches.append((*case, predicted, actual))
     return SweepResult(checked, tuple(mismatches))
@@ -68,6 +92,7 @@ def theorem_tuples(
 
 
 def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> SweepResult:
+    _check_bounds(max_side=max_side, max_entry=max_entry, max_cells=max_cells)
     return _sweep(
         theorem_tuples(max_side, max_entry, max_cells),
         check_construction,
@@ -87,6 +112,7 @@ def row_params_tuples(
 
 
 def sweep_row_params(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3) -> SweepResult:
+    _check_bounds(max_side=max_side, max_entry=max_entry, max_symbols=max_symbols)
     return _sweep(
         row_params_tuples(max_side, max_entry, max_symbols),
         check_row_params,
@@ -105,6 +131,7 @@ def sizes_tuples(
 
 
 def sweep_sizes(max_side: int = 3, max_cells: int = 9) -> SweepResult:
+    _check_bounds(max_side=max_side, max_cells=max_cells)
     return _sweep(
         sizes_tuples(max_side, max_cells),
         check_sizes,

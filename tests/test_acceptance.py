@@ -9,6 +9,8 @@ import json
 import random
 import time
 
+import pytest
+
 from plskit import (
     Budget,
     CellSet,
@@ -71,6 +73,32 @@ def test_criterion_3_sizes_equivalence_sweep():
     result = sweep_sizes(max_side=3, max_cells=9)
     report(
         "criterion 3: sizes equivalence sweep",
+        result.clean,
+        f"{result.checked} tuples, {len(result.mismatches)} mismatches",
+    )
+
+
+# Criteria 1-3 one step past their ranges above, along each axis in turn.
+GROWN_RANGES = [
+    (sweep_theorem, (4, 3, 10)),
+    (sweep_theorem, (3, 4, 10)),
+    (sweep_row_params, (4, 3, 3)),
+    (sweep_row_params, (3, 4, 3)),
+    (sweep_row_params, (3, 3, 4)),
+    (sweep_sizes, (4, 9)),
+    (sweep_sizes, (3, 10)),
+]
+
+
+@pytest.mark.parametrize(
+    "sweep, bounds",
+    GROWN_RANGES,
+    ids=[f"{sweep.__name__}-{'-'.join(map(str, bounds))}" for sweep, bounds in GROWN_RANGES],
+)
+def test_criteria_1_to_3_grown_ranges(sweep, bounds):
+    result = sweep(*bounds)
+    report(
+        f"criteria 1-3: {sweep.__name__}{bounds}",
         result.clean,
         f"{result.checked} tuples, {len(result.mismatches)} mismatches",
     )

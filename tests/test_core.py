@@ -161,6 +161,11 @@ class TestParameterProfile:
         with pytest.raises(ValueError):
             ParameterProfile((), (1,), (1,), 1)
 
+    def test_volume_must_be_a_positive_int(self):
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match="volume must be a positive integer"):
+                ParameterProfile((1,), (1,), (1,), bad)
+
 
 class TestConjugate:
     def test_identity(self):
