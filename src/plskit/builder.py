@@ -24,6 +24,11 @@ PartialLatinSquare.  Its output is normalized without a relabeling pass:
 the realization fills every row 1..r and column 1..c, every peel layer
 is nonempty so the fill uses every symbol 1..max, and the split adds
 symbols max+1, max+2, ...
+
+Each build_* validates its input once, in its predicate: build_theorem
+hands the checked lists to the realization without a second check.
+Once the predicate passes, a build whose volume exceeds MAX_CELLS raises
+BudgetExceeded before it allocates anything proportional to the volume.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .core import CellSet, PartialLatinSquare, positive_int, validate
-from .errors import Infeasible, PreconditionViolated
+from .errors import BudgetExceeded, Infeasible, PreconditionViolated
 from .feasibility import (
     FeasibilityReport,
     check_construction,
@@ -39,9 +44,11 @@ from .feasibility import (
     check_sizes,
 )
 from .matching import LEFT, RIGHT, merge_matchings, saturating_matching
-from .realization import distribute_rows, realize_degree_matrix
+from .realization import distribute_rows, realize_unchecked
 
 Labels = dict[tuple[int, int], int]  # (row, col) -> symbol
+
+MAX_CELLS = 10**6  # the largest volume a builder constructs
 
 
 def iter_symbol_layers(cell_set: CellSet) -> Iterator[tuple[int, frozenset[tuple[int, int]]]]:
@@ -142,15 +149,22 @@ def _require_feasible(report: FeasibilityReport) -> None:
         raise Infeasible(f"no such square exists ({detail})", report=report)
 
 
+def _require_volume(v: int) -> None:
+    if v > MAX_CELLS:
+        raise BudgetExceeded(f"volume {v} above the builder cap of {MAX_CELLS} cells")
+
+
 def build_theorem(n: Sequence[int], m: Sequence[int], s: int) -> PartialLatinSquare:
     """Construct a PLS with row parameters n, column parameters m, s symbols.
 
     Row i holds exactly n[i] cells and column j exactly m[j].  Raises
     Infeasible carrying the check_construction report when the profile is
-    impossible.
+    impossible, and BudgetExceeded when the volume exceeds MAX_CELLS.
     """
+    n, m = tuple(n), tuple(m)
     _require_feasible(check_construction(n, m, s))
-    labels = _fill(realize_degree_matrix(n, m))
+    _require_volume(sum(n))
+    labels = _fill(realize_unchecked(n, m))
     _split(labels, s)
     return _square(labels)
 
@@ -162,18 +176,23 @@ def build_proposition(n: Sequence[int], c: int, s: int) -> PartialLatinSquare:
     c, s).  When check_row_params holds, c <= v <= c * s puts every count
     in [1, s], and since the even split is minimal in the majorization
     order, Gale-Ryser realizes it against any n whose entries are at most
-    min(c, s).  Raises Infeasible with the check_row_params report.
+    min(c, s).  Raises Infeasible with the check_row_params report, and
+    BudgetExceeded when the volume exceeds MAX_CELLS.
     """
     _require_feasible(check_row_params(n, c, s))
-    return build_theorem(n, distribute_rows(sum(n), c, s), s)
+    v = sum(n)
+    _require_volume(v)
+    return build_theorem(n, distribute_rows(v, c, s), s)
 
 
 def build_corollary(r: int, c: int, s: int, v: int) -> PartialLatinSquare:
     """Construct a PLS with r rows, c columns, s symbols, and volume v.
 
     Spreads the volume evenly over the rows and delegates to
-    build_proposition.  Raises Infeasible with the check_sizes report.
+    build_proposition.  Raises Infeasible with the check_sizes report, and
+    BudgetExceeded when v exceeds MAX_CELLS.
     """
     _require_feasible(check_sizes(r, c, s, v))
+    _require_volume(v)
     n = distribute_rows(v, r, min(c, s))
     return build_proposition(n, c, s)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the request is feasible, valid, or equivalent; 1 when
 it is infeasible, invalid, or a sweep found a mismatch; 2 on usage or
-I/O errors; 3 when the oracle budget was exceeded; 4 when the program
-itself failed, so that a crash never reads as a negative answer.
+I/O errors; 3 when the oracle budget or the builder volume cap was
+exceeded; 4 when the program itself failed, so that a crash never reads
+as a negative answer.
 """
 
 from __future__ import annotations

@@ -38,7 +38,9 @@ def is_positive_int(value) -> bool:
 
 def positive_int(name: str, value: int) -> int:
     """Return ``value`` if it is a positive integer, else raise PreconditionViolated."""
-    if not is_positive_int(value):
+    # A plain int is settled by one comparison; anything else takes the
+    # full rule, so exactly the same values pass.
+    if not (type(value) is int and value > 0 or is_positive_int(value)):
         raise PreconditionViolated(f"{name} must be a positive integer")
     return value
 
@@ -46,7 +48,7 @@ def positive_int(name: str, value: int) -> int:
 def positive_ints(name: str, values: Sequence[int]) -> tuple[int, ...]:
     """Return ``values`` as a tuple if it is a nonempty run of positive integers."""
     values = tuple(values)
-    if not values or not all(is_positive_int(k) for k in values):
+    if not values or not all(type(k) is int and k > 0 or is_positive_int(k) for k in values):
         raise PreconditionViolated(f"{name} must be a nonempty sequence of positive integers")
     return values
 

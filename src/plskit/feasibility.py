@@ -3,37 +3,52 @@
 Each predicate returns a FeasibilityReport listing the individual
 conditions it checked.  Infeasibility is a normal result, never an
 exception; exceptions are reserved for malformed inputs.
+
+Conditions and reports are tuples, so they are cheap to build and
+compare equal to the plain tuples (id, satisfied, witness) and
+(feasible, conditions).  A report still checks on construction that its
+verdict is the conjunction of its conditions.
+
+dominance_check and check_construction share one kernel, _worst_pair,
+which scans already sorted lists.  Each public function validates its
+input once and sorts once before handing it over, so check_construction
+neither re-validates nor re-sorts through dominance_check, and it reuses
+the same sorted lists for its witness text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from itertools import accumulate
 from typing import Sequence
 
 from .core import positive_int, positive_ints
 from .errors import SumMismatch
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(namedtuple("Condition", ("id", "satisfied", "witness"), defaults=(None,))):
     """One checked condition: a stable id, its verdict, and a witness."""
 
-    id: str
-    satisfied: bool
-    witness: str | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(namedtuple("FeasibilityReport", ("feasible", "conditions"))):
     """Verdict plus per-condition breakdown; feasible iff all conditions hold."""
 
-    feasible: bool
-    conditions: tuple[Condition, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "conditions", tuple(self.conditions))
-        if self.feasible != all(c.satisfied for c in self.conditions):
+    def __new__(
+        cls, feasible: bool, conditions: Sequence[Condition] = ()
+    ) -> "FeasibilityReport":
+        conditions = tuple(conditions)
+        if feasible != all(c.satisfied for c in conditions):
             raise ValueError("feasible must equal the conjunction of the conditions")
+        return tuple.__new__(cls, (feasible, conditions))
+
+    @classmethod
+    def _make(cls, iterable) -> "FeasibilityReport":
+        # namedtuple's own _make, which _replace also calls, skips __new__.
+        return cls(*iterable)
 
     @classmethod
     def from_conditions(cls, conditions: Sequence[Condition]) -> "FeasibilityReport":
@@ -42,6 +57,27 @@ class FeasibilityReport:
 
     def violated(self) -> tuple[Condition, ...]:
         return tuple(c for c in self.conditions if not c.satisfied)
+
+
+def _worst_pair(n_desc: list[int], m_desc: list[int], v: int) -> tuple[int, int] | None:
+    # The dominance scan on decreasing lists with equal total v; returns
+    # the first prefix pair, in (k, l) order, of strictly largest excess,
+    # or None when no pair has positive excess.  k = 0 is skipped: its
+    # worst l takes every column, for an excess of exactly 0.
+    m_prefix = [0, *accumulate(m_desc)]
+    worst_excess = 0
+    worst_pair = None
+    n_sum = 0
+    l = len(m_desc)
+    for k, count in enumerate(n_desc, 1):
+        n_sum += count
+        while l and m_desc[l - 1] <= k:
+            l -= 1
+        excess = n_sum + m_prefix[l] - v - k * l
+        if excess > worst_excess:
+            worst_excess = excess
+            worst_pair = (k, l)
+    return worst_pair
 
 
 def dominance_check(
@@ -61,30 +97,11 @@ def dominance_check(
     """
     n = positive_ints("n", n)
     m = positive_ints("m", m)
-    if sum(n) != sum(m):
-        raise SumMismatch(f"sum(n) = {sum(n)} but sum(m) = {sum(m)}")
-
-    v = sum(n)
-    n_desc = sorted(n, reverse=True)
-    m_desc = sorted(m, reverse=True)
-    m_prefix = [0]
-    for k in m_desc:
-        m_prefix.append(m_prefix[-1] + k)
-
-    worst_excess = 0
-    worst_pair = None
-    n_sum = 0
-    l = len(m)
-    for k in range(len(n) + 1):
-        if k:
-            n_sum += n_desc[k - 1]
-        while l and m_desc[l - 1] <= k:
-            l -= 1
-        excess = n_sum + m_prefix[l] - v - k * l
-        if excess > worst_excess:
-            worst_excess = excess
-            worst_pair = (k, l)
-    return (worst_pair is None, worst_pair)
+    v, w = sum(n), sum(m)
+    if v != w:
+        raise SumMismatch(f"sum(n) = {v} but sum(m) = {w}")
+    worst = _worst_pair(sorted(n, reverse=True), sorted(m, reverse=True), v)
+    return (worst is None, worst)
 
 
 def check_construction(n: Sequence[int], m: Sequence[int], s: int) -> FeasibilityReport:
@@ -93,43 +110,39 @@ def check_construction(n: Sequence[int], m: Sequence[int], s: int) -> Feasibilit
     Conditions: equal totals, the dominance inequality, and
     max(n, m) <= s <= volume.  The latter two are only evaluated (and
     reported) when the totals agree, since the volume is undefined
-    otherwise.
+    otherwise.  The dominance condition is dominance_check's verdict and
+    witness, computed by the same kernel on the lists validated here.
     """
     n = positive_ints("n", n)
     m = positive_ints("m", m)
     s = positive_int("s", s)
 
-    if sum(n) != sum(m):
+    v, w = sum(n), sum(m)
+    if v != w:
         return FeasibilityReport.from_conditions(
-            [Condition("equal-sums", False, f"sum(n) = {sum(n)} but sum(m) = {sum(m)}")]
+            [Condition("equal-sums", False, f"sum(n) = {v} but sum(m) = {w}")]
         )
-    conditions = [Condition("equal-sums", True)]
 
-    holds, witness = dominance_check(n, m)
-    if holds:
-        conditions.append(Condition("dominance", True))
+    n_desc = sorted(n, reverse=True)
+    m_desc = sorted(m, reverse=True)
+    worst = _worst_pair(n_desc, m_desc, v)
+    if worst is None:
+        dominance = Condition("dominance", True)
     else:
-        k, l = witness
-        lhs = sum(sorted(n, reverse=True)[:k]) + sum(sorted(m, reverse=True)[:l])
-        conditions.append(
-            Condition(
-                "dominance",
-                False,
-                f"prefix pair (k = {k}, l = {l}): {lhs} > {sum(n) + k * l}",
-            )
+        k, l = worst
+        lhs = sum(n_desc[:k]) + sum(m_desc[:l])
+        dominance = Condition(
+            "dominance", False, f"prefix pair (k = {k}, l = {l}): {lhs} > {v + k * l}"
         )
 
-    v = sum(n)
-    max_line = max(max(n), max(m))
+    max_line = max(n_desc[0], m_desc[0])
     if s < max_line:
-        conditions.append(
-            Condition("symbol-bounds", False, f"s = {s} < max line count {max_line}")
-        )
+        bounds = Condition("symbol-bounds", False, f"s = {s} < max line count {max_line}")
     elif s > v:
-        conditions.append(Condition("symbol-bounds", False, f"s = {s} > v = {v}"))
+        bounds = Condition("symbol-bounds", False, f"s = {s} > v = {v}")
     else:
-        conditions.append(Condition("symbol-bounds", True))
-    return FeasibilityReport.from_conditions(conditions)
+        bounds = Condition("symbol-bounds", True)
+    return FeasibilityReport.from_conditions([Condition("equal-sums", True), dominance, bounds])
 
 
 def check_row_params(n: Sequence[int], c: int, s: int) -> FeasibilityReport:

@@ -8,6 +8,13 @@ feasibility predicates, so the two routes can be compared against each
 other in tests.  check_prescription is the one consistency check for a
 mix of constraints; exists_full and the CLI's SpecDocument both run it.
 
+The witness exists_full returns is normalized and validated once.  The
+search itself fixes the row and symbol labels: a row is only used once
+every row above it is, and a symbol only once every smaller one is, so
+the occupied rows are 1..r and the symbols 1..s by construction.  No
+rule fixes the column labels, so only the columns are relabeled, in
+increasing order, before the one validation.
+
 Soundness over the budget: when a dimension left unconstrained by the
 caller had to be capped by the budget, a fruitless search proves nothing,
 so BudgetExceeded is raised instead of returning a false negative.
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import PartialLatinSquare, normalize, positive_int, positive_ints, validate
+from .core import PartialLatinSquare, positive_int, positive_ints, validate
 from .errors import BudgetExceeded, PreconditionViolated
 
 
@@ -272,7 +279,10 @@ def exists_full(
         ) from None
     if found:
         assert result is not None
-        return True, normalize(validate(result))
+        # Rows and symbols are already 1..r and 1..s (see the module
+        # docstring); relabeling the columns completes the normalization.
+        cols = {j: rank for rank, j in enumerate(sorted({j for _, j, _ in result}), 1)}
+        return True, validate([(i, cols[j], k) for i, j, k in result])
     if truncated:
         raise BudgetExceeded(
             "search space was truncated by the budget; no witness found, "

@@ -50,7 +50,18 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
             f"row total {sum(n)} differs from column total {sum(m)}",
             witness=(sum(n), sum(m)),
         )
+    return realize_unchecked(n, m)
 
+
+def realize_unchecked(n: tuple[int, ...], m: tuple[int, ...]) -> CellSet:
+    """realize_degree_matrix without its input checks.
+
+    n and m must be tuples of positive ints with equal totals.  This is
+    for a caller that has just validated them, such as build_theorem
+    after check_construction, so a build checks its input once.  The
+    greedy, its tie rules and its Infeasible on a dominance failure are
+    those of realize_degree_matrix.
+    """
     levels: dict[int, list[int]] = {}  # remaining demand -> columns, increasing
     for j, demand in enumerate(m, start=1):
         levels.setdefault(demand, []).append(j)

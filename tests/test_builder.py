@@ -1,12 +1,15 @@
 """Symbol filling, symbol splitting, and the three build entry points."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plskit.builder
 from plskit import (
+    BudgetExceeded,
     CellSet,
     Infeasible,
     PreconditionViolated,
@@ -209,6 +212,50 @@ class TestBuildCorollary:
         with pytest.raises(Infeasible) as exc:
             build_corollary(2, 2, 2, 5)
         assert {c.id for c in exc.value.report.violated()} == {"upper-bound"}
+
+
+class TestVolumeCap:
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (build_corollary, (10**5, 10**5, 10**5, 10**10)),
+            (build_corollary, (10**6, 10**6, 10**6, 10**12)),
+            (build_proposition, ((10**6, 10**6), 10**6, 10**6)),
+            (build_theorem, ((1000,) * 1001, (1001,) * 1000, 1001)),
+        ],
+    )
+    def test_huge_volume_allocates_nothing_proportional(self, build, args, monkeypatch):
+        # Each prescription passes its predicate; the cap must refuse it
+        # before anything proportional to the volume is allocated.  A
+        # realization reached anyway fails at once instead of running on.
+        def unreachable(n, m):
+            raise AssertionError("realization reached above the cap")
+
+        monkeypatch.setattr(plskit.builder, "realize_unchecked", unreachable)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="above the builder cap"):
+                build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_is_inclusive_and_admits_large_builds(self, monkeypatch):
+        assert plskit.builder.MAX_CELLS >= 10**6
+        monkeypatch.setattr(plskit.builder, "MAX_CELLS", 4)
+        assert build_corollary(2, 2, 2, 4).volume == 4
+        for build, args in (
+            (build_corollary, (2, 3, 3, 5)),
+            (build_proposition, ((3, 2), 3, 3)),
+            (build_theorem, ((3, 2), (2, 2, 1), 3)),
+        ):
+            with pytest.raises(BudgetExceeded):
+                build(*args)
+
+    def test_predicate_runs_before_the_cap(self):
+        with pytest.raises(Infeasible):
+            build_corollary(1, 1, 1, 10**10)
 
 
 class TestDeterminism:

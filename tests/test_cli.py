@@ -66,6 +66,16 @@ class TestBuild:
         assert "infeasible" in out
         assert "[violated] upper-bound: v = 5 > r*c = 4" in out
 
+    def test_volume_above_the_builder_cap_exits_three(self):
+        code, out, err = invoke(
+            ["build", "sizes", "--r", "100000", "--c", "100000", "--s", "100000",
+             "--v", "10000000000"]
+        )
+        assert code == 3
+        assert out == ""
+        cap = plskit.builder.MAX_CELLS
+        assert err == f"error: volume 10000000000 above the builder cap of {cap} cells\n"
+
     def test_grid_view(self):
         code, out, _ = invoke(
             ["build", "theorem", "--rows", "2,2", "--cols", "2,2", "--symbols", "2", "--grid"]

@@ -17,6 +17,7 @@ from plskit import (
     check_sizes,
     dominance_check,
 )
+from plskit.sweep import theorem_tuples
 
 
 def dominance_brute_force(n, m):
@@ -51,6 +52,34 @@ def random_composition(rng, total, max_parts):
     cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
     bounds = [0] + cuts + [total]
     return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def reference_check_construction(n, m, s):
+    """check_construction spelled out: validate, dominance_check, three conditions."""
+    n, m = tuple(n), tuple(m)
+    if not n or not m or not all(type(k) is int and k >= 1 for k in n + m):
+        raise PreconditionViolated("bad parameters")
+    if type(s) is not int or s < 1:
+        raise PreconditionViolated("bad s")
+    if sum(n) != sum(m):
+        witness = f"sum(n) = {sum(n)} but sum(m) = {sum(m)}"
+        return FeasibilityReport.from_conditions([Condition("equal-sums", False, witness)])
+    v = sum(n)
+    holds, pair = dominance_check(n, m)
+    if holds:
+        dominance = Condition("dominance", True)
+    else:
+        k, l = pair
+        lhs = sum(sorted(n, reverse=True)[:k]) + sum(sorted(m, reverse=True)[:l])
+        dominance = Condition("dominance", False, f"prefix pair (k = {k}, l = {l}): {lhs} > {v + k * l}")
+    longest = max(n + m)
+    if s < longest:
+        bounds = Condition("symbol-bounds", False, f"s = {s} < max line count {longest}")
+    elif s > v:
+        bounds = Condition("symbol-bounds", False, f"s = {s} > v = {v}")
+    else:
+        bounds = Condition("symbol-bounds", True)
+    return FeasibilityReport.from_conditions([Condition("equal-sums", True), dominance, bounds])
 
 
 class TestDominanceCheck:
@@ -120,6 +149,20 @@ class TestFeasibilityReport:
         with pytest.raises(ValueError):
             FeasibilityReport(True, (bad,))
 
+    def test_condition_is_the_plain_tuple(self):
+        assert Condition("a", True) == ("a", True, None)
+        assert Condition("b", False, "why") == ("b", False, "why")
+        report = FeasibilityReport.from_conditions([Condition("a", True)])
+        assert report == (True, (("a", True, None),))
+
+    def test_replace_is_checked(self):
+        report = FeasibilityReport.from_conditions([Condition("b", False, "why")])
+        with pytest.raises(ValueError):
+            report._replace(feasible=True)
+        with pytest.raises(ValueError):
+            FeasibilityReport._make((True, (Condition("b", False),)))
+        assert report._replace(feasible=False) == report
+
     def test_violated_lists_only_failures(self):
         report = FeasibilityReport.from_conditions(
             [Condition("a", True), Condition("b", False, "w")]
@@ -161,6 +204,27 @@ class TestCheckConstruction:
         assert not dominance.satisfied
         assert "(k = 2, l = 1)" in dominance.witness
         assert "8 > 6" in dominance.witness
+
+    def test_matches_the_reference_on_every_small_case(self):
+        checked = 0
+        for n, m, s in theorem_tuples(3, 3, 9):
+            for m_case in (m, m[:-1] or (m[0] + 1,)):  # also unequal totals
+                expected = reference_check_construction(n, m_case, s)
+                assert check_construction(n, m_case, s) == expected, (n, m_case, s)
+                checked += 1
+        assert checked > 1000
+
+    def test_matches_the_reference_on_long_random_profiles(self):
+        rng = random.Random(41)
+        violated = set()
+        for _ in range(200):
+            n = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 150)))
+            m = random_composition(rng, sum(n), rng.randint(1, 150))
+            s = rng.randint(1, sum(n) + 1)
+            report = check_construction(n, m, s)
+            assert report == reference_check_construction(n, m, s), (n, m, s)
+            violated.update(c.id for c in report.violated())
+        assert violated == {"dominance", "symbol-bounds"}
 
     def test_rejects_bool_entries(self):
         with pytest.raises(PreconditionViolated):

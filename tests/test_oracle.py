@@ -1,6 +1,6 @@
 """Exhaustive search: existence queries and the enumeration stream."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +148,24 @@ class TestExistsFull:
     def test_infeasible_profile_is_false_not_an_error(self):
         found, _ = exists_full(row_params=(2, 2), col_params=(4,), s=2)
         assert not found
+
+    def test_witness_is_normalized_on_a_small_grid(self):
+        # exists_full relabels only the columns of its witness; the search
+        # must hand over rows 1..r and symbols 1..s, pinned or not.
+        families = [v for length in (1, 2, 3) for v in product((1, 2), repeat=length)]
+        rows_or_r = [{}, *({"row_params": f} for f in families), *({"r": k} for k in (1, 2, 3))]
+        cols_or_c = [{}, *({"col_params": f} for f in families), *({"c": k} for k in (1, 2, 3))]
+        syms_or_s = [{}, *({"sym_params": f} for f in families), *({"s": k} for k in (1, 2))]
+        found = 0
+        for rows, cols, syms in product(rows_or_r, cols_or_c, syms_or_s):
+            try:
+                ok, witness = exists_full(**rows, **cols, **syms)
+            except PlsError:
+                continue
+            if ok:
+                assert normalize(witness) == witness, (rows, cols, syms)
+                found += 1
+        assert found > 500
 
     @settings(max_examples=60, deadline=None)
     @given(squares(max_rows=3, max_cols=3, max_symbols=3, max_cells=5))
