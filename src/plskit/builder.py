@@ -25,8 +25,8 @@ the realization fills every row 1..r and column 1..c, every peel layer
 is nonempty so the fill uses every symbol 1..max, and the split adds
 symbols max+1, max+2, ...
 
-Each build_* validates its input once, in its predicate: build_theorem
-hands the checked lists to the realization without a second check.
+Each build_* validates its input once, in its own predicate, and hands
+the checked or derived counts to one private step with no second check.
 Once the predicate passes, a build whose volume exceeds MAX_CELLS raises
 BudgetExceeded before it allocates anything proportional to the volume.
 """
@@ -154,6 +154,12 @@ def _require_volume(v: int) -> None:
         raise BudgetExceeded(f"volume {v} above the builder cap of {MAX_CELLS} cells")
 
 
+def _build(n: tuple[int, ...], m: tuple[int, ...], s: int) -> PartialLatinSquare:
+    labels = _fill(realize_unchecked(n, m))
+    _split(labels, s)
+    return _square(labels)
+
+
 def build_theorem(n: Sequence[int], m: Sequence[int], s: int) -> PartialLatinSquare:
     """Construct a PLS with row parameters n, column parameters m, s symbols.
 
@@ -164,35 +170,33 @@ def build_theorem(n: Sequence[int], m: Sequence[int], s: int) -> PartialLatinSqu
     n, m = tuple(n), tuple(m)
     _require_feasible(check_construction(n, m, s))
     _require_volume(sum(n))
-    labels = _fill(realize_unchecked(n, m))
-    _split(labels, s)
-    return _square(labels)
+    return _build(n, m, s)
 
 
 def build_proposition(n: Sequence[int], c: int, s: int) -> PartialLatinSquare:
     """Construct a PLS with row parameters n, c columns, and s symbols.
 
-    Hands build_theorem the most even column counts, distribute_rows(v,
-    c, s).  When check_row_params holds, c <= v <= c * s puts every count
-    in [1, s], and since the even split is minimal in the majorization
-    order, Gale-Ryser realizes it against any n whose entries are at most
+    Uses the most even column counts, distribute_rows(v, c, s).  When
+    check_row_params holds, c <= v <= c * s puts every count in [1, s],
+    and since the even split is minimal in the majorization order,
+    Gale-Ryser realizes it against any n whose entries are at most
     min(c, s).  Raises Infeasible with the check_row_params report, and
     BudgetExceeded when the volume exceeds MAX_CELLS.
     """
+    n = tuple(n)
     _require_feasible(check_row_params(n, c, s))
     v = sum(n)
     _require_volume(v)
-    return build_theorem(n, distribute_rows(v, c, s), s)
+    return _build(n, distribute_rows(v, c, s), s)
 
 
 def build_corollary(r: int, c: int, s: int, v: int) -> PartialLatinSquare:
     """Construct a PLS with r rows, c columns, s symbols, and volume v.
 
-    Spreads the volume evenly over the rows and delegates to
-    build_proposition.  Raises Infeasible with the check_sizes report, and
-    BudgetExceeded when v exceeds MAX_CELLS.
+    Spreads the volume evenly over the rows, then over the columns as
+    build_proposition does.  Raises Infeasible with the check_sizes
+    report, and BudgetExceeded when v exceeds MAX_CELLS.
     """
     _require_feasible(check_sizes(r, c, s, v))
     _require_volume(v)
-    n = distribute_rows(v, r, min(c, s))
-    return build_proposition(n, c, s)
+    return _build(distribute_rows(v, r, min(c, s)), distribute_rows(v, c, s), s)

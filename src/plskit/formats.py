@@ -11,8 +11,9 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from . import builder
 from .core import PartialLatinSquare, is_positive_int, validate
-from .errors import DocumentError, PreconditionViolated
+from .errors import BudgetExceeded, DocumentError, PreconditionViolated
 from .oracle import check_prescription
 
 SCHEMA_VERSION = "1"
@@ -130,9 +131,17 @@ class SpecDocument:
 
 
 def render_grid(pls: PartialLatinSquare) -> str:
-    """Row-major board view with '.' for empty cells.  Display only."""
+    """Row-major board view with '.' for empty cells.  Display only.
+
+    The board spans rows 1..max row and columns 1..max column; one of more
+    than builder.MAX_CELLS positions raises BudgetExceeded, undrawn.
+    """
     height = max(t.row for t in pls.triples)
     width = max(t.col for t in pls.triples)
+    if height * width > builder.MAX_CELLS:
+        raise BudgetExceeded(
+            f"grid of {height} x {width} positions above the cap of {builder.MAX_CELLS}"
+        )
     cells = {(t.row, t.col): t.sym for t in pls.triples}
     digits = max(len(str(t.sym)) for t in pls.triples)
     lines = []

@@ -214,6 +214,27 @@ class TestBuildCorollary:
         assert {c.id for c in exc.value.report.violated()} == {"upper-bound"}
 
 
+class TestOnePredicatePerBuild:
+    @pytest.mark.parametrize(
+        "build, args, predicate",
+        [
+            (build_theorem, ((3, 2, 1), (2, 2, 2), 3), "check_construction"),
+            (build_proposition, ((3, 2, 1), 3, 3), "check_row_params"),
+            (build_corollary, (30, 30, 12, 100), "check_sizes"),
+        ],
+    )
+    def test_only_the_entry_predicate_runs(self, build, args, predicate, monkeypatch):
+        calls = Counter()
+        for name in ("check_construction", "check_row_params", "check_sizes"):
+            def counted(*a, _name=name, _check=getattr(plskit.builder, name)):
+                calls[_name] += 1
+                return _check(*a)
+
+            monkeypatch.setattr(plskit.builder, name, counted)
+        build(*args)
+        assert calls == {predicate: 1}
+
+
 class TestVolumeCap:
     @pytest.mark.parametrize(
         "build, args",

@@ -85,6 +85,16 @@ class TestBuild:
         assert len(lines) == 2
         assert sorted(lines[0].split()) == ["1", "2"]
 
+    def test_grid_above_the_cap_exits_three(self, monkeypatch):
+        # A 3-cell diagonal passes the build cap but spans a 3 x 3 board.
+        monkeypatch.setattr(plskit.builder, "MAX_CELLS", 8)
+        code, out, err = invoke(
+            ["build", "sizes", "--r", "3", "--c", "3", "--s", "1", "--v", "3", "--grid"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: grid of 3 x 3 positions above the cap of 8\n"
+
     def test_rows_form(self):
         code, out, _ = invoke(["build", "rows", "--rows", "1,1", "--c", "2", "--s", "1"])
         assert code == 0

@@ -1,11 +1,13 @@
 """Wire documents and the grid view."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
 
 from plskit import (
+    BudgetExceeded,
     DocumentError,
     PlsDocument,
     RowSymbolClash,
@@ -117,3 +119,15 @@ class TestRenderGrid:
         # Height and width come from the occupied cells only.
         pls = validate([(2, 2, 1)])
         assert render_grid(pls) == ". .\n. 1"
+
+    def test_board_above_the_cap_allocates_nothing_proportional(self):
+        # One cell, but its labels span a 10**9 x 10**9 board.
+        pls = validate([(10**9, 10**9, 1)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="above the cap"):
+                render_grid(pls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

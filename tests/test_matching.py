@@ -1,10 +1,10 @@
-"""Saturating matchings, symmetric differences, and the merge step."""
+"""Saturating matchings and the merge step."""
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plskit import NoSaturation, PreconditionViolated, merge_matchings, saturating_matching
-from plskit.matching import _components
 
 from conftest import adjacency, graphs
 
@@ -118,36 +118,24 @@ class TestSaturatingMatching:
             assert is_matching(as_edges(m, "left"))
 
 
-class TestSymmetricDifference:
-    # _components takes M as left -> right and N as right -> left, the
-    # two dicts saturating_matching returns; merge_matchings walks its
-    # output in this order.
-    def test_equal_matchings_give_nothing(self):
-        assert _components({1: 1}, {1: 1}) == []
+@st.composite
+def matching_pairs(draw, max_side: int = 7):
+    """(M, N, X1, Y1) meeting the merge's preconditions, otherwise arbitrary.
 
-    def test_two_edge_path(self):
-        ((kind, vertices, edges, tags),) = _components({1: 1}, {1: 2})
-        assert kind == "path"
-        assert vertices == [("left", 1), ("right", 1), ("left", 2)]
-        assert edges == [(1, 1), (2, 1)]
-        assert tags == ["M", "N"]
+    M maps left to right and is keyed exactly by X1; N maps right to left
+    and is keyed exactly by Y1.
+    """
+    left = draw(st.integers(1, max_side))
+    right = draw(st.integers(1, max_side))
 
-    def test_four_cycle(self):
-        ((kind, vertices, edges, tags),) = _components({1: 1, 2: 2}, {2: 1, 1: 2})
-        assert kind == "cycle"
-        assert len(edges) == 4
-        assert vertices[0] == ("left", 1)
-        assert tags == ["M", "N", "M", "N"]
-        assert [e for e, t in zip(edges, tags) if t == "M"] == [(1, 1), (2, 2)]
+    def partial_injection(keys, values):
+        domain = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(values)))
+        image = draw(st.permutations(values))
+        return dict(zip(domain, image))
 
-    def test_components_partition_the_difference(self):
-        m = {1: 1, 2: 2, 3: 3}
-        n = {2: 1, 4: 3}
-        m_edges = set(m.items())
-        n_edges = as_edges(n, "right")
-        seen = [e for _, _, edges, _ in _components(m, n) for e in edges]
-        assert sorted(seen) == sorted((m_edges | n_edges) - (m_edges & n_edges))
-        assert len(seen) == len(set(seen))
+    m = partial_injection(range(1, left + 1), range(1, right + 1))
+    n = partial_injection(range(1, right + 1), range(1, left + 1))
+    return m, n, frozenset(m), frozenset(n)
 
 
 class TestMergeMatchings:
@@ -181,6 +169,36 @@ class TestMergeMatchings:
             merge_matchings({1: 1, 2: 1}, {1: 1}, x1=(1, 2), y1=(1,))
         with pytest.raises(PreconditionViolated):
             merge_matchings({1: 1}, {1: 1, 2: 1}, x1=(1,), y1=(1, 2))
+
+    @pytest.mark.parametrize(
+        "m, n, x1, y1, expected",
+        [
+            # An alternating 4-cycle: either side covers it, M is kept.
+            ({1: 1, 2: 2}, {2: 1, 1: 2}, (1, 2), (1, 2), {(1, 1), (2, 2)}),
+            # A path ending at a Y1 vertex that M leaves uncovered takes N.
+            ({1: 1}, {2: 1}, (1,), (2,), {(1, 2)}),
+            # Two paths: the one from uncovered right 4 swaps to N, the
+            # one pinned by left 2's M edge keeps M.
+            ({1: 1, 2: 2, 3: 3}, {2: 1, 4: 3}, (1, 2, 3), (2, 4), {(1, 1), (2, 2), (3, 4)}),
+        ],
+    )
+    def test_kept_edges(self, m, n, x1, y1, expected):
+        assert set(merge_matchings(m, n, x1, y1)) == expected
+
+    @settings(max_examples=300)
+    @given(matching_pairs())
+    def test_arbitrary_pair_merges(self, pair):
+        m, n, x1, y1 = pair
+        m_edges = set(m.items())
+        n_edges = as_edges(n, "right")
+        k = merge_matchings(m, n, x1, y1)
+        assert len(k) == len(set(k))
+        k = set(k)
+        assert k <= m_edges | n_edges
+        assert m_edges & n_edges <= k
+        assert is_matching(k)
+        assert x1 <= {u for u, _ in k}
+        assert y1 <= {v for _, v in k}
 
     @settings(max_examples=300)
     @given(graphs())
