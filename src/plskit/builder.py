@@ -12,8 +12,12 @@ The peeling engine, iter_symbol_layers, keeps one row and one column
 adjacency list for the whole run, removes each layer's cells from them in
 place, and reads every line count off the list lengths.  Those lists are
 the adjacency dicts that the public saturating_matching takes, so each
-layer is two saturating_matching calls and one merge_matchings call, the
-same API any other caller uses.
+layer is a row-side saturating_matching M, the same API any other caller
+uses.  When M already covers every column at the peak count, M is the
+layer: merge_matchings would start from M and walk from no column, so
+the column-side matching and the merge run only when M leaves part of
+that set uncovered.  This is every layer of a Latin or other regular
+profile.
 
 The three build_* entry points chain the feasibility predicate, the
 degree matrix realization, the symbol fill, and the symbol split into
@@ -71,8 +75,13 @@ def iter_symbol_layers(cell_set: CellSet) -> Iterator[tuple[int, frozenset[tuple
         x1 = sorted(i for i, line in rows.items() if len(line) == p)
         y1 = sorted(j for j, line in cols.items() if len(line) == p)
         m = saturating_matching(rows, LEFT, x1)
-        n = saturating_matching(cols, RIGHT, y1)
-        layer = merge_matchings(m, n, x1, y1)
+        covered = set(m.values())
+        if all(j in covered for j in y1):
+            # The merge would start from M and walk from no Y1 vertex.
+            layer = list(m.items())
+        else:
+            n = saturating_matching(cols, RIGHT, y1)
+            layer = merge_matchings(m, n, x1, y1)
         yield p, frozenset(layer)
         for i, j in layer:
             rows[i].remove(j)
@@ -103,6 +112,8 @@ def _split(labels: Labels, s: int) -> None:
     # buckets by count; the donor is the smallest label in the highest
     # bucket, which drops to the bucket below.  A bucket is sorted when
     # its turn comes, by then holding every symbol demoted into it.
+    if s == len(set(labels.values())):
+        return
     cells_of: dict[int, list[tuple[int, int]]] = {}
     for cell in sorted(labels, reverse=True):
         cells_of.setdefault(labels[cell], []).append(cell)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .errors import (
     ColSymbolClash,
@@ -64,7 +64,9 @@ class Triple(namedtuple("Triple", AXES)):
     __slots__ = ()
 
     def __new__(cls, row: int, col: int, sym: int) -> "Triple":
-        if not (is_positive_int(row) and is_positive_int(col) and is_positive_int(sym)):
+        # Plain ints are settled by one comparison each; anything else
+        # takes the full rule, so exactly the same labels pass.
+        if not (type(row) is type(col) is type(sym) is int and row > 0 and col > 0 and sym > 0):
             for axis, value in zip(AXES, (row, col, sym)):
                 if not is_positive_int(value):
                     raise ValueError(f"{axis} label must be a positive integer, got {value!r}")
@@ -81,11 +83,26 @@ class Triple(namedtuple("Triple", AXES)):
 
 def _check_triples(triples: Iterable) -> frozenset[Triple]:
     # The one pass that coerces, label-checks and clash-checks a square.
-    # A set collapses exact duplicates; the clash scan runs in row-major
-    # order so the reported offending pair is deterministic.
+    # A set collapses exact duplicates, and the square is clash-free
+    # exactly when its (row, col), (row, sym) and (col, sym) projections
+    # are all distinct.  The sorted scan runs only to name a clash: it
+    # walks row-major order so the reported offending pair is
+    # deterministic.
     checked = frozenset(t if isinstance(t, Triple) else Triple(*t) for t in triples)
     if not checked:
         raise EmptyInput()
+    rows, cols, syms = zip(*checked)
+    if not (
+        len(set(zip(rows, cols)))
+        == len(set(zip(rows, syms)))
+        == len(set(zip(cols, syms)))
+        == len(checked)
+    ):
+        _raise_first_clash(checked)
+    return checked
+
+
+def _raise_first_clash(checked: frozenset[Triple]) -> NoReturn:
     by_cell: dict[tuple[int, int], Triple] = {}
     by_row_sym: dict[tuple[int, int], Triple] = {}
     by_col_sym: dict[tuple[int, int], Triple] = {}
@@ -103,7 +120,7 @@ def _check_triples(triples: Iterable) -> frozenset[Triple]:
         by_cell[cell] = t
         by_row_sym[row_sym] = t
         by_col_sym[col_sym] = t
-    return checked
+    raise AssertionError("a projection repeats, but the scan found no clash")
 
 
 @dataclass(frozen=True)

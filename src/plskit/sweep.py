@@ -40,6 +40,27 @@ def _vectors(max_len: int, max_entry: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(range(1, max_entry + 1), repeat=length)
 
 
+def _bounded_vectors(length: int, max_entry: int, max_sum: int) -> Iterator[tuple[int, ...]]:
+    # The vectors of _vectors with this length and a sum of at most
+    # max_sum, in the same (lexicographic) order, visiting no others: the
+    # next vector raises the rightmost entry that can grow while the
+    # entries after it drop to 1 and the sum stays within max_sum.
+    vec = [1] * length
+    total = length
+    while total <= max_sum:
+        yield tuple(vec)
+        tail = 0
+        for k in range(length - 1, -1, -1):
+            if vec[k] < max_entry and total - tail + length - k <= max_sum:
+                break
+            tail += vec[k]
+        else:
+            return
+        total += length - k - tail
+        vec[k] += 1
+        vec[k + 1:] = [1] * (length - k - 1)
+
+
 def _check_bounds(**bounds: int) -> None:
     # A bound below 1 would make an empty range, and so a vacuous clean.
     for name, value in bounds.items():
@@ -79,13 +100,16 @@ def _sweep(
 def theorem_tuples(
     max_side: int = 3, max_entry: int = 3, max_cells: int = 9
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """All (n, m, s) with equal totals at most max_cells and s in range."""
+    """All (n, m, s) with equal totals at most max_cells and s in range.
+
+    Only vectors summing to at most max_cells are built, so the cost
+    follows the number of cases, not max_entry ** max_side.
+    """
     by_sum: dict[int, list[tuple[int, ...]]] = {}
-    for vec in _vectors(max_side, max_entry):
-        by_sum.setdefault(sum(vec), []).append(vec)
+    for length in range(1, min(max_side, max_cells) + 1):
+        for vec in _bounded_vectors(length, max_entry, max_cells):
+            by_sum.setdefault(sum(vec), []).append(vec)
     for total in sorted(by_sum):
-        if total > max_cells:
-            continue
         for n, m in itertools.product(by_sum[total], repeat=2):
             for s in range(max(max(n), max(m)), total + 1):
                 yield n, m, s

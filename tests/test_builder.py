@@ -1,5 +1,6 @@
 """Symbol filling, symbol splitting, and the three build entry points."""
 
+import random
 import tracemalloc
 from collections import Counter
 
@@ -19,13 +20,15 @@ from plskit import (
     build_theorem,
     fill_symbols,
     iter_symbol_layers,
+    merge_matchings,
     normalize,
     parameters_of,
+    saturating_matching,
     split_symbols,
     validate,
 )
 
-from conftest import cell_sets, squares
+from conftest import adjacency, cell_sets, squares
 
 
 def max_line_count(cs: CellSet) -> int:
@@ -72,6 +75,48 @@ class TestIterSymbolLayers:
             remaining -= layer
             expected -= 1
         assert not remaining
+
+
+def reference_layers(cs: CellSet):
+    """The plain peel: both saturating matchings and the merge at every layer."""
+    remaining = set(cs.cells)
+    while remaining:
+        rows, cols = adjacency(remaining, "left"), adjacency(remaining, "right")
+        p = max(max(map(len, rows.values())), max(map(len, cols.values())))
+        x1 = sorted(i for i, line in rows.items() if len(line) == p)
+        y1 = sorted(j for j, line in cols.items() if len(line) == p)
+        m = saturating_matching(rows, "left", x1)
+        n = saturating_matching(cols, "right", y1)
+        layer = frozenset(merge_matchings(m, n, x1, y1))
+        yield p, layer
+        remaining -= layer
+
+
+def dense_board(side: int, density: float, seed: int) -> CellSet:
+    rng = random.Random(seed)
+    cells = {(i, j) for i in range(1, side + 1) for j in range(1, side + 1) if rng.random() < density}
+    return CellSet(frozenset(cells), rows=side, cols=side)
+
+
+class TestReferencePeel:
+    # iter_symbol_layers skips the column-side matching and the merge when
+    # the row-side matching already covers the peak columns; the layers
+    # must be those of the peel that always runs all three.
+    @settings(max_examples=300)
+    @given(cell_sets())
+    def test_small_boards(self, cs):
+        assert list(iter_symbol_layers(cs)) == list(reference_layers(cs))
+
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            CellSet(frozenset((i, j) for i in range(1, 31) for j in range(1, 31)), rows=30, cols=30),
+            dense_board(30, 0.8, seed=7),
+        ],
+        ids=["latin-30", "dense-30"],
+    )
+    def test_ladder_boards(self, cs):
+        assert list(iter_symbol_layers(cs)) == list(reference_layers(cs))
 
 
 class TestFillSymbols:

@@ -1,7 +1,7 @@
 """Domain model: triples, validation, profiles, conjugation, normalization."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plskit import (
@@ -51,6 +51,20 @@ class TestTriple:
     def test_equals_the_plain_tuple(self):
         assert Triple(1, 2, 3) == (1, 2, 3)
         assert hash(Triple(1, 2, 3)) == hash((1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "bad", [(True, 1, 1), (1, True, 1), (1, 1, True), (False, 1, 1), (1.0, 1, 1), (1, 1, 1.0)]
+    )
+    def test_bool_and_float_labels_are_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Triple(*bad)
+
+    def test_int_subclass_and_huge_labels_are_accepted(self):
+        class Label(int):
+            pass
+
+        assert Triple(Label(2), 1, Label(3)) == (2, 1, 3)
+        assert Triple(1, 10**30, 1).col == 10**30
 
     def test_replace_is_checked(self):
         assert Triple(1, 2, 3)._replace(sym=4) == Triple(1, 2, 4)
@@ -117,6 +131,39 @@ class TestValidate:
         pls = validate([(1, 1, 1)])
         with pytest.raises(AttributeError):
             pls.triples = frozenset()
+
+
+def sorted_scan(triples):
+    """The clash check as a plain row-major scan over every triple."""
+    checked = frozenset(Triple(*t) for t in triples)
+    if not checked:
+        raise EmptyInput()
+    seen = ({}, {}, {})
+    errors = (DuplicateCell, RowSymbolClash, ColSymbolClash)
+    for t in sorted(checked):
+        keys = ((t.row, t.col), (t.row, t.sym), (t.col, t.sym))
+        for table, key, error in zip(seen, keys, errors):
+            if key in table:
+                raise error(table[key], t)
+        for table, key in zip(seen, keys):
+            table[key] = t
+    return checked
+
+
+def outcome(check, triples):
+    try:
+        return "ok", check(triples)
+    except (EmptyInput, DuplicateCell, RowSymbolClash, ColSymbolClash) as exc:
+        return type(exc), str(exc), getattr(exc, "first", None), getattr(exc, "second", None)
+
+
+class TestValidateMatchesTheSortedScan:
+    @settings(max_examples=500)
+    @given(st.lists(st.tuples(*[st.integers(1, 3)] * 3), max_size=8))
+    def test_same_square_or_same_clash(self, triples):
+        expected = outcome(sorted_scan, triples)
+        got = outcome(lambda ts: validate(ts).triples, triples)
+        assert got == expected
 
 
 class TestParametersOf:

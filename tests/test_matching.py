@@ -138,6 +138,15 @@ def matching_pairs(draw, max_side: int = 7):
     return m, n, frozenset(m), frozenset(n)
 
 
+@st.composite
+def covering_pairs(draw, max_side: int = 7):
+    """(M, N, X1, Y1) meeting the merge's preconditions, with M covering Y1."""
+    m, _, x1, _ = draw(matching_pairs(max_side))
+    y1 = draw(st.sets(st.sampled_from(sorted(m.values())))) if m else set()
+    lefts = draw(st.lists(st.integers(1, max_side), unique=True, min_size=len(y1), max_size=len(y1)))
+    return m, dict(zip(sorted(y1), lefts)), x1, frozenset(y1)
+
+
 class TestMergeMatchings:
     def test_disjoint_union(self):
         k = merge_matchings({1: 1}, {2: 2}, x1=(1,), y1=(2,))
@@ -199,6 +208,13 @@ class TestMergeMatchings:
         assert is_matching(k)
         assert x1 <= {u for u, _ in k}
         assert y1 <= {v for _, v in k}
+
+    @settings(max_examples=300)
+    @given(covering_pairs())
+    def test_m_covering_y1_is_returned_as_is(self, pair):
+        # The peel takes M as the layer without calling the merge in this case.
+        m, n, x1, y1 = pair
+        assert sorted(merge_matchings(m, n, x1, y1)) == sorted(m.items())
 
     @settings(max_examples=300)
     @given(graphs())

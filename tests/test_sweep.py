@@ -1,5 +1,6 @@
 """Equivalence sweeps: bounds, the per-sweep oracle memo and its premise."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -94,3 +95,26 @@ def test_oracle_verdict_is_the_same_on_every_ordering():
             ordered, _ = exists_full(**dict(zip(names, case)), budget=budget)
             canonical, _ = exists_full(**dict(zip(names, sorted_key(case))), budget=budget)
             assert ordered == canonical, case
+
+
+def test_theorem_tuples_in_order_without_the_vectors_above_max_cells():
+    expected = [
+        (n, m, s)
+        for total in range(1, 7)
+        for n in plskit.sweep._vectors(3, 4)
+        for m in plskit.sweep._vectors(3, 4)
+        if sum(n) == sum(m) == total
+        for s in range(max(max(n), max(m)), total + 1)
+    ]
+    assert list(theorem_tuples(3, 4, 6)) == expected
+
+
+def test_wide_entry_range_allocates_only_the_small_sums():
+    # 8 ** 8 vectors lie in range; only the 3 with sum <= 2 may be built.
+    tracemalloc.start()
+    try:
+        assert sweep_theorem(8, 8, 2) == plskit.sweep.SweepResult(6, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
