@@ -1,17 +1,28 @@
 """Equivalence sweeps: feasibility predicates versus the search oracle.
 
 Each sweep walks a bounded family of prescriptions, asks the predicate
-and the exhaustive oracle independently, and records every tuple where
-the two verdicts differ.  A correct implementation yields no mismatches.
+and the exhaustive oracle independently, and records every prescription
+where the two verdicts differ.  A correct implementation yields no
+mismatches.
 
-The predicate is asked about every ordered prescription.  The oracle is
-asked once per distinct sorted key: the prescription with each parameter
-family sorted and the scalars left alone.  That key is the oracle's own
-canonical form, since exists_full uses a family only through its sum,
-its length and its sorted order, so its verdict on the key is its
-verdict on every ordering and the memo is exact by construction.  A
-wrapper set on this module's ``exists_full`` therefore sees each
-distinct key once, not every ordered case.
+A sweep visits one canonical prescription per class of prescriptions
+that must share a verdict, and asks each route once about it.  Relabeling
+rows, columns or symbols maps a partial Latin square to another one, so
+the order of a parameter family never matters.  Neither does permuting
+the roles of rows, columns and symbols: a conjugate of a partial Latin
+square, its triples with their coordinates permuted, is again one.  So
+transposition swaps the row and column families, exchanging columns and
+symbols swaps c and s with the row family fixed, and any permutation of
+(r, c, s) keeps the volume.  The canonical prescriptions are
+
+- theorem (n, m, s): n and m non-increasing and n <= m as tuples;
+- rows (n, c, s): n non-increasing, and c <= s unless c exceeds the
+  symbol bound, in which case its partner (n, s, c) is out of range;
+- sizes (r, c, s, v): r <= c <= s.
+
+``checked`` counts these.  The sweep reads ``exists_full`` and the
+predicates from this module's globals, so a wrapper set on them (a
+tracer, a test double) sees every call, one per checked prescription.
 """
 
 from __future__ import annotations
@@ -35,23 +46,23 @@ class SweepResult:
         return not self.mismatches
 
 
-def _vectors(max_len: int, max_entry: int) -> Iterator[tuple[int, ...]]:
-    for length in range(1, max_len + 1):
-        yield from itertools.product(range(1, max_entry + 1), repeat=length)
-
-
-def _bounded_vectors(length: int, max_entry: int, max_sum: int) -> Iterator[tuple[int, ...]]:
-    # The vectors of _vectors with this length and a sum of at most
-    # max_sum, in the same (lexicographic) order, visiting no others: the
-    # next vector raises the rightmost entry that can grow while the
-    # entries after it drop to 1 and the sum stays within max_sum.
+def _descending_vectors(length: int, max_entry: int, max_sum: int) -> Iterator[tuple[int, ...]]:
+    # The non-increasing vectors of this length with entries at most
+    # max_entry and a sum of at most max_sum, in lexicographic order,
+    # visiting no others: the next vector raises the rightmost entry that
+    # is below max_entry and below the entry before it, and whose raise
+    # keeps the sum within max_sum once the entries after it drop to 1.
     vec = [1] * length
     total = length
     while total <= max_sum:
         yield tuple(vec)
         tail = 0
         for k in range(length - 1, -1, -1):
-            if vec[k] < max_entry and total - tail + length - k <= max_sum:
+            if (
+                vec[k] < max_entry
+                and (k == 0 or vec[k] < vec[k - 1])
+                and total - tail + length - k <= max_sum
+            ):
                 break
             tail += vec[k]
         else:
@@ -74,24 +85,15 @@ def _sweep(
     budget: Budget,
 ) -> SweepResult:
     # The predicate takes each case's values in order, the oracle takes
-    # them as the constraints named in oracle_kwargs.  The oracle's verdict
-    # is kept per sorted key for the length of the sweep (exact, see the
-    # module docstring), so exists_full runs once per distinct key.  It is
-    # read from the module globals on every call, and each sweep passes
-    # the predicate it reads there, so a wrapper set on this module's
-    # attributes (a tracer, a test double) sees every predicate call and
-    # every oracle search.
-    verdicts: dict[tuple, bool] = {}
+    # them as the constraints named in oracle_kwargs.  exists_full is read
+    # from the module globals on every call, and each sweep passes the
+    # predicate it reads there.
     mismatches = []
     checked = 0
     for case in cases:
         checked += 1
         predicted = predicate(*case).feasible
-        key = tuple(tuple(sorted(x)) if isinstance(x, tuple) else x for x in case)
-        actual = verdicts.get(key)
-        if actual is None:
-            actual, _ = exists_full(**dict(zip(oracle_kwargs, key)), budget=budget)
-            verdicts[key] = actual
+        actual, _ = exists_full(**dict(zip(oracle_kwargs, case)), budget=budget)
         if predicted != actual:
             mismatches.append((*case, predicted, actual))
     return SweepResult(checked, tuple(mismatches))
@@ -100,19 +102,22 @@ def _sweep(
 def theorem_tuples(
     max_side: int = 3, max_entry: int = 3, max_cells: int = 9
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """All (n, m, s) with equal totals at most max_cells and s in range.
+    """Canonical (n, m, s) with equal totals at most max_cells and s in range.
 
-    Only vectors summing to at most max_cells are built, so the cost
-    follows the number of cases, not max_entry ** max_side.
+    n and m are non-increasing with n <= m, one per class under
+    reordering and transposition.  Only vectors summing to at most
+    max_cells are built, so the cost follows the number of cases, not
+    max_entry ** max_side.
     """
     by_sum: dict[int, list[tuple[int, ...]]] = {}
     for length in range(1, min(max_side, max_cells) + 1):
-        for vec in _bounded_vectors(length, max_entry, max_cells):
+        for vec in _descending_vectors(length, max_entry, max_cells):
             by_sum.setdefault(sum(vec), []).append(vec)
     for total in sorted(by_sum):
         for n, m in itertools.product(by_sum[total], repeat=2):
-            for s in range(max(max(n), max(m)), total + 1):
-                yield n, m, s
+            if n <= m:
+                for s in range(max(n[0], m[0]), total + 1):
+                    yield n, m, s
 
 
 def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> SweepResult:
@@ -128,11 +133,17 @@ def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> 
 def row_params_tuples(
     max_side: int = 3, max_entry: int = 3, max_symbols: int = 3
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """All (n, c, s) with len(n) <= max_side, entries and c, s in range."""
-    for n in _vectors(max_side, max_entry):
-        for c in range(1, max_side + 1):
-            for s in range(1, max_symbols + 1):
-                yield n, c, s
+    """Canonical (n, c, s) with len(n), c <= max_side and s <= max_symbols.
+
+    n is non-increasing with entries at most max_entry, and c <= s unless
+    c > max_symbols: one per class under reordering and exchanging the
+    column and symbol roles.
+    """
+    for length in range(1, max_side + 1):
+        for n in _descending_vectors(length, max_entry, length * max_entry):
+            for c in range(1, max_side + 1):
+                for s in range(1 if c > max_symbols else c, max_symbols + 1):
+                    yield n, c, s
 
 
 def sweep_row_params(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3) -> SweepResult:
@@ -148,8 +159,8 @@ def sweep_row_params(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3
 def sizes_tuples(
     max_side: int = 3, max_cells: int = 9
 ) -> Iterator[tuple[int, int, int, int]]:
-    """All (r, c, s, v) with sides at most max_side and v at most max_cells."""
-    for r, c, s in itertools.product(range(1, max_side + 1), repeat=3):
+    """Canonical (r, c, s, v): r <= c <= s <= max_side and v <= max_cells."""
+    for r, c, s in itertools.combinations_with_replacement(range(1, max_side + 1), 3):
         for v in range(1, max_cells + 1):
             yield r, c, s, v
 

@@ -1,4 +1,6 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and ordered sweep ranges for the test suite."""
+
+import itertools
 
 from hypothesis import strategies as st
 
@@ -76,3 +78,40 @@ def adjacency(edges, side: str) -> dict[int, list[int]]:
     for u, v in sorted(pairs):
         adj.setdefault(u, []).append(v)
     return adj
+
+
+# Every ordered prescription of a sweep range.  The sweeps themselves visit
+# one canonical prescription per class; tests that need each ordered case
+# (the builders' coverage, the symmetry evidence) walk these instead.
+
+
+def _vectors(max_len: int, max_entry: int):
+    for length in range(1, max_len + 1):
+        yield from itertools.product(range(1, max_entry + 1), repeat=length)
+
+
+def ordered_theorem_tuples(max_side: int = 3, max_entry: int = 3, max_cells: int = 9):
+    """All (n, m, s) with equal totals at most max_cells and s in range."""
+    by_sum: dict[int, list[tuple[int, ...]]] = {}
+    for vec in _vectors(max_side, max_entry):
+        if sum(vec) <= max_cells:
+            by_sum.setdefault(sum(vec), []).append(vec)
+    for total in sorted(by_sum):
+        for n, m in itertools.product(by_sum[total], repeat=2):
+            for s in range(max(max(n), max(m)), total + 1):
+                yield n, m, s
+
+
+def ordered_row_params_tuples(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3):
+    """All (n, c, s) with len(n) <= max_side, entries and c, s in range."""
+    for n in _vectors(max_side, max_entry):
+        for c in range(1, max_side + 1):
+            for s in range(1, max_symbols + 1):
+                yield n, c, s
+
+
+def ordered_sizes_tuples(max_side: int = 3, max_cells: int = 9):
+    """All (r, c, s, v) with sides at most max_side and v at most max_cells."""
+    for r, c, s in itertools.product(range(1, max_side + 1), repeat=3):
+        for v in range(1, max_cells + 1):
+            yield r, c, s, v

@@ -30,16 +30,14 @@ from plskit import (
     saturating_matching,
     validate,
 )
-from plskit.sweep import (
-    row_params_tuples,
-    sizes_tuples,
-    sweep_row_params,
-    sweep_sizes,
-    sweep_theorem,
-    theorem_tuples,
-)
+from plskit.sweep import sweep_row_params, sweep_sizes, sweep_theorem
 
-from conftest import adjacency
+from conftest import (
+    adjacency,
+    ordered_row_params_tuples,
+    ordered_sizes_tuples,
+    ordered_theorem_tuples,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -78,7 +76,8 @@ def test_criterion_3_sizes_equivalence_sweep():
     )
 
 
-# Criteria 1-3 one step past their ranges above, along each axis in turn.
+# Criteria 1-3 one step past their ranges above, along each axis in turn,
+# then further: (5, 4, 14) is the largest theorem range, ~1.5 s.
 GROWN_RANGES = [
     (sweep_theorem, (4, 3, 10)),
     (sweep_theorem, (3, 4, 10)),
@@ -87,6 +86,12 @@ GROWN_RANGES = [
     (sweep_row_params, (3, 3, 4)),
     (sweep_sizes, (4, 9)),
     (sweep_sizes, (3, 10)),
+    (sweep_theorem, (5, 3, 12)),
+    (sweep_theorem, (4, 4, 12)),
+    (sweep_theorem, (5, 4, 14)),
+    (sweep_row_params, (5, 3, 4)),
+    (sweep_row_params, (4, 4, 4)),
+    (sweep_sizes, (6, 12)),
 ]
 
 
@@ -105,9 +110,14 @@ def test_criteria_1_to_3_grown_ranges(sweep, bounds):
 
 
 def test_criterion_4_constructive_soundness():
+    # Every ordered case, not one per class: the builders take the order
+    # and the roles of the families as given.
     failures = []
     built = 0
-    for n, m, s in theorem_tuples(3, 3, 9):
+    walked = []
+    cases = list(ordered_theorem_tuples(3, 3, 9))
+    walked.append(len(cases))
+    for n, m, s in cases:
         if not check_construction(n, m, s).feasible:
             continue
         built += 1
@@ -121,7 +131,9 @@ def test_criterion_4_constructive_soundness():
             failures.append(("theorem", n, m, s))
         elif normalize(pls) != pls:
             failures.append(("theorem", n, m, s, "not normalized"))
-    for n, c, s in row_params_tuples(3, 3, 3):
+    cases = list(ordered_row_params_tuples(3, 3, 3))
+    walked.append(len(cases))
+    for n, c, s in cases:
         if not check_row_params(n, c, s).feasible:
             continue
         built += 1
@@ -131,7 +143,9 @@ def test_criterion_4_constructive_soundness():
             failures.append(("rows", n, c, s))
         elif normalize(pls) != pls:
             failures.append(("rows", n, c, s, "not normalized"))
-    for r, c, s, v in sizes_tuples(3, 9):
+    cases = list(ordered_sizes_tuples(3, 9))
+    walked.append(len(cases))
+    for r, c, s, v in cases:
         if not check_sizes(r, c, s, v).feasible:
             continue
         built += 1
@@ -143,8 +157,8 @@ def test_criterion_4_constructive_soundness():
             failures.append(("sizes", r, c, s, v, "not normalized"))
     report(
         "criterion 4: constructive soundness on every feasible tuple",
-        not failures,
-        f"{built} builds, {len(failures)} failures",
+        not failures and walked == [819, 351, 243],
+        f"{built} builds over {walked} cases, {len(failures)} failures",
     )
 
 
@@ -307,14 +321,18 @@ def parse_profile(verify_output):
 
 def test_criterion_9_cli_round_trip():
     rng = random.Random(20240505)
+    theorem = list(ordered_theorem_tuples(3, 3, 9))
+    rows = list(ordered_row_params_tuples(3, 3, 3))
+    sizes = list(ordered_sizes_tuples(3, 9))
+    assert (len(theorem), len(rows), len(sizes)) == (819, 351, 243)
     feasible = []
-    for n, m, s in theorem_tuples(3, 3, 9):
+    for n, m, s in theorem:
         if check_construction(n, m, s).feasible:
             feasible.append(("theorem", n, m, s))
-    for n, c, s in row_params_tuples(3, 3, 3):
+    for n, c, s in rows:
         if check_row_params(n, c, s).feasible:
             feasible.append(("rows", n, c, s))
-    for r, c, s, v in sizes_tuples(3, 9):
+    for r, c, s, v in sizes:
         if check_sizes(r, c, s, v).feasible:
             feasible.append(("sizes", r, c, s, v))
     failures = []

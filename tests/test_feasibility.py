@@ -17,7 +17,8 @@ from plskit import (
     check_sizes,
     dominance_check,
 )
-from plskit.sweep import theorem_tuples
+
+from conftest import ordered_theorem_tuples
 
 
 def dominance_brute_force(n, m):
@@ -207,12 +208,12 @@ class TestCheckConstruction:
 
     def test_matches_the_reference_on_every_small_case(self):
         checked = 0
-        for n, m, s in theorem_tuples(3, 3, 9):
+        for n, m, s in ordered_theorem_tuples(3, 3, 9):
             for m_case in (m, m[:-1] or (m[0] + 1,)):  # also unequal totals
                 expected = reference_check_construction(n, m_case, s)
                 assert check_construction(n, m_case, s) == expected, (n, m_case, s)
                 checked += 1
-        assert checked > 1000
+        assert checked == 2 * 819
 
     def test_matches_the_reference_on_long_random_profiles(self):
         rng = random.Random(41)

@@ -1,35 +1,73 @@
-"""Equivalence sweeps: bounds, the per-sweep oracle memo and its premise."""
+"""Equivalence sweeps: bounds, the canonical enumeration and its premise."""
 
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import plskit.sweep
-from plskit import Budget, PreconditionViolated, exists_full
+from plskit import (
+    Budget,
+    BudgetExceeded,
+    PreconditionViolated,
+    check_construction,
+    check_row_params,
+    check_sizes,
+    exists_full,
+)
 from plskit.sweep import (
     row_params_tuples,
+    sizes_tuples,
     sweep_row_params,
     sweep_sizes,
     sweep_theorem,
     theorem_tuples,
 )
 
-SWEEPS = {
-    "theorem": (sweep_theorem, (3, 3, 9)),
-    "rows": (sweep_row_params, (3, 3, 3)),
-    "sizes": (sweep_sizes, (3, 9)),
+from conftest import ordered_row_params_tuples, ordered_sizes_tuples, ordered_theorem_tuples
+
+# form -> (sweep, its default bounds, canonical cases, ordered cases,
+#          predicate name, oracle keywords)
+FORMS = {
+    "theorem": (
+        sweep_theorem, (3, 3, 9), theorem_tuples, ordered_theorem_tuples,
+        "check_construction", ("row_params", "col_params", "s"),
+    ),
+    "rows": (
+        sweep_row_params, (3, 3, 3), row_params_tuples, ordered_row_params_tuples,
+        "check_row_params", ("row_params", "c", "s"),
+    ),
+    "sizes": (
+        sweep_sizes, (3, 9), sizes_tuples, ordered_sizes_tuples,
+        "check_sizes", ("r", "c", "s", "v"),
+    ),
 }
 
 
-def sorted_key(case: tuple) -> tuple:
-    return tuple(tuple(sorted(x)) if isinstance(x, tuple) else x for x in case)
+def descending(family: tuple) -> tuple:
+    return tuple(sorted(family, reverse=True))
+
+
+def representative(form: str, case: tuple, bounds: tuple) -> tuple:
+    """The canonical prescription of an ordered case's class within its range."""
+    if form == "theorem":
+        n, m, s = case
+        return (*sorted((descending(n), descending(m))), s)
+    if form == "rows":
+        n, c, s = case
+        low, high = sorted((c, s))
+        # The swapped partner is in range only if its s, the larger, is.
+        return (descending(n), low, high) if high <= bounds[2] else (descending(n), c, s)
+    r, c, s, v = case
+    return (*sorted((r, c, s)), v)
 
 
 @pytest.mark.parametrize("bad", [0, -1, True, 2.5])
-@pytest.mark.parametrize("form", sorted(SWEEPS))
+@pytest.mark.parametrize("form", sorted(FORMS))
 def test_every_bound_must_be_a_positive_int(form, bad):
-    sweep, defaults = SWEEPS[form]
+    sweep, defaults = FORMS[form][:2]
     for position in range(len(defaults)):
         bounds = list(defaults)
         bounds[position] = bad
@@ -37,22 +75,43 @@ def test_every_bound_must_be_a_positive_int(form, bad):
             sweep(*bounds)
 
 
-def count_oracle_calls(monkeypatch) -> list[tuple]:
-    """Wrap the sweep module's exists_full; return the list of its calls."""
+def record_calls(monkeypatch, name: str, target) -> list:
+    """Wrap the sweep module's ``name``; return the list of its calls."""
     calls = []
 
-    def counted(**kwargs):
-        calls.append(kwargs)
-        return exists_full(**kwargs)
+    def recorded(*args, **kwargs):
+        calls.append(args or kwargs)
+        return target(*args, **kwargs)
 
-    monkeypatch.setattr(plskit.sweep, "exists_full", counted)
+    monkeypatch.setattr(plskit.sweep, name, recorded)
     return calls
 
 
-def test_mismatch_is_reported_on_the_ordered_case(monkeypatch):
-    # The sorted sibling ((1, 2), (1, 2), 2) comes first, so the flipped
-    # case takes its oracle verdict from the memo.
-    flipped_case = ((2, 1), (1, 2), 2)
+ENUMERATED_RANGES = [
+    ("theorem", (3, 3, 9)),
+    ("theorem", (4, 3, 10)),
+    ("theorem", (2, 5, 7)),
+    ("rows", (4, 3, 3)),
+    ("rows", (3, 3, 4)),
+    ("rows", (2, 3, 5)),
+    ("sizes", (4, 9)),
+]
+
+
+@pytest.mark.parametrize(
+    "form, bounds",
+    ENUMERATED_RANGES,
+    ids=[f"{form}-{'-'.join(map(str, bounds))}" for form, bounds in ENUMERATED_RANGES],
+)
+def test_canonical_cases_are_one_per_class_of_the_ordered_range(form, bounds):
+    canonical, ordered = FORMS[form][2:4]
+    cases = list(canonical(*bounds))
+    assert len(set(cases)) == len(cases)
+    assert set(cases) == {representative(form, case, bounds) for case in ordered(*bounds)}
+
+
+def test_mismatch_is_reported_on_a_canonical_case(monkeypatch):
+    flipped_case = ((2, 1), (2, 1), 2)
     real_predicate = plskit.sweep.check_construction
 
     def predicate(*case):
@@ -62,49 +121,90 @@ def test_mismatch_is_reported_on_the_ordered_case(monkeypatch):
         return report
 
     monkeypatch.setattr(plskit.sweep, "check_construction", predicate)
-    calls = count_oracle_calls(monkeypatch)
+    calls = record_calls(monkeypatch, "exists_full", exists_full)
     result = sweep_theorem(2, 2, 4)
     predicted = not real_predicate(*flipped_case).feasible
-    actual, _ = exists_full(row_params=(2, 1), col_params=(1, 2), s=2)
-    assert result.checked == 17
+    actual, _ = exists_full(row_params=(2, 1), col_params=(2, 1), s=2)
+    assert result.checked == 10
     assert result.mismatches == ((*flipped_case, predicted, actual),)
-    # The oracle saw sorted keys only, so the flipped case was not searched.
-    assert all(call["row_params"] == tuple(sorted(call["row_params"])) for call in calls)
+    searched = [(call["row_params"], call["col_params"], call["s"]) for call in calls]
+    assert len(searched) == result.checked
+    assert searched.count(flipped_case) == 1
 
 
-@pytest.mark.parametrize(
-    "form, oracle_calls, checked",
-    [("theorem", 140, 819), ("rows", 171, 351), ("sizes", 243, 243)],
-)
-def test_default_sweeps_call_the_oracle_once_per_sorted_key(monkeypatch, form, oracle_calls, checked):
-    calls = count_oracle_calls(monkeypatch)
-    sweep, _ = SWEEPS[form]
-    result = sweep()
+@pytest.mark.parametrize("form, checked", [("theorem", 102), ("rows", 114), ("sizes", 90)])
+def test_default_sweeps_call_each_route_once_per_case(monkeypatch, form, checked):
+    sweep, defaults, canonical, _, predicate_name, names = FORMS[form]
+    predicate_calls = record_calls(monkeypatch, predicate_name, getattr(plskit.sweep, predicate_name))
+    oracle_calls = record_calls(monkeypatch, "exists_full", exists_full)
+    result = sweep(*defaults)
+    cases = list(canonical(*defaults))
     assert result.clean
-    assert result.checked == checked
-    assert len(calls) == oracle_calls
+    assert result.checked == len(cases) == checked
+    assert predicate_calls == cases
+    assert [tuple(call[name] for name in names) for call in oracle_calls] == cases
 
 
 def test_oracle_verdict_is_the_same_on_every_ordering():
+    # Conjugations included: each ordered case against its representative.
     ranges = [
-        (theorem_tuples(3, 3, 7), ("row_params", "col_params", "s"), Budget(max_cells=12, max_symbols=7)),
-        (row_params_tuples(3, 3, 3), ("row_params", "c", "s"), Budget()),
+        ("theorem", (3, 3, 7), Budget(max_cells=12, max_symbols=7)),
+        ("rows", (3, 3, 3), Budget()),
+        ("sizes", (3, 9), Budget()),
     ]
-    for cases, names, budget in ranges:
-        for case in cases:
+    for form, bounds, budget in ranges:
+        _, _, _, ordered_cases, _, names = FORMS[form]
+        for case in ordered_cases(*bounds):
             ordered, _ = exists_full(**dict(zip(names, case)), budget=budget)
-            canonical, _ = exists_full(**dict(zip(names, sorted_key(case))), budget=budget)
-            assert ordered == canonical, case
+            canonical = representative(form, case, bounds)
+            expected, _ = exists_full(**dict(zip(names, canonical)), budget=budget)
+            assert ordered == expected, case
+
+
+@st.composite
+def theorem_cases(draw):
+    n = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    m, rest = [], sum(n)
+    while rest:
+        m.append(draw(st.integers(1, min(4, rest))))
+        rest -= m[-1]
+    return tuple(n), tuple(m), draw(st.integers(1, sum(n) + 1))
+
+
+@given(theorem_cases(), st.randoms())
+def test_check_construction_is_invariant_under_reordering_and_transposition(case, rng):
+    n, m, s = case
+    feasible = check_construction(n, m, s).feasible
+    assert check_construction(rng.sample(n, len(n)), rng.sample(m, len(m)), s).feasible == feasible
+    assert check_construction(m, n, s).feasible == feasible
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.randoms(),
+)
+def test_check_row_params_is_invariant_under_reordering_and_column_symbol_exchange(n, c, s, rng):
+    feasible = check_row_params(n, c, s).feasible
+    assert check_row_params(rng.sample(n, len(n)), c, s).feasible == feasible
+    assert check_row_params(n, s, c).feasible == feasible
+
+
+@given(st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 7)), st.integers(1, 50))
+def test_check_sizes_is_invariant_under_permuting_the_three_roles(sides, v):
+    r, c, s = sides
+    feasible = check_sizes(r, c, s, v).feasible
+    for permuted in ((r, s, c), (c, r, s), (c, s, r), (s, r, c), (s, c, r)):
+        assert check_sizes(*permuted, v).feasible == feasible
 
 
 def test_theorem_tuples_in_order_without_the_vectors_above_max_cells():
+    # The canonical cases in the order the ordered enumeration meets them.
     expected = [
         (n, m, s)
-        for total in range(1, 7)
-        for n in plskit.sweep._vectors(3, 4)
-        for m in plskit.sweep._vectors(3, 4)
-        if sum(n) == sum(m) == total
-        for s in range(max(max(n), max(m)), total + 1)
+        for n, m, s in ordered_theorem_tuples(3, 4, 6)
+        if n == descending(n) and m == descending(m) and n <= m
     ]
     assert list(theorem_tuples(3, 4, 6)) == expected
 
@@ -113,8 +213,15 @@ def test_wide_entry_range_allocates_only_the_small_sums():
     # 8 ** 8 vectors lie in range; only the 3 with sum <= 2 may be built.
     tracemalloc.start()
     try:
-        assert sweep_theorem(8, 8, 2) == plskit.sweep.SweepResult(6, ())
+        assert sweep_theorem(8, 8, 2) == plskit.sweep.SweepResult(5, ())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_long_families_end_in_the_budget_not_in_the_recursion_limit():
+    # Families longer than the recursion limit are built without
+    # recursion; the oracle refuses the first one past its row cap.
+    with pytest.raises(BudgetExceeded, match="row count 7"):
+        sweep_theorem(1200, 1, 1200)
