@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 from typing import IO
 
 from .builder import build_corollary, build_proposition, build_theorem
@@ -26,7 +25,7 @@ from .errors import (
 )
 from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
 from .formats import PlsDocument, SpecDocument, render_grid
-from .oracle import Budget, enumerate_pls, exists_full
+from .oracle import DEFAULT_BUDGET, Budget, enumerate_pls, exists_full
 from .sweep import sweep_row_params, sweep_sizes, sweep_theorem
 
 EXIT_OK = 0
@@ -58,21 +57,17 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+# One flag per Budget field: --budget-cells sets max_cells, and so on.
+_BUDGET_FLAGS = tuple(field.replace("max_", "budget_") for field in Budget._fields)
+
+
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = Budget()
-    parser.add_argument("--budget-cells", type=_positive_int, default=defaults.max_cells)
-    parser.add_argument("--budget-rows", type=_positive_int, default=defaults.max_rows)
-    parser.add_argument("--budget-cols", type=_positive_int, default=defaults.max_cols)
-    parser.add_argument("--budget-symbols", type=_positive_int, default=defaults.max_symbols)
+    for dest, default in zip(_BUDGET_FLAGS, DEFAULT_BUDGET):
+        parser.add_argument("--" + dest.replace("_", "-"), type=_positive_int, default=default)
 
 
 def _budget_from(args: argparse.Namespace) -> Budget:
-    return Budget(
-        max_cells=args.budget_cells,
-        max_rows=args.budget_rows,
-        max_cols=args.budget_cols,
-        max_symbols=args.budget_symbols,
-    )
+    return Budget(*(getattr(args, dest) for dest in _BUDGET_FLAGS))
 
 
 def _print_report(report: FeasibilityReport, out: IO[str]) -> None:
@@ -116,7 +111,10 @@ def _cmd_build(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
 
 def _read_source(path: str, fin: IO[str]) -> str:
     try:
-        return fin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            return fin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         source = "standard input" if path == "-" else path
         raise DocumentError(f"{source} is not UTF-8 text: {exc}") from None
@@ -140,23 +138,14 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
 
 
 def _cmd_oracle_exists(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
-    # The flags and a SpecDocument carry the same field names.
-    source = args
+    # The flags and a SpecDocument's fields both list the constraints in
+    # the order of exists_full's parameters.
+    constraints = (args.rows, args.cols, args.symbols, args.r, args.c, args.s, args.v)
     if args.file is not None:
-        flags = (args.rows, args.cols, args.symbols, args.r, args.c, args.s, args.v)
-        if any(value is not None for value in flags):
+        if any(value is not None for value in constraints):
             raise PreconditionViolated("give either --file or constraint flags, not both")
-        source = SpecDocument.from_json(_read_source(args.file, fin))
-    found, witness = exists_full(
-        row_params=source.rows,
-        col_params=source.cols,
-        sym_params=source.symbols,
-        r=source.r,
-        c=source.c,
-        s=source.s,
-        v=source.v,
-        budget=_budget_from(args),
-    )
+        constraints = SpecDocument.from_json(_read_source(args.file, fin))[:-1]
+    found, witness = exists_full(*constraints, budget=_budget_from(args))
     if found:
         print("exists", file=out)
         print(PlsDocument.from_pls(witness).to_json(), file=out)
@@ -181,13 +170,17 @@ def _cmd_oracle_enumerate(args: argparse.Namespace, out: IO[str], _fin: IO[str])
     return EXIT_OK
 
 
+# sweep form -> its range bounds, in the sweep's argument order, with defaults
+_SWEEP_BOUNDS = {
+    "theorem": (("max_side", 3), ("max_entry", 3), ("max_cells", 9)),
+    "rows": (("max_side", 3), ("max_entry", 3), ("max_symbols", 3)),
+    "sizes": (("max_side", 3), ("max_cells", 9)),
+}
+
+
 def _cmd_sweep(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
-    if args.form == "theorem":
-        result = sweep_theorem(args.max_side, args.max_entry, args.max_cells)
-    elif args.form == "rows":
-        result = sweep_row_params(args.max_side, args.max_entry, args.max_symbols)
-    else:
-        result = sweep_sizes(args.max_side, args.max_cells)
+    sweep = {"theorem": sweep_theorem, "rows": sweep_row_params, "sizes": sweep_sizes}[args.form]
+    result = sweep(*(getattr(args, bound) for bound, _ in _SWEEP_BOUNDS[args.form]))
     if result.clean:
         print(f"checked {result.checked} prescriptions: no mismatches", file=out)
         return EXIT_OK
@@ -265,18 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="compare predicate and oracle over a bounded range")
     sweep_sub = sweep.add_subparsers(dest="form", required=True)
-    sweep_theorem_p = sweep_sub.add_parser("theorem")
-    sweep_theorem_p.add_argument("--max-side", type=_positive_int, default=3)
-    sweep_theorem_p.add_argument("--max-entry", type=_positive_int, default=3)
-    sweep_theorem_p.add_argument("--max-cells", type=_positive_int, default=9)
-    sweep_rows_p = sweep_sub.add_parser("rows")
-    sweep_rows_p.add_argument("--max-side", type=_positive_int, default=3)
-    sweep_rows_p.add_argument("--max-entry", type=_positive_int, default=3)
-    sweep_rows_p.add_argument("--max-symbols", type=_positive_int, default=3)
-    sweep_sizes_p = sweep_sub.add_parser("sizes")
-    sweep_sizes_p.add_argument("--max-side", type=_positive_int, default=3)
-    sweep_sizes_p.add_argument("--max-cells", type=_positive_int, default=9)
-    for form in (sweep_theorem_p, sweep_rows_p, sweep_sizes_p):
+    for name, bounds in _SWEEP_BOUNDS.items():
+        form = sweep_sub.add_parser(name)
+        for bound, default in bounds:
+            form.add_argument("--" + bound.replace("_", "-"), type=_positive_int, default=default)
         form.set_defaults(handler=_cmd_sweep)
 
     return parser

@@ -16,7 +16,6 @@ order is the row-major order used throughout.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import (
@@ -53,7 +52,19 @@ def positive_ints(name: str, values: Sequence[int]) -> tuple[int, ...]:
     return values
 
 
-class Triple(namedtuple("Triple", AXES)):
+def checked_namedtuple(typename: str, fields: Sequence[str], defaults: Sequence = ()) -> type:
+    """A namedtuple base for a subclass whose ``__new__`` validates.
+
+    namedtuple's own ``_make``, which ``_replace`` also calls, skips
+    ``__new__``; this base's ``_make`` calls the subclass instead, so every
+    instance passes the subclass's one check.
+    """
+    base = namedtuple(typename, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class Triple(checked_namedtuple("Triple", AXES)):
     """One occupied cell: symbol ``sym`` placed at (``row``, ``col``).
 
     All three labels are positive integers.  A Triple is a tuple, so it
@@ -71,11 +82,6 @@ class Triple(namedtuple("Triple", AXES)):
                 if not is_positive_int(value):
                     raise ValueError(f"{axis} label must be a positive integer, got {value!r}")
         return tuple.__new__(cls, (row, col, sym))
-
-    @classmethod
-    def _make(cls, iterable) -> "Triple":
-        # namedtuple's own _make, which _replace also calls, skips __new__.
-        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"({self.row}, {self.col}, {self.sym})"
@@ -123,19 +129,46 @@ def _raise_first_clash(checked: frozenset[Triple]) -> NoReturn:
     raise AssertionError("a projection repeats, but the scan found no clash")
 
 
-@dataclass(frozen=True)
 class PartialLatinSquare:
     """An immutable, always-valid partial Latin square.
 
     Construction re-runs the full validity check, so an instance of this
     type can never hold a clashing or empty triple set.  Use
     :func:`validate` as the public entry point; it accepts plain tuples.
+    Two squares are equal when their triple sets are; a square never
+    equals a plain tuple.
     """
 
+    __slots__ = ("triples",)
     triples: frozenset[Triple]
 
+    def __init__(self, triples: Iterable) -> None:
+        object.__setattr__(self, "triples", triples)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
+        # The one validation path, looked up on the instance so that a
+        # wrapper set on the class sees every construction.
         object.__setattr__(self, "triples", _check_triples(self.triples))
+
+    def __setattr__(self, name: str, value) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.triples == other.triples if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.triples,))
+
+    def __repr__(self) -> str:
+        return f"PartialLatinSquare(triples={self.triples!r})"
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor.
+        return type(self), (self.triples,)
 
     @property
     def volume(self) -> int:
@@ -167,8 +200,9 @@ def validate(triples: Iterable) -> PartialLatinSquare:
     return PartialLatinSquare(triples)
 
 
-@dataclass(frozen=True)
-class ParameterProfile:
+class ParameterProfile(
+    checked_namedtuple("ParameterProfile", ("row_params", "col_params", "sym_params", "volume"))
+):
     """Line parameters of a partial Latin square.
 
     ``row_params[i]`` is the number of cells in the (i+1)-th occupied row,
@@ -176,21 +210,21 @@ class ParameterProfile:
     and symbols.  Entries are positive and each family sums to ``volume``.
     """
 
-    row_params: tuple[int, ...]
-    col_params: tuple[int, ...]
-    sym_params: tuple[int, ...]
-    volume: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_positive_int(self.volume):
+    def __new__(cls, *args, **kwargs) -> "ParameterProfile":
+        # namedtuple binds the fields; the one check then makes each
+        # family a tuple.
+        *families, volume = super().__new__(cls, *args, **kwargs)
+        if not is_positive_int(volume):
             raise ValueError("volume must be a positive integer")
-        for name in ("row_params", "col_params", "sym_params"):
-            family = tuple(getattr(self, name))
-            object.__setattr__(self, name, family)
+        for index, name in enumerate(cls._fields[:3]):
+            family = families[index] = tuple(families[index])
             if not family or not all(is_positive_int(k) for k in family):
                 raise ValueError(f"{name} must be nonempty with positive entries")
-            if sum(family) != self.volume:
-                raise ValueError(f"{name} must sum to the volume {self.volume}")
+            if sum(family) != volume:
+                raise ValueError(f"{name} must sum to the volume {volume}")
+        return tuple.__new__(cls, (*families, volume))
 
     @property
     def r(self) -> int:
@@ -212,12 +246,7 @@ def _axis_params(pls: PartialLatinSquare, axis: str) -> tuple[int, ...]:
 
 def parameters_of(pls: PartialLatinSquare) -> ParameterProfile:
     """Read off the row, column, and symbol parameters of ``pls``."""
-    return ParameterProfile(
-        row_params=_axis_params(pls, "row"),
-        col_params=_axis_params(pls, "col"),
-        sym_params=_axis_params(pls, "sym"),
-        volume=pls.volume,
-    )
+    return ParameterProfile(*(_axis_params(pls, axis) for axis in AXES), pls.volume)
 
 
 def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquare:
@@ -250,8 +279,7 @@ def normalize(pls: PartialLatinSquare) -> PartialLatinSquare:
     )
 
 
-@dataclass(frozen=True)
-class CellSet:
+class CellSet(checked_namedtuple("CellSet", ("cells", "rows", "cols"))):
     """A nonempty set of board cells together with the board dimensions.
 
     ``rows`` and ``cols`` bound the board: every cell (i, j) satisfies
@@ -260,19 +288,16 @@ class CellSet:
     ``col_counts`` report them as zeros.
     """
 
-    cells: frozenset[tuple[int, int]]
-    rows: int
-    cols: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.cells, frozenset):
-            object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
-        rows, cols = self.rows, self.cols
+    def __new__(cls, cells: Iterable[tuple[int, int]], rows: int, cols: int) -> "CellSet":
+        if not isinstance(cells, frozenset):
+            cells = frozenset(tuple(c) for c in cells)
         if not (is_positive_int(rows) and is_positive_int(cols)):
             raise ValueError(f"board dimensions must be positive integers, got {rows!r} x {cols!r}")
-        if not self.cells:
+        if not cells:
             raise ValueError("cell set must be nonempty")
-        for i, j in self.cells:
+        for i, j in cells:
             # Plain ints on the board pass without two calls per cell.
             if type(i) is type(j) is int and 0 < i <= rows and 0 < j <= cols:
                 continue
@@ -280,6 +305,7 @@ class CellSet:
                 raise ValueError(f"cell ({i!r}, {j!r}) must have positive integer coordinates")
             if i > rows or j > cols:
                 raise ValueError(f"cell ({i}, {j}) outside the {rows} x {cols} board")
+        return tuple.__new__(cls, (cells, rows, cols))
 
     @property
     def volume(self) -> int:

@@ -22,7 +22,7 @@ from collections import namedtuple
 from itertools import accumulate
 from typing import Sequence
 
-from .core import positive_int, positive_ints
+from .core import checked_namedtuple, positive_int, positive_ints
 from .errors import SumMismatch
 
 
@@ -32,7 +32,7 @@ class Condition(namedtuple("Condition", ("id", "satisfied", "witness"), defaults
     __slots__ = ()
 
 
-class FeasibilityReport(namedtuple("FeasibilityReport", ("feasible", "conditions"))):
+class FeasibilityReport(checked_namedtuple("FeasibilityReport", ("feasible", "conditions"))):
     """Verdict plus per-condition breakdown; feasible iff all conditions hold."""
 
     __slots__ = ()
@@ -44,11 +44,6 @@ class FeasibilityReport(namedtuple("FeasibilityReport", ("feasible", "conditions
         if feasible != all(c.satisfied for c in conditions):
             raise ValueError("feasible must equal the conjunction of the conditions")
         return tuple.__new__(cls, (feasible, conditions))
-
-    @classmethod
-    def _make(cls, iterable) -> "FeasibilityReport":
-        # namedtuple's own _make, which _replace also calls, skips __new__.
-        return cls(*iterable)
 
     @classmethod
     def from_conditions(cls, conditions: Sequence[Condition]) -> "FeasibilityReport":

@@ -8,11 +8,11 @@ display aid only; nothing parses it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Any
 
 from . import builder
-from .core import PartialLatinSquare, is_positive_int, validate
+from .core import PartialLatinSquare, checked_namedtuple, is_positive_int, validate
 from .errors import BudgetExceeded, DocumentError, PreconditionViolated
 from .oracle import check_prescription
 
@@ -46,12 +46,10 @@ def _int_list(value: Any, where: str) -> tuple[int, ...]:
     return tuple(_int_field(k, f"{where} entry") for k in value)
 
 
-@dataclass(frozen=True)
-class PlsDocument:
+class PlsDocument(namedtuple("PlsDocument", ("triples", "schema"), defaults=(SCHEMA_VERSION,))):
     """Wire form of one partial Latin square: a list of triples."""
 
-    triples: tuple[tuple[int, int, int], ...]
-    schema: str = SCHEMA_VERSION
+    __slots__ = ()
 
     @classmethod
     def from_pls(cls, pls: PartialLatinSquare) -> "PlsDocument":
@@ -80,8 +78,17 @@ class PlsDocument:
         )
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+_LIST_FIELDS = ("rows", "cols", "symbols")
+_SCALAR_FIELDS = ("r", "c", "s", "v")
+
+
+class SpecDocument(
+    checked_namedtuple(
+        "SpecDocument",
+        (*_LIST_FIELDS, *_SCALAR_FIELDS, "schema"),
+        defaults=(None,) * 7 + (SCHEMA_VERSION,),
+    )
+):
     """Wire form of a prescription: parameter lists and scalar counts.
 
     Every field is optional, but the fields must pass the oracle's
@@ -90,43 +97,33 @@ class SpecDocument:
     agree.
     """
 
-    rows: tuple[int, ...] | None = None
-    cols: tuple[int, ...] | None = None
-    symbols: tuple[int, ...] | None = None
-    r: int | None = None
-    c: int | None = None
-    s: int | None = None
-    v: int | None = None
-    schema: str = SCHEMA_VERSION
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "SpecDocument":
+        # namedtuple binds the fields and their defaults; then the one
+        # check runs on the seven constraint fields, in order.
+        self = super().__new__(cls, *args, **kwargs)
         try:
-            check_prescription(self.rows, self.cols, self.symbols, self.r, self.c, self.s, self.v)
+            check_prescription(*self[:-1])
         except PreconditionViolated as exc:
             raise DocumentError(str(exc)) from None
+        return self
 
     @classmethod
     def from_json(cls, text: str) -> "SpecDocument":
         data = _load_object(text)
         kwargs: dict[str, Any] = {}
-        for name in ("rows", "cols", "symbols"):
+        for name in _LIST_FIELDS + _SCALAR_FIELDS:
             if data.get(name) is not None:
-                kwargs[name] = _int_list(data[name], name)
-        for name in ("r", "c", "s", "v"):
-            if data.get(name) is not None:
-                kwargs[name] = _int_field(data[name], name)
+                parse = _int_list if name in _LIST_FIELDS else _int_field
+                kwargs[name] = parse(data[name], name)
         return cls(**kwargs)
 
     def to_json(self) -> str:
         payload: dict[str, Any] = {"schema": self.schema}
-        for name in ("rows", "cols", "symbols"):
-            family = getattr(self, name)
-            if family is not None:
-                payload[name] = list(family)
-        for name in ("r", "c", "s", "v"):
-            scalar = getattr(self, name)
-            if scalar is not None:
-                payload[name] = scalar
+        for name, value in zip(_LIST_FIELDS + _SCALAR_FIELDS, self):
+            if value is not None:
+                payload[name] = list(value) if name in _LIST_FIELDS else value
         return json.dumps(payload)
 
 

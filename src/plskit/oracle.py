@@ -22,21 +22,17 @@ so BudgetExceeded is raised instead of returning a false negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 from .core import PartialLatinSquare, positive_int, positive_ints, validate
 from .errors import BudgetExceeded, PreconditionViolated
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(namedtuple("Budget", "max_cells max_rows max_cols max_symbols", defaults=(12, 6, 6, 6))):
     """Caps on the search space accepted without complaint."""
 
-    max_cells: int = 12
-    max_rows: int = 6
-    max_cols: int = 6
-    max_symbols: int = 6
+    __slots__ = ()
 
 
 DEFAULT_BUDGET = Budget()
@@ -309,14 +305,10 @@ def enumerate_pls(
     caps = {"row": max_rows, "column": max_cols, "symbol": max_symbols, "cell": max_cells}
     for what, cap in caps.items():
         positive_int(f"{what} cap", cap)
-    for what, cap, allowed in (
-        ("row", max_rows, budget.max_rows),
-        ("column", max_cols, budget.max_cols),
-        ("symbol", max_symbols, budget.max_symbols),
-        ("cell", max_cells, budget.max_cells),
-    ):
-        if cap > allowed:
-            raise BudgetExceeded(f"{what} cap {cap} above the budget cap {allowed}")
+    allowed = (budget.max_rows, budget.max_cols, budget.max_symbols, budget.max_cells)
+    for (what, cap), limit in zip(caps.items(), allowed):
+        if cap > limit:
+            raise BudgetExceeded(f"{what} cap {cap} above the budget cap {limit}")
     return _enumerate_pls(max_rows, max_cols, max_symbols, max_cells)
 
 

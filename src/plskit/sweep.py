@@ -28,18 +28,18 @@ tracer, a test double) sees every call, one per checked prescription.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import positive_int
 from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
-from .oracle import Budget, exists_full
+from .oracle import DEFAULT_BUDGET, Budget, exists_full
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    checked: int
-    mismatches: tuple[tuple, ...]
+class SweepResult(namedtuple("SweepResult", ("checked", "mismatches"))):
+    """How many canonical prescriptions a sweep checked, and where the routes differ."""
+
+    __slots__ = ()
 
     @property
     def clean(self) -> bool:
@@ -82,12 +82,16 @@ def _sweep(
     cases: Iterable[tuple],
     predicate: Callable[..., FeasibilityReport],
     oracle_kwargs: Sequence[str],
-    budget: Budget,
+    bounds: tuple[int, int, int, int],
 ) -> SweepResult:
     # The predicate takes each case's values in order, the oracle takes
     # them as the constraints named in oracle_kwargs.  exists_full is read
     # from the module globals on every call, and each sweep passes the
-    # predicate it reads there.
+    # predicate it reads there.  Every case pins each dimension, so the
+    # budget only decides which cases the oracle refuses: its caps are
+    # the range's own bounds (cells, rows, columns, symbols), never below
+    # the defaults.
+    budget = Budget(*map(max, DEFAULT_BUDGET, bounds))
     mismatches = []
     checked = 0
     for case in cases:
@@ -126,7 +130,7 @@ def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> 
         theorem_tuples(max_side, max_entry, max_cells),
         check_construction,
         ("row_params", "col_params", "s"),
-        Budget(max_cells=max(max_cells, 12), max_symbols=max_cells),
+        (max_cells, max_side, max_side, max_cells),
     )
 
 
@@ -152,7 +156,7 @@ def sweep_row_params(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3
         row_params_tuples(max_side, max_entry, max_symbols),
         check_row_params,
         ("row_params", "c", "s"),
-        Budget(max_cells=max(12, max_side * max_entry)),
+        (max_side * max_entry, max_side, max_side, max_symbols),
     )
 
 
@@ -171,5 +175,5 @@ def sweep_sizes(max_side: int = 3, max_cells: int = 9) -> SweepResult:
         sizes_tuples(max_side, max_cells),
         check_sizes,
         ("r", "c", "s", "v"),
-        Budget(max_cells=max(max_cells, 12)),
+        (max_cells, max_side, max_side, max_side),
     )

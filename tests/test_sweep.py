@@ -1,6 +1,7 @@
 """Equivalence sweeps: bounds, the canonical enumeration and its premise."""
 
 import tracemalloc
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 import plskit.sweep
 from plskit import (
     Budget,
-    BudgetExceeded,
     PreconditionViolated,
     check_construction,
     check_row_params,
@@ -220,8 +220,21 @@ def test_wide_entry_range_allocates_only_the_small_sums():
     assert peak < 1 << 20
 
 
-def test_long_families_end_in_the_budget_not_in_the_recursion_limit():
+def test_long_families_are_built_without_recursion():
     # Families longer than the recursion limit are built without
-    # recursion; the oracle refuses the first one past its row cap.
-    with pytest.raises(BudgetExceeded, match="row count 7"):
-        sweep_theorem(1200, 1, 1200)
+    # recursion, up to the longest one in range.
+    (last,) = deque(theorem_tuples(1200, 1, 1200), maxlen=1)
+    assert last == ((1,) * 1200, (1,) * 1200, 1200)
+
+
+@pytest.mark.parametrize(
+    "sweep, bounds, checked",
+    [
+        (sweep_theorem, (7, 1, 7), 28),
+        (sweep_row_params, (7, 1, 3), 126),
+        (sweep_sizes, (7, 7), 588),
+    ],
+)
+def test_sweeps_past_six_lines_size_the_budget_from_the_range(sweep, bounds, checked):
+    # Seven rows, columns or symbols are past the default caps of 6.
+    assert sweep(*bounds) == plskit.sweep.SweepResult(checked, ())

@@ -1,0 +1,187 @@
+"""Contracts of the value types: one check, immutability, equality, import cost."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
+
+from plskit import (
+    DEFAULT_BUDGET,
+    Budget,
+    CellSet,
+    ColSymbolClash,
+    DocumentError,
+    DuplicateCell,
+    EmptyInput,
+    ParameterProfile,
+    PartialLatinSquare,
+    PlsDocument,
+    PreconditionViolated,
+    RowSymbolClash,
+    SpecDocument,
+    SweepResult,
+    validate,
+)
+import plskit
+import plskit.formats
+
+
+def square():
+    return validate([(1, 1, 1), (1, 2, 2), (2, 1, 2)])
+
+
+# class -> a function building one instance afresh, so equal twins differ in identity
+INSTANCES = {
+    PartialLatinSquare: square,
+    ParameterProfile: lambda: ParameterProfile((2, 1), (2, 1), (2, 1), 3),
+    CellSet: lambda: CellSet({(1, 1), (2, 2)}, 2, 3),
+    Budget: lambda: Budget(max_rows=3),
+    SweepResult: lambda: SweepResult(4, ((1, 2, True, False),)),
+    PlsDocument: lambda: PlsDocument(((1, 1, 1),)),
+    SpecDocument: lambda: SpecDocument(rows=(2, 1), c=2, s=2),
+}
+each_class = pytest.mark.parametrize("cls", INSTANCES, ids=lambda cls: cls.__name__)
+
+def profile(*values):
+    return dict(zip(ParameterProfile._fields, values))
+
+
+# (class, keyword arguments, error) for inputs each class refuses
+INVALID = [
+    (PartialLatinSquare, {"triples": []}, EmptyInput),
+    (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 1, 2)]}, DuplicateCell),
+    (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 2, 1)]}, RowSymbolClash),
+    (PartialLatinSquare, {"triples": [(1, 1, 1), (2, 1, 1)]}, ColSymbolClash),
+    (PartialLatinSquare, {"triples": [(0, 1, 1)]}, ValueError),
+    (PartialLatinSquare, {"triples": 5}, TypeError),
+    (ParameterProfile, profile((1,), (1,), (1,), 0), ValueError),
+    (ParameterProfile, profile((), (1,), (1,), 1), ValueError),
+    (ParameterProfile, profile((1,), (2,), (1,), 1), ValueError),
+    (ParameterProfile, profile((1,), None, (1,), 1), TypeError),
+    (CellSet, {"cells": {(1, 1)}, "rows": 0, "cols": 1}, ValueError),
+    (CellSet, {"cells": set(), "rows": 1, "cols": 1}, ValueError),
+    (CellSet, {"cells": {(0, 1)}, "rows": 1, "cols": 1}, ValueError),
+    (CellSet, {"cells": {(2, 1)}, "rows": 1, "cols": 1}, ValueError),
+    (SpecDocument, {"rows": None, "c": None, "s": None}, DocumentError),
+    (SpecDocument, {"rows": (2, 1), "r": 3}, DocumentError),
+    (SpecDocument, {"rows": (2, 1), "v": 4}, DocumentError),
+    (SpecDocument, {"c": 0}, DocumentError),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, error", INVALID)
+def test_invalid_input_raises_the_documented_error(cls, kwargs, error):
+    with pytest.raises(error):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, error", [case for case in INVALID if case[0] is not PartialLatinSquare]
+)
+def test_make_and_replace_go_through_the_same_check(cls, kwargs, error):
+    valid = INSTANCES[cls]()
+    with pytest.raises(error):
+        valid._replace(**kwargs)
+    fields = {**valid._asdict(), **kwargs}
+    with pytest.raises(error):
+        cls._make(fields[name] for name in cls._fields)
+
+
+@each_class
+def test_instances_are_immutable(cls):
+    instance = INSTANCES[cls]()
+    field = "triples" if cls is PartialLatinSquare else cls._fields[0]
+    before = getattr(instance, field)
+    with pytest.raises(AttributeError):
+        setattr(instance, field, before)
+    with pytest.raises(AttributeError):
+        instance.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(instance, field)
+    assert getattr(instance, field) is before
+
+
+@each_class
+def test_equal_instances_hash_equal_and_survive_copies(cls):
+    make = INSTANCES[cls]
+    first, second = make(), make()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
+        assert type(twin) is cls and twin == first
+
+
+def test_a_square_equals_no_tuple():
+    pls = square()
+    assert pls != (pls.triples,)
+    assert pls != (frozenset(pls.triples),)
+    assert (pls.triples,) != pls
+    assert pls == validate(list(pls.triples))
+    assert repr(pls) == f"PartialLatinSquare(triples={pls.triples!r})"
+
+
+def test_a_square_is_validated_through_post_init(monkeypatch):
+    # Wrapping the method on the class sees every construction.
+    calls = []
+    original = PartialLatinSquare.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(PartialLatinSquare, "__post_init__", counting)
+    pls = validate([(1, 1, 1)])
+    assert calls == [pls]
+    with pytest.raises(EmptyInput):
+        PartialLatinSquare(frozenset())
+    assert len(calls) == 2
+
+
+def test_budget_defaults():
+    assert Budget() == DEFAULT_BUDGET
+    assert tuple(DEFAULT_BUDGET) == (12, 6, 6, 6)
+    assert (DEFAULT_BUDGET.max_cells, DEFAULT_BUDGET.max_rows) == (12, 6)
+    assert (DEFAULT_BUDGET.max_cols, DEFAULT_BUDGET.max_symbols) == (6, 6)
+
+
+def test_spec_document_turns_precondition_violations_into_document_errors(monkeypatch):
+    def refuse(*args):
+        raise PreconditionViolated("refused")
+
+    monkeypatch.setattr(plskit.formats, "check_prescription", refuse)
+    with pytest.raises(DocumentError, match="^refused$") as info:
+        SpecDocument(v=1)
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_properties_and_classmethods_are_kept():
+    params = ParameterProfile(row_params=[2, 1], col_params=(2, 1), sym_params=(1, 1, 1), volume=3)
+    assert params.row_params == (2, 1) and (params.r, params.c, params.s) == (2, 2, 3)
+    cells = CellSet(cells=[[1, 1], (3, 1)], rows=3, cols=2)
+    assert cells.cells == frozenset({(1, 1), (3, 1)}) and cells.volume == 2
+    assert (cells.row_counts(), cells.col_counts()) == ((1, 0, 1), (2, 0))
+    assert SweepResult(3, ()).clean and not SweepResult(3, ((1,),)).clean
+    document = PlsDocument.from_pls(square())
+    assert document.schema == "1" and document.to_pls() == square()
+    assert PlsDocument.from_json(document.to_json()) == document
+    spec = SpecDocument(rows=(2, 1), c=2, s=2)
+    assert SpecDocument.from_json(spec.to_json()) == spec
+
+
+def test_importing_the_package_and_cli_loads_no_dataclasses_or_inspect():
+    # A fresh interpreter that finds this same copy of the package.
+    code = (
+        "import sys; import plskit, plskit.cli; "
+        "print(plskit.__file__); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(plskit.__file__))
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.splitlines() == [plskit.__file__, "[]"]
