@@ -15,24 +15,41 @@ the occupied rows are 1..r and the symbols 1..s by construction.  No
 rule fixes the column labels, so only the columns are relabeled, in
 increasing order, before the one validation.
 
+exists_full opens one stack frame per placed cell and moves past an empty
+cell in the same frame, so its depth follows the volume, not the board.
+A cell is filled only below the volume cap, its row's target (without a
+row family, the row above's count) and its column's target, and an empty
+cell must leave its row room for its target.  These fill caps imply that
+rows end on their targets, that rows without a family weakly decrease,
+and that the volume settles any column family; none is checked again.
+
 Soundness over the budget: when a dimension left unconstrained by the
 caller had to be capped by the budget, a fruitless search proves nothing,
-so BudgetExceeded is raised instead of returning a false negative.
+so BudgetExceeded is raised instead of returning a false negative.  A
+search or enumeration deeper than the interpreter's stack also raises
+BudgetExceeded.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import Iterator, Sequence
 
-from .core import PartialLatinSquare, positive_int, positive_ints, validate
+from .core import PartialLatinSquare, checked_namedtuple, is_positive_int
+from .core import positive_int, positive_ints, validate
 from .errors import BudgetExceeded, PreconditionViolated
 
 
-class Budget(namedtuple("Budget", "max_cells max_rows max_cols max_symbols", defaults=(12, 6, 6, 6))):
-    """Caps on the search space accepted without complaint."""
+class Budget(checked_namedtuple("Budget", "max_cells max_rows max_cols max_symbols", (12, 6, 6, 6))):
+    """Caps on the search space accepted without complaint, each a positive int."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Budget":
+        budget = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(cls._fields, budget):
+            if not is_positive_int(value):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        return budget
 
 
 DEFAULT_BUDGET = Budget()
@@ -161,124 +178,96 @@ def exists_full(
     chosen: list[tuple[int, int, int]] = []
     placed = 0
     max_used = 0
-    result: list[tuple[int, int, int]] | None = None
-
-    def final_ok() -> bool:
-        if placed < max(v_lo, 1) or placed > v_hi:
-            return False
-        if col_target is not None:
-            if tuple(col_cnt) != col_target:
-                return False
-        elif cols_all_nonempty and 0 in col_cnt:
-            return False
-        if sym_desc is not None:
-            if tuple(sorted(sym_cnt[1 : max_used + 1], reverse=True)) != sym_desc:
-                return False
-        elif s_eff is not None and max_used != s_eff:
-            return False
-        return True
 
     def accept() -> bool:
-        nonlocal result
-        if final_ok():
-            result = list(chosen)
-            return True
-        return False
+        # Placement never passes v_hi or a column or row target, so once
+        # v_lo cells are placed the volume and any column family hold.
+        if placed < v_lo:
+            return False
+        if col_target is None and cols_all_nonempty and 0 in col_cnt:
+            return False
+        if sym_desc is not None:
+            return tuple(sorted(sym_cnt[1 : max_used + 1], reverse=True)) == sym_desc
+        return s_eff is None or max_used == s_eff
 
     def recurse(idx: int) -> bool:
         nonlocal placed, max_used
-        i, j = divmod(idx, n_cols)
-        if j == 0 and i > 0:
-            prev = row_cnt[i - 1]
-            if row_target is not None:
-                if prev != row_target[i - 1]:
+        while True:
+            i, j = divmod(idx, n_cols)
+            if j == 0 and i > 0:
+                if row_target is None and row_cnt[i - 1] == 0:
+                    # Rows stay weakly decreasing: the rest stay empty.
+                    return not rows_all_nonempty and accept()
+                if col_target is not None and any(
+                    col_target[j0] - col_cnt[j0] > n_rows - i for j0 in range(n_cols)
+                ):
                     return False
-            else:
-                if i >= 2 and prev > row_cnt[i - 2]:
-                    return False
-                if prev == 0:
-                    if rows_all_nonempty:
-                        return False
-                    return accept()  # rows stay weakly decreasing: the rest stay empty
-            if col_target is not None:
-                if any(col_target[j0] - col_cnt[j0] > n_rows - i for j0 in range(n_cols)):
-                    return False
-        if i == n_rows:
-            return accept()
-        # Every line that must end up nonempty and has no cell yet needs
-        # one more; a single cell fixes at most one row and one column.
-        pending_rows = 0
-        if rows_all_nonempty:
-            pending_rows = (n_rows - 1 - i) + (1 if row_cnt[i] == 0 else 0)
-        pending_cols = 0
-        if cols_all_nonempty:
-            pending_cols = sum(1 for k in col_cnt if k == 0)
-        if placed + max(pending_rows, pending_cols) > v_hi:
-            return False
-        if s_eff is not None and s_eff - max_used > v_hi - placed:
-            return False
-        if placed + (n_rows * n_cols - idx) < v_lo:
-            return False
-        if row_target is not None and row_target[i] - row_cnt[i] > n_cols - j:
-            return False
+            if i == n_rows:
+                return accept()
+            # Every line that must end up nonempty and has no cell yet needs
+            # one more; a single cell fixes at most one row and one column.
+            pending_rows = 0
+            if rows_all_nonempty:
+                pending_rows = (n_rows - 1 - i) + (1 if row_cnt[i] == 0 else 0)
+            pending_cols = 0
+            if cols_all_nonempty:
+                pending_cols = sum(1 for k in col_cnt if k == 0)
+            if placed + max(pending_rows, pending_cols) > v_hi:
+                return False
+            if s_eff is not None and s_eff - max_used > v_hi - placed:
+                return False
+            if placed + (n_rows * n_cols - idx) < v_lo:
+                return False
 
-        fillable = placed < v_hi
-        if fillable and col_target is not None and col_cnt[j] >= col_target[j]:
-            fillable = False
-        if fillable:
-            if row_target is not None:
-                if row_cnt[i] >= row_target[i]:
-                    fillable = False
-            else:
-                row_cap = row_cnt[i - 1] if i >= 1 else n_cols
-                if row_cnt[i] >= row_cap:
-                    fillable = False
-        if fillable:
-            for k in range(1, min(n_syms, max_used + 1) + 1):
-                if row_sym[i][k] or col_sym[j][k]:
-                    continue
-                if sym_cnt[k] >= sym_cap:
-                    continue
-                is_new = k > max_used
-                if is_new and s_eff is not None and max_used >= s_eff:
-                    continue
-                row_sym[i][k] = col_sym[j][k] = True
-                row_cnt[i] += 1
-                col_cnt[j] += 1
-                sym_cnt[k] += 1
-                placed += 1
-                if is_new:
-                    max_used += 1
-                chosen.append((i + 1, j + 1, k))
-                if recurse(idx + 1):
-                    return True
-                chosen.pop()
-                if is_new:
-                    max_used -= 1
-                placed -= 1
-                sym_cnt[k] -= 1
-                col_cnt[j] -= 1
-                row_cnt[i] -= 1
-                row_sym[i][k] = col_sym[j][k] = False
-        if row_target is not None and row_target[i] - row_cnt[i] > n_cols - j - 1:
-            return False
-        return recurse(idx + 1)
+            # A row fills up to its target, or without a row family up to
+            # the count of the row above; a column up to its target.
+            row_cap = row_target[i] if row_target is not None else row_cnt[i - 1] if i else n_cols
+            if (
+                placed < v_hi
+                and row_cnt[i] < row_cap
+                and (col_target is None or col_cnt[j] < col_target[j])
+            ):
+                for k in range(1, min(n_syms, max_used + 1) + 1):
+                    if row_sym[i][k] or col_sym[j][k] or sym_cnt[k] >= sym_cap:
+                        continue
+                    is_new = k > max_used
+                    row_sym[i][k] = col_sym[j][k] = True
+                    row_cnt[i] += 1
+                    col_cnt[j] += 1
+                    sym_cnt[k] += 1
+                    placed += 1
+                    max_used += is_new
+                    chosen.append((i + 1, j + 1, k))
+                    if recurse(idx + 1):
+                        return True
+                    chosen.pop()
+                    max_used -= is_new
+                    placed -= 1
+                    sym_cnt[k] -= 1
+                    col_cnt[j] -= 1
+                    row_cnt[i] -= 1
+                    row_sym[i][k] = col_sym[j][k] = False
+            # Leaving the cell empty must leave the row room for its target.
+            if row_target is not None and row_target[i] - row_cnt[i] > n_cols - j - 1:
+                return False
+            idx += 1
 
     try:
-        found = recurse(0)
+        # Every row fits if the longest does; then no empty cell strands a row.
+        found = (row_target is None or row_target[0] <= n_cols) and recurse(0)
     except RecursionError:
-        # One stack frame per board cell: a pinned board this large cannot
+        # One stack frame per placed cell: a volume cap this large cannot
         # be searched, which is a budget verdict, not a negative answer.
         raise BudgetExceeded(
-            f"search over a {n_rows} x {n_cols} board needs more stack depth "
+            f"search placing up to {v_hi} cells needs more stack depth "
             "than the interpreter allows"
         ) from None
     if found:
-        assert result is not None
-        # Rows and symbols are already 1..r and 1..s (see the module
-        # docstring); relabeling the columns completes the normalization.
-        cols = {j: rank for rank, j in enumerate(sorted({j for _, j, _ in result}), 1)}
-        return True, validate([(i, cols[j], k) for i, j, k in result])
+        # A successful search leaves its placements in chosen.  Rows and
+        # symbols are already 1..r and 1..s (see the module docstring);
+        # relabeling the columns completes the normalization.
+        cols = {j: rank for rank, j in enumerate(sorted({j for _, j, _ in chosen}), 1)}
+        return True, validate([(i, cols[j], k) for i, j, k in chosen])
     if truncated:
         raise BudgetExceeded(
             "search space was truncated by the budget; no witness found, "
@@ -358,4 +347,12 @@ def _enumerate_pls(
                     occupied.remove((row, col))
                     triples.pop()
 
-    yield from rec(None)
+    try:
+        yield from rec(None)
+    except RecursionError:
+        # One generator frame per placed cell: a cell cap this large cannot
+        # be enumerated, which is a budget verdict, not a crash.
+        raise BudgetExceeded(
+            f"enumeration up to {max_cells} cells needs more stack depth "
+            "than the interpreter allows"
+        ) from None

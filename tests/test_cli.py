@@ -204,8 +204,9 @@ class TestOracle:
         assert "budget" in err
 
     def test_board_too_deep_to_search_is_a_budget_error(self):
-        # One row of 1100 cells: the search would recurse once per cell.
-        # Running out of stack must not read as "does not exist" (exit 1).
+        # One row of 1100 cells: the search would recurse once per placed
+        # cell.  Running out of stack must not read as "does not exist"
+        # (exit 1).
         code, out, err = invoke(
             [
                 "oracle", "exists",
@@ -236,6 +237,24 @@ class TestOracle:
         )
         assert code == 0
         assert json.loads(out)["triples"] == [[1, 1, 1]]
+
+    def test_enumeration_too_deep_is_a_budget_error(self):
+        # Running out of stack is a budget verdict (exit 3), not a bug (exit 4).
+        code, out, err = invoke(
+            [
+                "oracle", "enumerate",
+                "--max-rows", "1", "--max-cols", "1100",
+                "--max-symbols", "1100", "--max-cells", "1100",
+                "--budget-cols", "1100",
+                "--budget-symbols", "1100",
+                "--budget-cells", "1100",
+                "--count-only",
+            ]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+        assert "internal error" not in err
 
     def test_enumerate_count_only(self):
         code, out, _ = invoke(

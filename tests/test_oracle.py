@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plskit import (
     Budget,
     BudgetExceeded,
+    ParameterProfile,
     PreconditionViolated,
     Triple,
     conjugate,
@@ -139,6 +140,29 @@ class TestExistsFull:
         with pytest.raises(BudgetExceeded):
             exists_full(s=5, budget=tight)
 
+    def test_row_longer_than_a_truncated_board_raises(self):
+        # A row of 3 cannot fit the 2 columns the budget allows, but the
+        # columns were left free: a wider board might hold it.
+        with pytest.raises(BudgetExceeded, match="truncated"):
+            exists_full(row_params=(3,), sym_params=(2, 1), budget=Budget(5, 2, 2, 5))
+
+    def test_row_longer_than_a_pinned_board_is_false(self):
+        assert exists_full(row_params=(3,), c=2) == (False, None)
+
+    def test_stack_depth_follows_the_volume_not_the_board(self):
+        # A 40 x 40 board with one cell per line: only the 40 placed cells
+        # open a frame, not the 1600 board cells.
+        ones = (1,) * 40
+        found, witness = exists_full(
+            row_params=ones, col_params=ones, s=40, budget=Budget(40, 40, 40, 40)
+        )
+        assert found
+        assert parameters_of(witness) == ParameterProfile(ones, ones, ones, 40)
+
+    def test_volume_too_deep_to_search_is_a_budget_error(self):
+        with pytest.raises(BudgetExceeded, match="placing up to 1100 cells"):
+            exists_full(v=1100, budget=Budget(1100, 1, 1100, 1100))
+
     def test_truncated_search_may_still_find_a_witness(self):
         tight = Budget(max_cells=3, max_rows=2, max_cols=2, max_symbols=3)
         found, witness = exists_full(s=3, budget=tight)
@@ -224,6 +248,12 @@ class TestEnumerate:
             enumerate_pls(7, 2, 2, 4)
         with pytest.raises(BudgetExceeded):
             enumerate_pls(2, 2, 2, 13)
+
+    def test_cells_too_deep_to_enumerate_is_a_budget_error(self):
+        stream = enumerate_pls(1, 1100, 1100, 1100, budget=Budget(1100, 6, 1100, 1100))
+        with pytest.raises(BudgetExceeded, match="up to 1100 cells"):
+            for _ in stream:
+                pass
 
     def test_rejects_bad_caps(self):
         with pytest.raises(PreconditionViolated):

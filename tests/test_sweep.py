@@ -233,8 +233,11 @@ def test_long_families_are_built_without_recursion():
         (sweep_theorem, (7, 1, 7), 28),
         (sweep_row_params, (7, 1, 3), 126),
         (sweep_sizes, (7, 7), 588),
+        (sweep_theorem, (33, 1, 33), 561),
     ],
 )
 def test_sweeps_past_six_lines_size_the_budget_from_the_range(sweep, bounds, checked):
-    # Seven rows, columns or symbols are past the default caps of 6.
+    # Seven rows, columns or symbols are past the default caps of 6.  On
+    # a 33 x 33 board the oracle's stack follows the 33 placed cells, not
+    # the 1089 board cells.
     assert sweep(*bounds) == plskit.sweep.SweepResult(checked, ())

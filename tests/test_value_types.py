@@ -69,6 +69,11 @@ INVALID = [
     (SpecDocument, {"rows": (2, 1), "r": 3}, DocumentError),
     (SpecDocument, {"rows": (2, 1), "v": 4}, DocumentError),
     (SpecDocument, {"c": 0}, DocumentError),
+    *(
+        (Budget, {field: bad}, ValueError)
+        for field in Budget._fields
+        for bad in (0, -1, True, "9")
+    ),
 ]
 
 
