@@ -17,11 +17,12 @@ increasing order, before the one validation.
 
 exists_full opens one stack frame per placed cell and moves past an empty
 cell in the same frame, so its depth follows the volume, not the board.
-A cell is filled only below the volume cap, its row's target (without a
-row family, the row above's count) and its column's target, and an empty
-cell must leave its row room for its target.  These fill caps imply that
-rows end on their targets, that rows without a family weakly decrease,
-and that the volume settles any column family; none is checked again.
+Its fill caps (the volume cap, line targets, and without a row family the
+row above's count) make rows end on their targets and the volume settle
+any column family.  One room rule covers rows, columns and the volume,
+checked where a step can break it: before the search, which bounds what
+it allocates by the budget's cell cap; on entering a frame, as only a
+placement raises what pinned lines and symbols need; at each empty cell.
 
 Soundness over the budget: when a dimension left unconstrained by the
 caller had to be capped by the budget, a fruitless search proves nothing,
@@ -170,6 +171,23 @@ def exists_full(
     rows_all_nonempty = r_eff is not None
     cols_all_nonempty = c_eff is not None
 
+    def no_square() -> tuple[bool, None]:
+        if truncated:
+            raise BudgetExceeded(
+                "search space was truncated by the budget; no witness found, "
+                "but larger unconstrained dimensions were not explored"
+            )
+        return False, None
+
+    # Room on the empty board; past it no dimension passes the cell cap.
+    if (
+        n_rows * n_cols < v_lo
+        or max(r_eff or 0, c_eff or 0, s_eff or 0) > v_hi
+        or (row_target is not None and row_target[0] > n_cols)
+        or (col_target is not None and col_target[0] > n_rows)
+    ):
+        return no_square()
+
     row_cnt = [0] * n_rows
     col_cnt = [0] * n_cols
     sym_cnt = [0] * (n_syms + 1)
@@ -178,46 +196,33 @@ def exists_full(
     chosen: list[tuple[int, int, int]] = []
     placed = 0
     max_used = 0
+    empty_cols = n_cols
 
     def accept() -> bool:
         # Placement never passes v_hi or a column or row target, so once
         # v_lo cells are placed the volume and any column family hold.
-        if placed < v_lo:
-            return False
-        if col_target is None and cols_all_nonempty and 0 in col_cnt:
+        if placed < v_lo or (cols_all_nonempty and empty_cols):
             return False
         if sym_desc is not None:
             return tuple(sorted(sym_cnt[1 : max_used + 1], reverse=True)) == sym_desc
         return s_eff is None or max_used == s_eff
 
     def recurse(idx: int) -> bool:
-        nonlocal placed, max_used
+        nonlocal placed, max_used, empty_cols
+        # Rows fill in order, so the empty rows are those below the row of
+        # the last placed cell, idx - 1 (row -1 before the first).
+        rows_left = n_rows - 1 - (idx - 1) // n_cols if rows_all_nonempty else 0
+        cols_left = empty_cols if cols_all_nonempty else 0
+        syms_left = s_eff - max_used if s_eff is not None else 0
+        if placed + max(rows_left, cols_left, syms_left) > v_hi:
+            return False
         while True:
             i, j = divmod(idx, n_cols)
-            if j == 0 and i > 0:
-                if row_target is None and row_cnt[i - 1] == 0:
-                    # Rows stay weakly decreasing: the rest stay empty.
-                    return not rows_all_nonempty and accept()
-                if col_target is not None and any(
-                    col_target[j0] - col_cnt[j0] > n_rows - i for j0 in range(n_cols)
-                ):
-                    return False
+            if j == 0 and i > 0 and row_target is None and row_cnt[i - 1] == 0:
+                # Rows stay weakly decreasing: the rest stay empty.
+                return not rows_all_nonempty and accept()
             if i == n_rows:
                 return accept()
-            # Every line that must end up nonempty and has no cell yet needs
-            # one more; a single cell fixes at most one row and one column.
-            pending_rows = 0
-            if rows_all_nonempty:
-                pending_rows = (n_rows - 1 - i) + (1 if row_cnt[i] == 0 else 0)
-            pending_cols = 0
-            if cols_all_nonempty:
-                pending_cols = sum(1 for k in col_cnt if k == 0)
-            if placed + max(pending_rows, pending_cols) > v_hi:
-                return False
-            if s_eff is not None and s_eff - max_used > v_hi - placed:
-                return False
-            if placed + (n_rows * n_cols - idx) < v_lo:
-                return False
 
             # A row fills up to its target, or without a row family up to
             # the count of the row above; a column up to its target.
@@ -227,6 +232,7 @@ def exists_full(
                 and row_cnt[i] < row_cap
                 and (col_target is None or col_cnt[j] < col_target[j])
             ):
+                fresh_col = col_cnt[j] == 0
                 for k in range(1, min(n_syms, max_used + 1) + 1):
                     if row_sym[i][k] or col_sym[j][k] or sym_cnt[k] >= sym_cap:
                         continue
@@ -237,24 +243,29 @@ def exists_full(
                     sym_cnt[k] += 1
                     placed += 1
                     max_used += is_new
+                    empty_cols -= fresh_col
                     chosen.append((i + 1, j + 1, k))
                     if recurse(idx + 1):
                         return True
                     chosen.pop()
+                    empty_cols += fresh_col
                     max_used -= is_new
                     placed -= 1
                     sym_cnt[k] -= 1
                     col_cnt[j] -= 1
                     row_cnt[i] -= 1
                     row_sym[i][k] = col_sym[j][k] = False
-            # Leaving the cell empty must leave the row room for its target.
-            if row_target is not None and row_target[i] - row_cnt[i] > n_cols - j - 1:
+            # Leaving the cell empty must leave room for the volume, row and column.
+            if (
+                placed + n_rows * n_cols - idx - 1 < v_lo
+                or (row_target is not None and row_target[i] - row_cnt[i] > n_cols - j - 1)
+                or (col_target is not None and col_target[j] - col_cnt[j] > n_rows - i - 1)
+            ):
                 return False
             idx += 1
 
     try:
-        # Every row fits if the longest does; then no empty cell strands a row.
-        found = (row_target is None or row_target[0] <= n_cols) and recurse(0)
+        found = recurse(0)
     except RecursionError:
         # One stack frame per placed cell: a volume cap this large cannot
         # be searched, which is a budget verdict, not a negative answer.
@@ -262,18 +273,13 @@ def exists_full(
             f"search placing up to {v_hi} cells needs more stack depth "
             "than the interpreter allows"
         ) from None
-    if found:
-        # A successful search leaves its placements in chosen.  Rows and
-        # symbols are already 1..r and 1..s (see the module docstring);
-        # relabeling the columns completes the normalization.
-        cols = {j: rank for rank, j in enumerate(sorted({j for _, j, _ in chosen}), 1)}
-        return True, validate([(i, cols[j], k) for i, j, k in chosen])
-    if truncated:
-        raise BudgetExceeded(
-            "search space was truncated by the budget; no witness found, "
-            "but larger unconstrained dimensions were not explored"
-        )
-    return False, None
+    if not found:
+        return no_square()
+    # A successful search leaves its placements in chosen.  Rows and
+    # symbols are already 1..r and 1..s (see the module docstring);
+    # relabeling the columns completes the normalization.
+    cols = {j: rank for rank, j in enumerate(sorted({j for _, j, _ in chosen}), 1)}
+    return True, validate([(i, cols[j], k) for i, j, k in chosen])
 
 
 def enumerate_pls(
@@ -305,7 +311,6 @@ def _enumerate_pls(
     max_rows: int, max_cols: int, max_symbols: int, max_cells: int
 ) -> Iterator[PartialLatinSquare]:
     triples: list[tuple[int, int, int]] = []
-    occupied: set[tuple[int, int]] = set()
     row_sym: set[tuple[int, int]] = set()
     col_sym: set[tuple[int, int]] = set()
 
@@ -316,39 +321,34 @@ def _enumerate_pls(
             return validate(triples)
         return None
 
-    def rec(prev: tuple[int, int, int] | None) -> Iterator[PartialLatinSquare]:
+    def rec() -> Iterator[PartialLatinSquare]:
         if triples:
             square = emit()
             if square is not None:
                 yield square
         if len(triples) == max_cells:
             return
-        # Triples are appended in increasing row-major order, so the last
-        # one holds the highest occupied row.  Skipping a row would leave
-        # it empty forever, so candidates stay within that row plus one.
-        max_row_used = triples[-1][0] if triples else 0
-        row_hi = min(max_rows, max_row_used + 1)
-        start_row, start_col = (prev[0], prev[1]) if prev else (1, 1)
-        for row in range(start_row, row_hi + 1):
-            col_lo = start_col if row == start_row else 1
+        # Triples come in increasing row-major order: candidates start one
+        # cell after the last, and stay within its row plus one, as a
+        # skipped row would stay empty forever.
+        last_row, last_col = triples[-1][:2] if triples else (1, 0)
+        row_hi = min(max_rows, last_row + 1) if triples else 1
+        for row in range(last_row, row_hi + 1):
+            col_lo = last_col + 1 if row == last_row else 1
             for col in range(col_lo, max_cols + 1):
-                if (row, col) in occupied:
-                    continue
                 for sym in range(1, max_symbols + 1):
                     if (row, sym) in row_sym or (col, sym) in col_sym:
                         continue
                     triples.append((row, col, sym))
-                    occupied.add((row, col))
                     row_sym.add((row, sym))
                     col_sym.add((col, sym))
-                    yield from rec((row, col, sym))
+                    yield from rec()
                     col_sym.remove((col, sym))
                     row_sym.remove((row, sym))
-                    occupied.remove((row, col))
                     triples.pop()
 
     try:
-        yield from rec(None)
+        yield from rec()
     except RecursionError:
         # One generator frame per placed cell: a cell cap this large cannot
         # be enumerated, which is a budget verdict, not a crash.

@@ -221,6 +221,21 @@ class TestOracle:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_lines_beyond_the_volume_do_not_exist(self):
+        # One cell cannot give each of 2000 pinned columns a cell; the
+        # answer comes before the search allocates anything per column.
+        code, out, err = invoke(
+            [
+                "oracle", "exists",
+                "--r", "1", "--c", "2000", "--s", "2000", "--v", "1",
+                "--budget-cols", "2000",
+                "--budget-symbols", "2000",
+            ]
+        )
+        assert code == 1
+        assert out.strip() == "does not exist"
+        assert err == ""
+
     def test_budget_flags_extend_the_search(self):
         code, _, _ = invoke(
             ["oracle", "exists", "--r", "7", "--v", "7", "--budget-rows", "7"]

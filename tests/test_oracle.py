@@ -1,5 +1,6 @@
 """Exhaustive search: existence queries and the enumeration stream."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -139,15 +140,36 @@ class TestExistsFull:
         tight = Budget(max_cells=5, max_rows=2, max_cols=2, max_symbols=5)
         with pytest.raises(BudgetExceeded):
             exists_full(s=5, budget=tight)
+        # Likewise 20 rows in the 12 cells the budget allows: a bigger
+        # volume might hold them.
+        with pytest.raises(BudgetExceeded, match="truncated"):
+            exists_full(r=20, budget=Budget(12, 20, 6, 6))
 
     def test_row_longer_than_a_truncated_board_raises(self):
         # A row of 3 cannot fit the 2 columns the budget allows, but the
         # columns were left free: a wider board might hold it.
         with pytest.raises(BudgetExceeded, match="truncated"):
             exists_full(row_params=(3,), sym_params=(2, 1), budget=Budget(5, 2, 2, 5))
+        # The twin: a column of 3 with the rows left free.
+        with pytest.raises(BudgetExceeded, match="truncated"):
+            exists_full(col_params=(3,), sym_params=(2, 1), budget=Budget(5, 2, 2, 5))
 
     def test_row_longer_than_a_pinned_board_is_false(self):
         assert exists_full(row_params=(3,), c=2) == (False, None)
+        assert exists_full(col_params=(3,), r=2) == (False, None)
+
+    def test_lines_beyond_the_volume_allocate_nothing_per_line(self):
+        # 2000 pinned columns and symbols cannot fit in one cell.  The
+        # answer comes before the search allocates its line-by-symbol
+        # flags, which here would take tens of MB.
+        tracemalloc.start()
+        try:
+            got = exists_full(r=1, c=2000, s=2000, v=1, budget=Budget(12, 6, 2000, 2000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (False, None)
+        assert peak < 1_000_000
 
     def test_stack_depth_follows_the_volume_not_the_board(self):
         # A 40 x 40 board with one cell per line: only the 40 placed cells
@@ -297,6 +319,61 @@ class TestOracleAgreesWithEnumeration:
         for n, m, k in sorted(candidates):
             found, _ = exists_full(row_params=n, col_params=m, sym_params=k)
             assert found == ((n, m, k) in emitted_profiles), (n, m, k)
+
+    @pytest.mark.parametrize("bounds", [(3, 2, 2, 4), (2, 3, 3, 4)])
+    def test_scalar_mixes_found_iff_enumerated(self, bounds):
+        # Exact (r, c, s, v), and a row or column family with the other
+        # dimensions as counts, each under a budget equal to the caps, so
+        # every dimension is pinned within the enumerated space.
+        max_rows, max_cols, max_syms, max_cells = bounds
+        budget = Budget(max_cells, max_rows, max_cols, max_syms)
+        emitted = set()
+        for pls in enumerate_pls(*bounds):
+            profile = parameters_of(pls)
+            emitted.add(
+                (
+                    tuple(sorted(profile.row_params, reverse=True)),
+                    tuple(sorted(profile.col_params, reverse=True)),
+                    profile.s,
+                    profile.volume,
+                )
+            )
+
+        def families(max_len):
+            # Entries up to the volume cap, so some lines outgrow the board.
+            return {
+                tuple(sorted(part, reverse=True))
+                for volume in range(1, max_cells + 1)
+                for length in range(1, max_len + 1)
+                for part in _compositions(volume, length)
+            }
+
+        checked = 0
+        for r, c, s, v in product(
+            range(1, max_rows + 1),
+            range(1, max_cols + 1),
+            range(1, max_syms + 1),
+            range(1, max_cells + 1),
+        ):
+            found, _ = exists_full(r=r, c=c, s=s, v=v, budget=budget)
+            expected = any(
+                (len(n), len(m), k, vol) == (r, c, s, v) for n, m, k, vol in emitted
+            )
+            assert found == expected, (r, c, s, v)
+            checked += 1
+        for n in sorted(families(max_rows)):
+            for c, s in product(range(1, max_cols + 1), range(1, max_syms + 1)):
+                found, _ = exists_full(row_params=n, c=c, s=s, budget=budget)
+                expected = any((rn, len(m), k) == (n, c, s) for rn, m, k, _ in emitted)
+                assert found == expected, (n, c, s)
+                checked += 1
+        for m in sorted(families(max_cols)):
+            for r, s in product(range(1, max_rows + 1), range(1, max_syms + 1)):
+                found, _ = exists_full(col_params=m, r=r, s=s, budget=budget)
+                expected = any((len(n), cm, k) == (r, m, s) for n, cm, k, _ in emitted)
+                assert found == expected, (m, r, s)
+                checked += 1
+        assert checked > 100
 
 
 def _compositions(total, length):
