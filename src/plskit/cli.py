@@ -35,39 +35,70 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma separated integers, got {text!r}"
         ) from None
-    if not values or any(k < 1 for k in values):
-        raise argparse.ArgumentTypeError(f"entries must be positive, got {text!r}")
-    return values
 
 
-# One flag per Budget field: --budget-cells sets max_cells, and so on.
-_BUDGET_FLAGS = tuple(field.replace("max_", "budget_") for field in Budget._fields)
+# The command line only parses text; the library checks every value.
+# Each form of check, build and sweep: help text; predicate, builder and
+# their flags (name, type, metavar) in argument order; sweep and its range
+# bounds (name, default) in argument order.  Functions are named and looked
+# up when called, so a wrapper set on this module sees the call.
+_FORMS = {
+    "theorem": (
+        "row and column parameters, symbol count",
+        "check_construction",
+        "build_theorem",
+        (("rows", _int_list, "N1,N2,..."), ("cols", _int_list, "M1,M2,..."), ("symbols", int, "S")),
+        "sweep_theorem",
+        (("max_side", 3), ("max_entry", 3), ("max_cells", 9)),
+    ),
+    "rows": (
+        "row parameters, column count, symbol count",
+        "check_row_params",
+        "build_proposition",
+        (("rows", _int_list, "N1,N2,..."), ("c", int, None), ("s", int, None)),
+        "sweep_row_params",
+        (("max_side", 3), ("max_entry", 3), ("max_symbols", 3)),
+    ),
+    "sizes": (
+        "row, column, symbol, and cell counts",
+        "check_sizes",
+        "build_corollary",
+        tuple((name, int, None) for name in "rcsv"),
+        "sweep_sizes",
+        (("max_side", 3), ("max_cells", 9)),
+    ),
+}
+
+# exists_full's constraints (name, type, metavar) in its parameter order,
+# enumerate_pls's caps and one flag per Budget field (name, default).
+_CONSTRAINTS = (
+    ("rows", _int_list, "N1,N2,..."),
+    ("cols", _int_list, "M1,M2,..."),
+    ("symbols", _int_list, "S1,S2,..."),
+    *((name, int, None) for name in "rcsv"),
+)
+_CAPS = (("max_rows", 2), ("max_cols", 2), ("max_symbols", 2), ("max_cells", 4))
+_BUDGET = tuple(zip((field.replace("max_", "budget_") for field in Budget._fields), DEFAULT_BUDGET))
 
 
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    for dest, default in zip(_BUDGET_FLAGS, DEFAULT_BUDGET):
-        parser.add_argument("--" + dest.replace("_", "-"), type=_positive_int, default=default)
+def _values(args: argparse.Namespace, flags: tuple) -> list:
+    return [getattr(args, flag[0]) for flag in flags]
 
 
-def _budget_from(args: argparse.Namespace) -> Budget:
-    return Budget(*(getattr(args, dest) for dest in _BUDGET_FLAGS))
+def _call(function: str, args: argparse.Namespace, flags: tuple):
+    return globals()[function](*_values(args, flags))
+
+
+def _add_counts(parser: argparse.ArgumentParser, counts: tuple) -> None:
+    for name, default in counts:
+        parser.add_argument("--" + name.replace("_", "-"), type=int, default=default)
 
 
 def _print_report(report: FeasibilityReport, out: IO[str]) -> None:
@@ -81,24 +112,16 @@ def _print_report(report: FeasibilityReport, out: IO[str]) -> None:
 
 
 def _cmd_check(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
-    if args.form == "theorem":
-        report = check_construction(args.rows, args.cols, args.symbols)
-    elif args.form == "rows":
-        report = check_row_params(args.rows, args.c, args.s)
-    else:
-        report = check_sizes(args.r, args.c, args.s, args.v)
+    _, predicate, _, flags, _, _ = _FORMS[args.form]
+    report = _call(predicate, args, flags)
     _print_report(report, out)
     return EXIT_OK if report.feasible else EXIT_NEGATIVE
 
 
 def _cmd_build(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
+    _, _, builder, flags, _, _ = _FORMS[args.form]
     try:
-        if args.form == "theorem":
-            pls = build_theorem(args.rows, args.cols, args.symbols)
-        elif args.form == "rows":
-            pls = build_proposition(args.rows, args.c, args.s)
-        else:
-            pls = build_corollary(args.r, args.c, args.s, args.v)
+        pls = _call(builder, args, flags)
     except Infeasible as exc:
         _print_report(exc.report, out)
         return EXIT_NEGATIVE
@@ -140,12 +163,12 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
 def _cmd_oracle_exists(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
     # The flags and a SpecDocument's fields both list the constraints in
     # the order of exists_full's parameters.
-    constraints = (args.rows, args.cols, args.symbols, args.r, args.c, args.s, args.v)
+    constraints = _values(args, _CONSTRAINTS)
     if args.file is not None:
         if any(value is not None for value in constraints):
             raise PreconditionViolated("give either --file or constraint flags, not both")
         constraints = SpecDocument.from_json(_read_source(args.file, fin))[:-1]
-    found, witness = exists_full(*constraints, budget=_budget_from(args))
+    found, witness = exists_full(*constraints, budget=Budget(*_values(args, _BUDGET)))
     if found:
         print("exists", file=out)
         print(PlsDocument.from_pls(witness).to_json(), file=out)
@@ -155,13 +178,7 @@ def _cmd_oracle_exists(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> 
 
 
 def _cmd_oracle_enumerate(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
-    stream = enumerate_pls(
-        args.max_rows,
-        args.max_cols,
-        args.max_symbols,
-        args.max_cells,
-        budget=_budget_from(args),
-    )
+    stream = enumerate_pls(*_values(args, _CAPS), budget=Budget(*_values(args, _BUDGET)))
     if args.count_only:
         print(sum(1 for _ in stream), file=out)
     else:
@@ -170,17 +187,9 @@ def _cmd_oracle_enumerate(args: argparse.Namespace, out: IO[str], _fin: IO[str])
     return EXIT_OK
 
 
-# sweep form -> its range bounds, in the sweep's argument order, with defaults
-_SWEEP_BOUNDS = {
-    "theorem": (("max_side", 3), ("max_entry", 3), ("max_cells", 9)),
-    "rows": (("max_side", 3), ("max_entry", 3), ("max_symbols", 3)),
-    "sizes": (("max_side", 3), ("max_cells", 9)),
-}
-
-
 def _cmd_sweep(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
-    sweep = {"theorem": sweep_theorem, "rows": sweep_row_params, "sizes": sweep_sizes}[args.form]
-    result = sweep(*(getattr(args, bound) for bound, _ in _SWEEP_BOUNDS[args.form]))
+    *_, sweep, bounds = _FORMS[args.form]
+    result = _call(sweep, args, bounds)
     if result.clean:
         print(f"checked {result.checked} prescriptions: no mismatches", file=out)
         return EXIT_OK
@@ -200,32 +209,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_theorem_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rows", type=_int_list, required=True, metavar="N1,N2,...")
-        p.add_argument("--cols", type=_int_list, required=True, metavar="M1,M2,...")
-        p.add_argument("--symbols", type=_positive_int, required=True, metavar="S")
-
-    def add_rows_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rows", type=_int_list, required=True, metavar="N1,N2,...")
-        p.add_argument("--c", type=_positive_int, required=True)
-        p.add_argument("--s", type=_positive_int, required=True)
-
-    def add_sizes_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--r", type=_positive_int, required=True)
-        p.add_argument("--c", type=_positive_int, required=True)
-        p.add_argument("--s", type=_positive_int, required=True)
-        p.add_argument("--v", type=_positive_int, required=True)
-
     for name, handler, with_grid in (("check", _cmd_check, False), ("build", _cmd_build, True)):
         command = sub.add_parser(name)
         forms = command.add_subparsers(dest="form", required=True)
-        theorem = forms.add_parser("theorem", help="row and column parameters, symbol count")
-        add_theorem_flags(theorem)
-        rows = forms.add_parser("rows", help="row parameters, column count, symbol count")
-        add_rows_flags(rows)
-        sizes = forms.add_parser("sizes", help="row, column, symbol, and cell counts")
-        add_sizes_flags(sizes)
-        for form in (theorem, rows, sizes):
+        for form_name, (help_text, _, _, flags, _, _) in _FORMS.items():
+            form = forms.add_parser(form_name, help=help_text)
+            for flag, kind, metavar in flags:
+                form.add_argument("--" + flag, type=kind, required=True, metavar=metavar)
             if with_grid:
                 form.add_argument("--grid", action="store_true", help="print a board view")
             form.set_defaults(handler=handler)
@@ -233,23 +223,15 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exhaustive search, independent of the predicates")
     oracle_sub = oracle.add_subparsers(dest="mode", required=True)
     exists = oracle_sub.add_parser("exists")
-    exists.add_argument("--rows", type=_int_list, default=None, metavar="N1,N2,...")
-    exists.add_argument("--cols", type=_int_list, default=None, metavar="M1,M2,...")
-    exists.add_argument("--symbols", type=_int_list, default=None, metavar="S1,S2,...")
-    exists.add_argument("--r", type=_positive_int, default=None)
-    exists.add_argument("--c", type=_positive_int, default=None)
-    exists.add_argument("--s", type=_positive_int, default=None)
-    exists.add_argument("--v", type=_positive_int, default=None)
+    for flag, kind, metavar in _CONSTRAINTS:
+        exists.add_argument("--" + flag, type=kind, default=None, metavar=metavar)
     exists.add_argument("--file", default=None, help="prescription document, '-' for stdin")
-    _add_budget_flags(exists)
+    _add_counts(exists, _BUDGET)
     exists.set_defaults(handler=_cmd_oracle_exists)
     stream = oracle_sub.add_parser("enumerate")
-    stream.add_argument("--max-rows", type=_positive_int, default=2)
-    stream.add_argument("--max-cols", type=_positive_int, default=2)
-    stream.add_argument("--max-symbols", type=_positive_int, default=2)
-    stream.add_argument("--max-cells", type=_positive_int, default=4)
+    _add_counts(stream, _CAPS)
     stream.add_argument("--count-only", action="store_true")
-    _add_budget_flags(stream)
+    _add_counts(stream, _BUDGET)
     stream.set_defaults(handler=_cmd_oracle_enumerate)
 
     verify = sub.add_parser("verify", help="validate a square document and report its profile")
@@ -258,10 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="compare predicate and oracle over a bounded range")
     sweep_sub = sweep.add_subparsers(dest="form", required=True)
-    for name, bounds in _SWEEP_BOUNDS.items():
-        form = sweep_sub.add_parser(name)
-        for bound, default in bounds:
-            form.add_argument("--" + bound.replace("_", "-"), type=_positive_int, default=default)
+    for form_name, (*_, bounds) in _FORMS.items():
+        form = sweep_sub.add_parser(form_name)
+        _add_counts(form, bounds)
         form.set_defaults(handler=_cmd_sweep)
 
     return parser

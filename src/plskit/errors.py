@@ -50,7 +50,7 @@ class NoSaturation(PlsError):
         )
 
 
-class PreconditionViolated(PlsError):
+class PreconditionViolated(PlsError, ValueError):
     """A documented precondition of the called operation does not hold."""
 
 

@@ -20,9 +20,10 @@ cell in the same frame, so its depth follows the volume, not the board.
 Its fill caps (the volume cap, line targets, and without a row family the
 row above's count) make rows end on their targets and the volume settle
 any column family.  One room rule covers rows, columns and the volume,
-checked where a step can break it: before the search, which bounds what
-it allocates by the budget's cell cap; on entering a frame, as only a
-placement raises what pinned lines and symbols need; at each empty cell.
+checked where a step can break it: before the search, which bounds each
+dimension it allocates by the budget's cell cap; at a cell before its
+symbol loop, as only a placement uses up the volume that pinned lines and
+symbols still need; at each empty cell.
 
 Soundness over the budget: when a dimension left unconstrained by the
 caller had to be capped by the budget, a fruitless search proves nothing,
@@ -35,8 +36,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .core import PartialLatinSquare, checked_namedtuple, is_positive_int
-from .core import positive_int, positive_ints, validate
+from .core import PartialLatinSquare, checked_namedtuple, positive_int, positive_ints, validate
 from .errors import BudgetExceeded, PreconditionViolated
 
 
@@ -48,8 +48,7 @@ class Budget(checked_namedtuple("Budget", "max_cells max_rows max_cols max_symbo
     def __new__(cls, *args, **kwargs) -> "Budget":
         budget = super().__new__(cls, *args, **kwargs)
         for name, value in zip(cls._fields, budget):
-            if not is_positive_int(value):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            positive_int(name, value)
         return budget
 
 
@@ -209,13 +208,6 @@ def exists_full(
 
     def recurse(idx: int) -> bool:
         nonlocal placed, max_used, empty_cols
-        # Rows fill in order, so the empty rows are those below the row of
-        # the last placed cell, idx - 1 (row -1 before the first).
-        rows_left = n_rows - 1 - (idx - 1) // n_cols if rows_all_nonempty else 0
-        cols_left = empty_cols if cols_all_nonempty else 0
-        syms_left = s_eff - max_used if s_eff is not None else 0
-        if placed + max(rows_left, cols_left, syms_left) > v_hi:
-            return False
         while True:
             i, j = divmod(idx, n_cols)
             if j == 0 and i > 0 and row_target is None and row_cnt[i - 1] == 0:
@@ -227,13 +219,24 @@ def exists_full(
             # A row fills up to its target, or without a row family up to
             # the count of the row above; a column up to its target.
             row_cap = row_target[i] if row_target is not None else row_cnt[i - 1] if i else n_cols
+            # A placement here must leave room in v_hi for the pinned rows
+            # below, pinned columns still empty and pinned symbols still
+            # unused; only a new symbol lowers the last.
+            fresh_col = col_cnt[j] == 0
+            room = v_hi - placed - 1
+            syms_left = s_eff - max_used if s_eff is not None else 0
             if (
-                placed < v_hi
-                and row_cnt[i] < row_cap
+                row_cnt[i] < row_cap
                 and (col_target is None or col_cnt[j] < col_target[j])
+                and max(
+                    n_rows - 1 - i if rows_all_nonempty else 0,
+                    empty_cols - fresh_col if cols_all_nonempty else 0,
+                    syms_left - 1,
+                )
+                <= room
             ):
-                fresh_col = col_cnt[j] == 0
-                for k in range(1, min(n_syms, max_used + 1) + 1):
+                k_lo = 1 if syms_left <= room else max_used + 1
+                for k in range(k_lo, min(n_syms, max_used + 1) + 1):
                     if row_sym[i][k] or col_sym[j][k] or sym_cnt[k] >= sym_cap:
                         continue
                     is_new = k > max_used

@@ -336,6 +336,64 @@ class TestUsage:
         assert out == ""
         assert err == "error: internal error: RuntimeError: boom\n"
 
+    def test_forms_call_the_functions_this_module_holds_now(self, monkeypatch):
+        # The form table names its functions, so a wrapper set on the
+        # module, as the benchmark's tracer sets one, sees each call.
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return plskit.feasibility.check_sizes(*args)
+
+        monkeypatch.setattr(plskit.cli, "check_sizes", recorded)
+        code, _, _ = invoke(["check", "sizes", "--r", "2", "--c", "2", "--s", "2", "--v", "3"])
+        assert code == 0
+        assert calls == [(2, 2, 2, 3)]
+
     def test_help_exits_zero(self):
         code, _, err = invoke(["--help"])
         assert code == 0
+
+
+FORM_FLAGS = {
+    "theorem": ["--rows", "2,1", "--cols", "2,1", "--symbols", "2"],
+    "rows": ["--rows", "2,1", "--c", "2", "--s", "2"],
+    "sizes": ["--r", "2", "--c", "2", "--s", "2", "--v", "3"],
+}
+SWEEP_BOUNDS = {
+    "theorem": ["--max-side", "--max-entry", "--max-cells"],
+    "rows": ["--max-side", "--max-entry", "--max-symbols"],
+    "sizes": ["--max-side", "--max-cells"],
+}
+BUDGET_FLAGS = ["--budget-cells", "--budget-rows", "--budget-cols", "--budget-symbols"]
+
+
+def count_flag_commands(bad):
+    """Every command line with one count flag, list entry included, set to bad."""
+    for command in ("check", "build"):
+        for form, flags in FORM_FLAGS.items():
+            for k in range(1, len(flags), 2):
+                yield [command, form, *flags[:k], bad, *flags[k + 1 :]]
+    for flag in ("--rows", "--cols", "--symbols", "--r", "--c", "--s", "--v"):
+        yield ["oracle", "exists", flag, bad]
+    for flag in ("--max-rows", "--max-cols", "--max-symbols", "--max-cells"):
+        yield ["oracle", "enumerate", flag, bad]
+    for flag in BUDGET_FLAGS:
+        yield ["oracle", "exists", "--r", "1", flag, bad]
+        yield ["oracle", "enumerate", flag, bad]
+    for form, flags in SWEEP_BOUNDS.items():
+        for flag in flags:
+            yield ["sweep", form, flag, bad]
+
+
+@pytest.mark.parametrize(
+    "argv", [*count_flag_commands("0"), *count_flag_commands("-1")], ids=" ".join
+)
+def test_nonpositive_count_is_rejected_by_the_library(argv):
+    # The command line only parses text: the library's check names the
+    # parameter in one error line, and a bad value never reads as a crash.
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1

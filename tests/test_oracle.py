@@ -1,5 +1,6 @@
 """Exhaustive search: existence queries and the enumeration stream."""
 
+import sys
 import tracemalloc
 from itertools import combinations, product
 
@@ -180,6 +181,31 @@ class TestExistsFull:
         )
         assert found
         assert parameters_of(witness) == ParameterProfile(ones, ones, ones, 40)
+
+    def test_pinned_square_board_opens_one_frame_per_placed_cell(self):
+        # Each cell is skipped, or its symbol loop started at the new
+        # symbol, when a placement there would leave too little volume for
+        # the pinned lines and symbols: no frame is opened only to fail.
+        n = 40
+        frames = 0
+
+        def count(frame, event, arg):
+            nonlocal frames
+            if event == "call" and frame.f_code.co_name == "recurse":
+                frames += 1
+
+        sys.setprofile(count)
+        try:
+            found, _ = exists_full(r=n, c=n, s=n, v=n, budget=Budget(n, n, n, n))
+        finally:
+            sys.setprofile(None)
+        assert found
+        assert frames == n + 1
+
+    def test_nonpositive_budget_is_a_precondition_and_a_value_error(self):
+        with pytest.raises(PreconditionViolated, match="^max_cells must be a positive integer$"):
+            Budget(max_cells=0)
+        assert issubclass(PreconditionViolated, ValueError)
 
     def test_volume_too_deep_to_search_is_a_budget_error(self):
         with pytest.raises(BudgetExceeded, match="placing up to 1100 cells"):
