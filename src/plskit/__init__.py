@@ -11,7 +11,6 @@ from .builder import (
     build_proposition,
     build_theorem,
     fill_symbols,
-    iter_symbol_layers,
     split_symbols,
 )
 from .core import (
@@ -35,7 +34,6 @@ from .errors import (
     PlsError,
     PreconditionViolated,
     RowSymbolClash,
-    SumMismatch,
     TriplePairError,
 )
 from .feasibility import (
@@ -44,7 +42,6 @@ from .feasibility import (
     check_construction,
     check_row_params,
     check_sizes,
-    dominance_check,
 )
 from .formats import PlsDocument, SpecDocument, render_grid
 from .matching import merge_matchings, saturating_matching
@@ -77,7 +74,6 @@ __all__ = [
     "PreconditionViolated",
     "RowSymbolClash",
     "SpecDocument",
-    "SumMismatch",
     "SweepResult",
     "Triple",
     "TriplePairError",
@@ -89,11 +85,9 @@ __all__ = [
     "check_sizes",
     "conjugate",
     "distribute_rows",
-    "dominance_check",
     "enumerate_pls",
     "exists_full",
     "fill_symbols",
-    "iter_symbol_layers",
     "merge_matchings",
     "normalize",
     "parameters_of",

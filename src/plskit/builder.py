@@ -8,11 +8,11 @@ have degree p in the occupancy graph of the remaining cells, whose
 maximum degree is p, so a matching covering all of them exists; removing
 it drops the maximum count to exactly p - 1.
 
-The peeling engine, iter_symbol_layers, keeps one row and one column
-adjacency list for the whole run, removes each layer's cells from them in
-place, and reads every line count off the list lengths.  Those lists are
-the adjacency dicts that the public saturating_matching takes, so each
-layer is a row-side saturating_matching M, the same API any other caller
+The peel keeps one row and one column adjacency list for the whole run,
+labels each layer's cells as it removes them from those lists in place,
+and reads every line count off the list lengths.  The lists are the
+adjacency dicts that the public saturating_matching takes, so each layer
+is a row-side saturating_matching M, the same API any other caller
 uses.  When M already covers every column at the peak count, M is the
 layer: merge_matchings would start from M and walk from no column, so
 the column-side matching and the merge run only when M leaves part of
@@ -29,15 +29,16 @@ the realization fills every row 1..r and column 1..c, every peel layer
 is nonempty so the fill uses every symbol 1..max, and the split adds
 symbols max+1, max+2, ...
 
-Each build_* validates its input once, in its own predicate, and hands
-the checked or derived counts to one private step with no second check.
-Once the predicate passes, a build whose volume exceeds MAX_CELLS raises
-BudgetExceeded before it allocates anything proportional to the volume.
+Each build_* validates its input in its own predicate and hands the
+checked or derived counts to realize_degree_matrix, whose own count
+check is one linear pass beside the build.  Once the predicate passes,
+a build whose volume exceeds MAX_CELLS raises BudgetExceeded before it
+allocates anything proportional to the volume.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import CellSet, PartialLatinSquare, positive_int, validate
 from .errors import BudgetExceeded, Infeasible, PreconditionViolated
@@ -48,25 +49,23 @@ from .feasibility import (
     check_sizes,
 )
 from .matching import LEFT, RIGHT, merge_matchings, saturating_matching
-from .realization import distribute_rows, realize_unchecked
+from .realization import distribute_rows, realize_degree_matrix
 
 Labels = dict[tuple[int, int], int]  # (row, col) -> symbol
 
 MAX_CELLS = 10**6  # the largest volume a builder constructs
 
 
-def iter_symbol_layers(cell_set: CellSet) -> Iterator[tuple[int, frozenset[tuple[int, int]]]]:
-    """Yield (count, cells) pairs, one matching per symbol, heaviest first.
-
-    After the layer for count p is removed, no remaining line holds p or
-    more cells; the generator checks this instead of assuming it.  The
-    yielded cell groups partition the input cell set.
-    """
+def _fill(cell_set: CellSet) -> Labels:
+    # One matching per symbol, heaviest count first.  After the layer for
+    # count p is removed no remaining line holds p or more cells; the
+    # loop checks this instead of assuming it.
     rows: dict[int, list[int]] = {}
     cols: dict[int, list[int]] = {}
     for i, j in sorted(cell_set.cells):
         rows.setdefault(i, []).append(j)
         cols.setdefault(j, []).append(i)
+    labels: Labels = {}
     top = max(max(map(len, rows.values())), max(map(len, cols.values())))
     for p in range(top, 0, -1):
         peak = max(max(map(len, rows.values())), max(map(len, cols.values())))
@@ -78,19 +77,16 @@ def iter_symbol_layers(cell_set: CellSet) -> Iterator[tuple[int, frozenset[tuple
         covered = set(m.values())
         if all(j in covered for j in y1):
             # The merge would start from M and walk from no Y1 vertex.
-            layer = list(m.items())
+            layer = m.items()
         else:
             n = saturating_matching(cols, RIGHT, y1)
             layer = merge_matchings(m, n, x1, y1)
-        yield p, frozenset(layer)
         for i, j in layer:
             rows[i].remove(j)
             cols[j].remove(i)
+            labels[i, j] = p
     assert not any(rows.values()), "cells left over after the final layer"
-
-
-def _fill(cell_set: CellSet) -> Labels:
-    return {cell: p for p, layer in iter_symbol_layers(cell_set) for cell in layer}
+    return labels
 
 
 def _square(labels: Labels) -> PartialLatinSquare:
@@ -166,7 +162,7 @@ def _require_volume(v: int) -> None:
 
 
 def _build(n: tuple[int, ...], m: tuple[int, ...], s: int) -> PartialLatinSquare:
-    labels = _fill(realize_unchecked(n, m))
+    labels = _fill(realize_degree_matrix(n, m))
     _split(labels, s)
     return _square(labels)
 

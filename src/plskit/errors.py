@@ -54,10 +54,6 @@ class PreconditionViolated(PlsError, ValueError):
     """A documented precondition of the called operation does not hold."""
 
 
-class SumMismatch(PlsError):
-    """Row totals and column totals disagree."""
-
-
 class Infeasible(PlsError):
     """No object with the requested parameters exists.
 

@@ -9,11 +9,13 @@ compare equal to the plain tuples (id, satisfied, witness) and
 (feasible, conditions).  A report still checks on construction that its
 verdict is the conjunction of its conditions.
 
-dominance_check and check_construction share one kernel, _worst_pair,
-which scans already sorted lists.  Each public function validates its
-input once and sorts once before handing it over, so check_construction
-neither re-validates nor re-sorts through dominance_check, and it reuses
-the same sorted lists for its witness text.
+The dominance condition is the Gale-Ryser style inequality
+``sum(top k of n) + sum(top l of m) <= v + k * l`` for every prefix pair
+(k, l) of the sorted parameter lists; prefixes of the sorted lists
+suffice because both sides are monotone in the chosen subsets.  One
+kernel, _worst_pair, scans it on already sorted lists for
+check_construction, which reuses those lists for its witness text, and
+for realize_degree_matrix, which names the same pair when it fails.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from itertools import accumulate
 from typing import Sequence
 
 from .core import checked_namedtuple, positive_int, positive_ints
-from .errors import SumMismatch
 
 
 class Condition(namedtuple("Condition", ("id", "satisfied", "witness"), defaults=(None,))):
@@ -57,8 +58,11 @@ class FeasibilityReport(checked_namedtuple("FeasibilityReport", ("feasible", "co
 def _worst_pair(n_desc: list[int], m_desc: list[int], v: int) -> tuple[int, int] | None:
     # The dominance scan on decreasing lists with equal total v; returns
     # the first prefix pair, in (k, l) order, of strictly largest excess,
-    # or None when no pair has positive excess.  k = 0 is skipped: its
-    # worst l takes every column, for an excess of exactly 0.
+    # or None when no pair has positive excess.  For a fixed k the excess
+    # grows with l exactly while the next column count exceeds k, so the
+    # worst l is #{j : m[j] > k} and one pointer walking down m_desc finds
+    # it for every k.  k = 0 is skipped: its worst l takes every column,
+    # for an excess of exactly 0.
     m_prefix = [0, *accumulate(m_desc)]
     worst_excess = 0
     worst_pair = None
@@ -75,38 +79,14 @@ def _worst_pair(n_desc: list[int], m_desc: list[int], v: int) -> tuple[int, int]
     return worst_pair
 
 
-def dominance_check(
-    n: Sequence[int], m: Sequence[int]
-) -> tuple[bool, tuple[int, int] | None]:
-    """Decide whether a 0-1 matrix with row sums n and column sums m exists.
-
-    Checks the Gale-Ryser style inequality
-    ``sum(top k of n) + sum(top l of m) <= v + k * l`` for every prefix
-    pair (k, l) of the sorted parameter lists; prefixes of the sorted
-    lists suffice because both sides are monotone in the chosen subsets.
-    For a fixed k the excess grows with l exactly while the next column
-    count exceeds k, so the worst l is #{j : m[j] > k} and one pointer
-    walking down the sorted m finds it for every k.  Returns (True, None)
-    or (False, (k, l)) with the first pair, in (k, l) order, of strictly
-    largest excess.  Raises SumMismatch when the totals differ.
-    """
-    n = positive_ints("n", n)
-    m = positive_ints("m", m)
-    v, w = sum(n), sum(m)
-    if v != w:
-        raise SumMismatch(f"sum(n) = {v} but sum(m) = {w}")
-    worst = _worst_pair(sorted(n, reverse=True), sorted(m, reverse=True), v)
-    return (worst is None, worst)
-
-
 def check_construction(n: Sequence[int], m: Sequence[int], s: int) -> FeasibilityReport:
     """Can a PLS have row parameters n, column parameters m, and s symbols?
 
     Conditions: equal totals, the dominance inequality, and
     max(n, m) <= s <= volume.  The latter two are only evaluated (and
     reported) when the totals agree, since the volume is undefined
-    otherwise.  The dominance condition is dominance_check's verdict and
-    witness, computed by the same kernel on the lists validated here.
+    otherwise.  The dominance witness names the first prefix pair, in
+    (k, l) order, of strictly largest excess.
     """
     n = positive_ints("n", n)
     m = positive_ints("m", m)

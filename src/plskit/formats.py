@@ -22,7 +22,8 @@ SCHEMA_VERSION = "1"
 def _load_object(text: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past the interpreter's digit limit.
         raise DocumentError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("not valid JSON: nested too deeply") from None

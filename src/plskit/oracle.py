@@ -17,6 +17,8 @@ increasing order, before the one validation.
 
 exists_full opens one stack frame per placed cell and moves past an empty
 cell in the same frame, so its depth follows the volume, not the board.
+Each row and column keeps its used symbols as one int bitmask, so its
+memory grows with the number of lines, not lines times symbols.
 Its fill caps (the volume cap, line targets, and without a row family the
 row above's count) make rows end on their targets and the volume settle
 any column family.  One room rule covers rows, columns and the volume,
@@ -190,8 +192,8 @@ def exists_full(
     row_cnt = [0] * n_rows
     col_cnt = [0] * n_cols
     sym_cnt = [0] * (n_syms + 1)
-    row_sym = [[False] * (n_syms + 1) for _ in range(n_rows)]
-    col_sym = [[False] * (n_syms + 1) for _ in range(n_cols)]
+    row_used = [0] * n_rows  # bit k set: symbol k is in the row
+    col_used = [0] * n_cols
     chosen: list[tuple[int, int, int]] = []
     placed = 0
     max_used = 0
@@ -236,11 +238,14 @@ def exists_full(
                 <= room
             ):
                 k_lo = 1 if syms_left <= room else max_used + 1
+                used = row_used[i] | col_used[j]
                 for k in range(k_lo, min(n_syms, max_used + 1) + 1):
-                    if row_sym[i][k] or col_sym[j][k] or sym_cnt[k] >= sym_cap:
+                    bit = 1 << k
+                    if used & bit or sym_cnt[k] >= sym_cap:
                         continue
                     is_new = k > max_used
-                    row_sym[i][k] = col_sym[j][k] = True
+                    row_used[i] |= bit
+                    col_used[j] |= bit
                     row_cnt[i] += 1
                     col_cnt[j] += 1
                     sym_cnt[k] += 1
@@ -257,7 +262,8 @@ def exists_full(
                     sym_cnt[k] -= 1
                     col_cnt[j] -= 1
                     row_cnt[i] -= 1
-                    row_sym[i][k] = col_sym[j][k] = False
+                    row_used[i] ^= bit
+                    col_used[j] ^= bit
             # Leaving the cell empty must leave room for the volume, row and column.
             if (
                 placed + n_rows * n_cols - idx - 1 < v_lo

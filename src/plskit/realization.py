@@ -5,7 +5,9 @@ by the classical greedy argument behind the Gale-Ryser theorem: each row,
 taken in decreasing count order, goes to the columns with the most demand
 left.  A bucket queue of columns keyed by remaining demand replaces a sort
 of every column per row, so beyond one sort of the rows the cost is
-proportional to the cells placed and the demand levels visited.
+proportional to the cells placed and the demand levels visited.  A row
+that finds too few columns names its witness with the dominance scan
+check_construction runs, so both report the same prefix pair.
 distribute_rows splits a volume into near equal line counts.  That split
 is minimal in the majorization order, so by Gale-Ryser it is realizable
 as column sums against any row sums of the same total whose entries do
@@ -20,7 +22,7 @@ from typing import Sequence
 
 from .core import CellSet, positive_int, positive_ints
 from .errors import Infeasible, PreconditionViolated
-from .feasibility import dominance_check
+from .feasibility import _worst_pair
 
 
 def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
@@ -38,10 +40,11 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
     sized by the number of columns, never by a demand value.
 
     By Gale-Ryser this greedy fills every row exactly when the dominance
-    condition holds, so dominance_check runs only once a row finds too
+    condition holds, so the dominance scan runs only once a row finds too
     few columns with demand left, to name the witness.  Raises Infeasible
-    when the totals differ or the dominance condition fails; the witness
-    is the violating prefix pair from dominance_check.
+    when the totals differ, with witness (sum(n), sum(m)), or when the
+    dominance condition fails, with the violating prefix pair (k, l) that
+    check_construction reports.
     """
     n = positive_ints("n", n)
     m = positive_ints("m", m)
@@ -50,18 +53,6 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
             f"row total {sum(n)} differs from column total {sum(m)}",
             witness=(sum(n), sum(m)),
         )
-    return realize_unchecked(n, m)
-
-
-def realize_unchecked(n: tuple[int, ...], m: tuple[int, ...]) -> CellSet:
-    """realize_degree_matrix without its input checks.
-
-    n and m must be tuples of positive ints with equal totals.  This is
-    for a caller that has just validated them, such as build_theorem
-    after check_construction, so a build checks its input once.  The
-    greedy, its tie rules and its Infeasible on a dominance failure are
-    those of realize_degree_matrix.
-    """
     levels: dict[int, list[int]] = {}  # remaining demand -> columns, increasing
     for j, demand in enumerate(m, start=1):
         levels.setdefault(demand, []).append(j)
@@ -74,8 +65,8 @@ def realize_unchecked(n: tuple[int, ...], m: tuple[int, ...]) -> CellSet:
         top = len(demands) - 1
         while need:
             if top < 0:
-                holds, witness = dominance_check(n, m)
-                assert not holds, "greedy realization failed although dominance holds"
+                witness = _worst_pair(sorted(n, reverse=True), sorted(m, reverse=True), sum(n))
+                assert witness, "greedy realization failed although dominance holds"
                 k, l = witness
                 raise Infeasible(
                     f"degree matrix infeasible: top {k} rows and top {l} columns "

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies and ordered sweep ranges for the test suite."""
+"""Shared hypothesis strategies, reference scans and ordered sweep ranges for the test suite."""
 
 import itertools
 
@@ -78,6 +78,20 @@ def adjacency(edges, side: str) -> dict[int, list[int]]:
     for u, v in sorted(pairs):
         adj.setdefault(u, []).append(v)
     return adj
+
+
+def dominance_double_loop(n, m):
+    """The O(r * c) scan over every prefix pair; first strictly worst pair wins."""
+    v = sum(n)
+    n_desc = sorted(n, reverse=True)
+    m_desc = sorted(m, reverse=True)
+    worst_excess, worst_pair = 0, None
+    for k in range(len(n) + 1):
+        for l in range(len(m) + 1):
+            excess = sum(n_desc[:k]) + sum(m_desc[:l]) - v - k * l
+            if excess > worst_excess:
+                worst_excess, worst_pair = excess, (k, l)
+    return (worst_pair is None, worst_pair)
 
 
 # Every ordered prescription of a sweep range.  The sweeps themselves visit

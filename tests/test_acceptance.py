@@ -20,7 +20,6 @@ from plskit import (
     check_construction,
     check_row_params,
     check_sizes,
-    dominance_check,
     exists_full,
     fill_symbols,
     merge_matchings,
@@ -92,6 +91,8 @@ GROWN_RANGES = [
     (sweep_row_params, (5, 3, 4)),
     (sweep_row_params, (4, 4, 4)),
     (sweep_sizes, (6, 12)),
+    (sweep_row_params, (5, 4, 5)),
+    (sweep_sizes, (8, 18)),
 ]
 
 
@@ -258,7 +259,8 @@ def test_criterion_7_dominance_prefix_reduction():
         cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
         bounds = [0] + cuts + [total]
         m = tuple(b - a for a, b in zip(bounds, bounds[1:]))
-        holds, _ = dominance_check(n, m)
+        conditions = check_construction(n, m, max(n + m)).conditions
+        holds = next(c for c in conditions if c.id == "dominance").satisfied
         if holds != brute_force_dominance(n, m):
             mismatches += 1
     report(

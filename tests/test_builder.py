@@ -19,7 +19,6 @@ from plskit import (
     build_proposition,
     build_theorem,
     fill_symbols,
-    iter_symbol_layers,
     merge_matchings,
     normalize,
     parameters_of,
@@ -35,12 +34,23 @@ def max_line_count(cs: CellSet) -> int:
     return max(max(cs.row_counts()), max(cs.col_counts()))
 
 
-class TestIterSymbolLayers:
+def peel_layers(cs: CellSet):
+    """fill_symbols' peel as (count, cells) pairs, heaviest first.
+
+    The cells peeled at count p are the ones labelled p.
+    """
+    layers = {}
+    for i, j, p in fill_symbols(cs).triples:
+        layers.setdefault(p, set()).add((i, j))
+    return [(p, frozenset(layers[p])) for p in sorted(layers, reverse=True)]
+
+
+class TestPeelLayers:
     def test_layers_partition_and_peel(self):
         cs = CellSet(
             frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)}), rows=3, cols=3
         )
-        layers = list(iter_symbol_layers(cs))
+        layers = peel_layers(cs)
         assert [p for p, _ in layers] == [3, 2, 1]
         seen = set()
         for _, layer in layers:
@@ -52,7 +62,7 @@ class TestIterSymbolLayers:
         cs = CellSet(
             frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}), rows=2, cols=2
         )
-        for _, layer in iter_symbol_layers(cs):
+        for _, layer in peel_layers(cs):
             rows = [i for i, _ in layer]
             cols = [j for _, j in layer]
             assert len(set(rows)) == len(rows)
@@ -62,7 +72,7 @@ class TestIterSymbolLayers:
     def test_peeling_lowers_the_max_count_by_one(self, cs):
         remaining = set(cs.cells)
         expected = max_line_count(cs)
-        for p, layer in iter_symbol_layers(cs):
+        for p, layer in peel_layers(cs):
             assert p == expected
             row_counts = Counter(i for i, _ in remaining)
             col_counts = Counter(j for _, j in remaining)
@@ -99,13 +109,13 @@ def dense_board(side: int, density: float, seed: int) -> CellSet:
 
 
 class TestReferencePeel:
-    # iter_symbol_layers skips the column-side matching and the merge when
-    # the row-side matching already covers the peak columns; the layers
-    # must be those of the peel that always runs all three.
+    # The peel skips the column-side matching and the merge when the
+    # row-side matching already covers the peak columns; the layers must
+    # be those of the peel that always runs all three.
     @settings(max_examples=300)
     @given(cell_sets())
     def test_small_boards(self, cs):
-        assert list(iter_symbol_layers(cs)) == list(reference_layers(cs))
+        assert peel_layers(cs) == list(reference_layers(cs))
 
     @pytest.mark.parametrize(
         "cs",
@@ -116,7 +126,7 @@ class TestReferencePeel:
         ids=["latin-30", "dense-30"],
     )
     def test_ladder_boards(self, cs):
-        assert list(iter_symbol_layers(cs)) == list(reference_layers(cs))
+        assert peel_layers(cs) == list(reference_layers(cs))
 
 
 class TestFillSymbols:
@@ -297,7 +307,7 @@ class TestVolumeCap:
         def unreachable(n, m):
             raise AssertionError("realization reached above the cap")
 
-        monkeypatch.setattr(plskit.builder, "realize_unchecked", unreachable)
+        monkeypatch.setattr(plskit.builder, "realize_degree_matrix", unreachable)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded, match="above the builder cap"):

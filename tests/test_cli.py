@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -163,6 +164,22 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert err.startswith("error: not valid JSON")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="the interpreter sets no limit on integer digits",
+    )
+    def test_integer_past_the_digit_limit_is_a_document_error(self):
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        for argv, document in (
+            (["verify", "-"], '{"schema": "1", "triples": [[1, 1, %s]]}'),
+            (["oracle", "exists", "--file", "-"], '{"schema": "1", "v": %s}'),
+        ):
+            code, out, err = invoke(argv, stdin_text=document % digits)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: not valid JSON")
+            assert len(err.splitlines()) == 1
 
 
 class TestOracle:

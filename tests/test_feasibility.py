@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from plskit import (
     Condition,
     FeasibilityReport,
+    Infeasible,
     PreconditionViolated,
-    SumMismatch,
     check_construction,
     check_row_params,
     check_sizes,
-    dominance_check,
+    realize_degree_matrix,
 )
 
-from conftest import ordered_theorem_tuples
+from conftest import dominance_double_loop, ordered_theorem_tuples
 
 
 def dominance_brute_force(n, m):
@@ -34,18 +34,19 @@ def dominance_brute_force(n, m):
     return True
 
 
-def dominance_double_loop(n, m):
-    """The O(r * c) scan over every prefix pair; first strictly worst pair wins."""
-    v = sum(n)
-    n_desc = sorted(n, reverse=True)
-    m_desc = sorted(m, reverse=True)
-    worst_excess, worst_pair = 0, None
-    for k in range(len(n) + 1):
-        for l in range(len(m) + 1):
-            excess = sum(n_desc[:k]) + sum(m_desc[:l]) - v - k * l
-            if excess > worst_excess:
-                worst_excess, worst_pair = excess, (k, l)
-    return (worst_pair is None, worst_pair)
+def dominance_holds(n, m):
+    """check_construction's dominance verdict, with s clear of its bounds."""
+    report = check_construction(n, m, max(n + m))
+    return next(c for c in report.conditions if c.id == "dominance").satisfied
+
+
+def realization_verdict(n, m):
+    """(True, None) when the degree matrix is realized, else (False, witness)."""
+    try:
+        realize_degree_matrix(n, m)
+    except Infeasible as exc:
+        return (False, exc.witness)
+    return (True, None)
 
 
 def random_composition(rng, total, max_parts):
@@ -56,7 +57,7 @@ def random_composition(rng, total, max_parts):
 
 
 def reference_check_construction(n, m, s):
-    """check_construction spelled out: validate, dominance_check, three conditions."""
+    """check_construction spelled out: validate, the plain dominance scan, three conditions."""
     n, m = tuple(n), tuple(m)
     if not n or not m or not all(type(k) is int and k >= 1 for k in n + m):
         raise PreconditionViolated("bad parameters")
@@ -66,7 +67,7 @@ def reference_check_construction(n, m, s):
         witness = f"sum(n) = {sum(n)} but sum(m) = {sum(m)}"
         return FeasibilityReport.from_conditions([Condition("equal-sums", False, witness)])
     v = sum(n)
-    holds, pair = dominance_check(n, m)
+    holds, pair = dominance_double_loop(n, m)
     if holds:
         dominance = Condition("dominance", True)
     else:
@@ -84,25 +85,22 @@ def reference_check_construction(n, m, s):
 
 
 class TestDominanceCheck:
+    # The condition as check_construction reports it, and the witness a
+    # failed realization names; both come from one scan.
     def test_full_board_is_realizable(self):
-        assert dominance_check((2, 2), (2, 2)) == (True, None)
+        assert dominance_holds((2, 2), (2, 2))
+        assert realization_verdict((2, 2), (2, 2)) == (True, None)
 
     def test_tall_column_witness(self):
-        assert dominance_check((2, 2), (4,)) == (False, (2, 1))
+        assert not dominance_holds((2, 2), (4,))
+        assert realization_verdict((2, 2), (4,)) == (False, (2, 1))
 
     def test_three_by_two_witness(self):
         # Top 3 rows and top 2 columns: 9 + 8 = 17 > 10 + 6 = 16.
-        assert dominance_check((3, 3, 3, 1), (4, 4, 1, 1)) == (False, (3, 2))
-
-    def test_sum_mismatch_raises(self):
-        with pytest.raises(SumMismatch):
-            dominance_check((2, 1), (1, 1))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(PreconditionViolated):
-            dominance_check((1, 0), (1,))
-        with pytest.raises(PreconditionViolated):
-            dominance_check((True,), (1,))
+        assert realization_verdict((3, 3, 3, 1), (4, 4, 1, 1)) == (False, (3, 2))
+        report = check_construction((3, 3, 3, 1), (4, 4, 1, 1), 4)
+        (violated,) = report.violated()
+        assert violated.witness == "prefix pair (k = 3, l = 2): 17 > 16"
 
     def test_prefix_equals_brute_force_exhaustively(self):
         # Every equal-sum pair with small entries; the prefix reduction
@@ -118,14 +116,15 @@ class TestDominanceCheck:
         checked = 0
         for total, group in by_sum.items():
             for n, m in itertools.product(group, repeat=2):
-                holds, witness = dominance_check(n, m)
+                holds = dominance_holds(n, m)
                 assert holds == dominance_brute_force(n, m), (n, m)
                 # The witness is what `plskit check` prints, so pin it to
                 # the plain scan over every prefix pair.
-                assert (holds, witness) == dominance_double_loop(n, m), (n, m)
+                verdict = realization_verdict(n, m)
+                assert verdict == dominance_double_loop(n, m), (n, m)
                 checked += 1
                 if not holds:
-                    k, l = witness
+                    k, l = verdict[1]
                     lhs = sum(sorted(n, reverse=True)[:k]) + sum(
                         sorted(m, reverse=True)[:l]
                     )
@@ -137,8 +136,7 @@ class TestDominanceCheck:
         for _ in range(300):
             n = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 5)))
             m = random_composition(rng, sum(n), 5)
-            holds, _ = dominance_check(n, m)
-            assert holds == dominance_brute_force(n, m), (n, m)
+            assert dominance_holds(n, m) == dominance_brute_force(n, m), (n, m)
 
 
 class TestFeasibilityReport:

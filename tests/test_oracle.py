@@ -161,8 +161,7 @@ class TestExistsFull:
 
     def test_lines_beyond_the_volume_allocate_nothing_per_line(self):
         # 2000 pinned columns and symbols cannot fit in one cell.  The
-        # answer comes before the search allocates its line-by-symbol
-        # flags, which here would take tens of MB.
+        # answer comes before the search allocates anything per line.
         tracemalloc.start()
         try:
             got = exists_full(r=1, c=2000, s=2000, v=1, budget=Budget(12, 6, 2000, 2000))
@@ -171,6 +170,20 @@ class TestExistsFull:
             tracemalloc.stop()
         assert got == (False, None)
         assert peak < 1_000_000
+
+    def test_search_keeps_no_line_by_symbol_table(self):
+        # One row of 2000 cells over 2000 pinned columns and symbols runs
+        # out of stack.  Each line holds its used symbols as one int, where
+        # a flag per column and symbol would take ~32 MB here.
+        n = 2000
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="stack depth"):
+                exists_full(r=1, c=n, s=n, v=n, budget=Budget(n, 1, n, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_stack_depth_follows_the_volume_not_the_board(self):
         # A 40 x 40 board with one cell per line: only the 40 placed cells

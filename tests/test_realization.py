@@ -13,9 +13,10 @@ from plskit import (
     Infeasible,
     PreconditionViolated,
     distribute_rows,
-    dominance_check,
     realize_degree_matrix,
 )
+
+from conftest import dominance_double_loop
 
 
 def reference_realization(n, m):
@@ -104,7 +105,7 @@ class TestRealizeDegreeMatrix:
         failures = 0
         for group in by_total.values():
             for n, m in itertools.product(group, repeat=2):
-                holds, witness = dominance_check(n, m)
+                holds, witness = dominance_double_loop(n, m)
                 try:
                     out = realize_degree_matrix(n, m)
                 except Infeasible as exc:
@@ -149,7 +150,7 @@ class TestRealizeDegreeMatrix:
     def test_feasible_pair_skips_dominance_check(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            plskit.realization, "dominance_check", lambda *args: calls.append(args)
+            plskit.realization, "_worst_pair", lambda *args: calls.append(args)
         )
         realize_degree_matrix((3, 3, 3, 1), (4, 3, 2, 1))
         assert calls == []
