@@ -8,11 +8,12 @@ have degree p in the occupancy graph of the remaining cells, whose
 maximum degree is p, so a matching covering all of them exists; removing
 it drops the maximum count to exactly p - 1.
 
-The peel keeps one row and one column adjacency list for the whole run,
-labels each layer's cells as it removes them from those lists in place,
-and reads every line count off the list lengths.  The lists are the
-adjacency dicts that the public saturating_matching takes, so each layer
-is a row-side saturating_matching M, the same API any other caller
+The peel keeps one row and one column adjacency list for the whole run.
+The lists are sorted once, line by line, not by sorting all cells; the
+peel labels each layer's cells as it removes them from those lists in
+place, and reads every line count off the list lengths.  The lists are
+the adjacency dicts that the public saturating_matching takes, so each
+layer is a row-side saturating_matching M, the same API any other caller
 uses.  When M already covers every column at the peak count, M is the
 layer: merge_matchings would start from M and walk from no column, so
 the column-side matching and the merge run only when M leaves part of
@@ -62,20 +63,22 @@ def _fill(cell_set: CellSet) -> Labels:
     # loop checks this instead of assuming it.
     rows: dict[int, list[int]] = {}
     cols: dict[int, list[int]] = {}
-    for i, j in sorted(cell_set.cells):
+    for i, j in cell_set.cells:
         rows.setdefault(i, []).append(j)
         cols.setdefault(j, []).append(i)
+    for line in (*rows.values(), *cols.values()):
+        line.sort()
     labels: Labels = {}
     top = max(max(map(len, rows.values())), max(map(len, cols.values())))
     for p in range(top, 0, -1):
         peak = max(max(map(len, rows.values())), max(map(len, cols.values())))
         assert peak == p, f"expected maximum line count {p}, found {peak}"
 
-        x1 = sorted(i for i, line in rows.items() if len(line) == p)
-        y1 = sorted(j for j, line in cols.items() if len(line) == p)
+        # Both calls below take the targets in any order.
+        x1 = [i for i, line in rows.items() if len(line) == p]
+        y1 = [j for j, line in cols.items() if len(line) == p]
         m = saturating_matching(rows, LEFT, x1)
-        covered = set(m.values())
-        if all(j in covered for j in y1):
+        if set(m.values()).issuperset(y1):
             # The merge would start from M and walk from no Y1 vertex.
             layer = m.items()
         else:

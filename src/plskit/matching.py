@@ -17,9 +17,14 @@ sides two edges of one matching.  So a path keeps N exactly when that
 end is a Y1 vertex M leaves uncovered; other paths and all cycles keep M.
 
 Both functions work on plain ints and dicts, and the builder's peeling
-engine calls them like any other caller.  saturating_matching grows
-augmenting paths with an explicit stack, so path length is bounded by
-memory rather than by the interpreter's recursion limit.
+engine calls them like any other caller.  In the peel most targets have
+a free neighbor, so saturating_matching takes it in a greedy step that
+allocates nothing; only the rest grow an augmenting path, with an
+explicit stack, so path length is bounded by memory rather than by the
+interpreter's recursion limit.  Within one call the set of owned
+vertices only grows (augmenting reassigns owners, it never frees one),
+so a vertex whose neighbors were all owned once stays that way; the
+call remembers such vertices and no later path rescans them.
 """
 
 from __future__ import annotations
@@ -40,64 +45,84 @@ def saturating_matching(
     """Match every target vertex on ``side`` to one of its neighbors.
 
     ``adj`` maps each vertex on ``side`` to its neighbors in increasing
-    order; a vertex without an entry has none.  Augmenting paths are
-    grown from each target in increasing index order, and the result maps
-    each target to its partner.  If some target cannot be reached, Hall's
-    condition fails and NoSaturation reports a target-side witness set
-    with more members than neighbors.
+    order; a vertex without an entry has none.  Targets are matched in
+    increasing index order: a target takes its first free neighbor in
+    ``adj`` order; failing that, an augmenting path is grown from it,
+    rerouting matched neighbors in increasing index order.  The result
+    maps each target to its partner.  If some target cannot be reached,
+    Hall's condition fails and NoSaturation reports a target-side witness
+    set with more members than neighbors.
+
+    A vertex whose free scan finds every neighbor owned is remembered for
+    the rest of the call and later paths skip its scan: augmenting
+    reassigns owners but never frees a vertex, so the scan would fail
+    again.  The memo changes no result, only the work.
     """
     if side not in (LEFT, RIGHT):
         raise PreconditionViolated(f"side must be 'left' or 'right', got {side!r}")
     match: dict[int, int] = {}
     owner: dict[int, int] = {}
+    saturated: set[int] = set()
     for root in sorted(set(targets)):
-        # Depth-first search for an augmenting path from ``root``.  On
-        # entering a vertex, a free neighbor is taken first; failing that,
-        # matched neighbors are rerouted in increasing index order.
-        # ``stack`` holds [vertex, neighbors, next neighbor index] for each
-        # vertex on the current path and ``via[k]`` the neighbor leading
-        # from stack[k] to stack[k + 1].  The matching changes only once a
-        # path is found, so every neighbor the free scan passes over has an
-        # owner to reroute.
-        visited: set[int] = set()
-        stack: list[list] = []
-        via: list[int] = []
-        u = root
-        while True:
-            neighbors = adj.get(u, ())
-            for v in neighbors:
-                if v not in owner:
-                    break
-            else:
-                v = None
-            if v is not None:
-                match[u] = v
-                owner[v] = u
-                for frame, w in zip(stack, via):
-                    match[frame[0]] = w
-                    owner[w] = frame[0]
+        for v in adj.get(root, ()):
+            if v not in owner:
+                match[root] = v
+                owner[v] = root
                 break
-            stack.append([u, neighbors, 0])
-            u = None
-            while stack:
-                frame = stack[-1]
-                _, neighbors, i = frame
-                while i < len(neighbors) and neighbors[i] in visited:
-                    i += 1
-                if i < len(neighbors):
-                    v = neighbors[i]
-                    frame[2] = i + 1
-                    visited.add(v)
-                    via.append(v)
-                    u = owner[v]
-                    break
-                stack.pop()
-                if via:
-                    via.pop()
-            if u is None:
-                witness = frozenset({root} | {owner[v] for v in visited})
-                raise NoSaturation(side=side, witness=witness)
+        else:
+            _augment(adj, side, match, owner, saturated, root)
     return match
+
+
+def _augment(
+    adj: Mapping[int, Sequence[int]],
+    side: str,
+    match: dict[int, int],
+    owner: dict[int, int],
+    saturated: set[int],
+    root: int,
+) -> None:
+    # Depth-first search for an augmenting path from ``root``, whose free
+    # scan has just failed.  On entering a vertex, a free neighbor is taken
+    # first; failing that, matched neighbors are rerouted in increasing
+    # index order.  ``stack`` holds [vertex, neighbors, next neighbor
+    # index] for each vertex on the current path and ``via[k]`` the
+    # neighbor leading from stack[k] to stack[k + 1].  The matching
+    # changes only once a path is found, so every neighbor the free scan
+    # passes over has an owner to reroute.
+    saturated.add(root)
+    visited: set[int] = set()
+    stack: list[list] = [[root, adj.get(root, ()), 0]]
+    via: list[int] = []
+    while stack:
+        frame = stack[-1]
+        _, neighbors, i = frame
+        while i < len(neighbors) and neighbors[i] in visited:
+            i += 1
+        if i == len(neighbors):
+            stack.pop()
+            if via:
+                via.pop()
+            continue
+        v = neighbors[i]
+        frame[2] = i + 1
+        visited.add(v)
+        via.append(v)
+        u = owner[v]
+        neighbors = adj.get(u, ())
+        if u not in saturated:
+            for w in neighbors:
+                if w not in owner:
+                    match[u] = w
+                    owner[w] = u
+                    for (x, _, _), y in zip(stack, via):
+                        match[x] = y
+                        owner[y] = x
+                    return
+            saturated.add(u)
+        stack.append([u, neighbors, 0])
+    witness = frozenset({root} | {owner[v] for v in visited})
+    raise NoSaturation(side=side, witness=witness)
 
 
 def _require(condition: bool, detail: str) -> None:

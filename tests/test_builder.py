@@ -1,5 +1,6 @@
 """Symbol filling, symbol splitting, and the three build entry points."""
 
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -402,3 +403,43 @@ class TestGoldenOutput:
     )
     def test_build_theorem_output_is_pinned(self, args, rows):
         assert build_theorem(*args).sorted_triples() == grid_triples(rows)
+
+
+def square_digest(pls) -> str:
+    """sha256 of the sorted triples, one "row col symbol" line each, joined by newlines."""
+    text = "\n".join(f"{i} {j} {k}" for i, j, k in pls.sorted_triples())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def dense_profile(side: int, density: float, seed: int):
+    """Line counts of dense_board, with s its longest line."""
+    cs = dense_board(side, density, seed)
+    n, m = cs.row_counts(), cs.col_counts()
+    return n, m, max(n + m)
+
+
+class TestGoldenDigests:
+    """Squares at ladder size, where the peel grows many augmenting paths.
+
+    The digests were computed with square_digest on the build_theorem
+    output of commit 37a2fde, the peel before its greedy step, its
+    saturated-vertex memo and its per-line sorting; a faster engine must
+    reproduce them byte for byte.
+    """
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ((30,) * 30, (30,) * 30, 30),
+                "7fac9716c73ee042a8d5ae115ab5c792015dfdcb3dd6a49cd973bd51a663543c",
+            ),
+            (
+                dense_profile(30, 0.8, seed=7),
+                "738bc6e9989a98185491604ff2c19ce2a1a368c7eff4aa85500ee2b62e945946",
+            ),
+        ],
+        ids=["latin-30", "dense-30"],
+    )
+    def test_build_theorem_digest_is_pinned(self, args, digest):
+        assert square_digest(build_theorem(*args)) == digest

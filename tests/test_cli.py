@@ -220,6 +220,22 @@ class TestOracle:
         assert code == 3
         assert "budget" in err
 
+    def test_volume_too_deep_to_search_can_still_not_exist(self):
+        # 2000 pinned cells in one row with one symbol: refuted at once,
+        # so the answer is "does not exist" (exit 1), not a budget error.
+        code, out, _ = invoke(
+            [
+                "oracle", "exists",
+                "--r", "1", "--c", "2000", "--s", "1", "--v", "2000",
+                "--budget-rows", "2000",
+                "--budget-cols", "2000",
+                "--budget-symbols", "2000",
+                "--budget-cells", "2000",
+            ]
+        )
+        assert code == 1
+        assert out.strip() == "does not exist"
+
     def test_board_too_deep_to_search_is_a_budget_error(self):
         # One row of 1100 cells: the search would recurse once per placed
         # cell.  Running out of stack must not read as "does not exist"

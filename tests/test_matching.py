@@ -32,6 +32,65 @@ def is_matching(edges):
     return len(set(lefts)) == len(lefts) and len(set(rights)) == len(rights)
 
 
+def reference_matching(adj, side, targets):
+    """The plain matching rule, one depth-first search per target.
+
+    Targets in increasing order; each search takes the entered vertex's
+    first free neighbor in adjacency order, else reroutes its matched
+    neighbors in increasing order, and rescans every vertex it enters.
+    saturating_matching must return the same dict or the same failure.
+    """
+    match, owner = {}, {}
+    for root in sorted(set(targets)):
+        visited, stack, via = set(), [], []
+        u = root
+        while True:
+            neighbors = adj.get(u, ())
+            free = next((v for v in neighbors if v not in owner), None)
+            if free is not None:
+                for x, y in [(u, free), *zip((f[0] for f in stack), via)]:
+                    match[x] = y
+                    owner[y] = x
+                break
+            stack.append([u, neighbors, 0])
+            u = None
+            while stack:
+                frame = stack[-1]
+                _, neighbors, i = frame
+                while i < len(neighbors) and neighbors[i] in visited:
+                    i += 1
+                if i < len(neighbors):
+                    frame[2] = i + 1
+                    visited.add(neighbors[i])
+                    via.append(neighbors[i])
+                    u = owner[neighbors[i]]
+                    break
+                stack.pop()
+                if via:
+                    via.pop()
+            if u is None:
+                raise NoSaturation(side=side, witness=frozenset({root} | {owner[v] for v in visited}))
+    return match
+
+
+def outcome(function, adj, side, targets):
+    """The result dict in insertion order, or the failure's side and witness."""
+    try:
+        return list(function(adj, side, targets).items())
+    except NoSaturation as exc:
+        return exc.side, exc.witness
+
+
+class CountingList(list):
+    """A neighbor list that counts the free scans, which iterate it."""
+
+    scans = 0
+
+    def __iter__(self):
+        CountingList.scans += 1
+        return super().__iter__()
+
+
 class TestSaturatingMatching:
     def test_complete_2x2_both_targets(self):
         # Pinned scan order: a free neighbor is taken before rerouting,
@@ -98,6 +157,35 @@ class TestSaturatingMatching:
             assert m.keys() == targets
             assert as_edges(m, side) <= edges
             assert is_matching(as_edges(m, side))
+
+    @settings(max_examples=300)
+    @given(graphs(), st.data())
+    def test_agrees_with_the_reference_rule(self, edges, data):
+        # Arbitrary target lists, repeats and vertices without an
+        # adjacency entry included: the same dict in the same order, or
+        # the same failure side and witness.
+        side = data.draw(st.sampled_from(("left", "right")))
+        adj = adjacency(edges, side)
+        targets = data.draw(st.lists(st.integers(1, max(adj) + 2), max_size=10))
+        assert outcome(saturating_matching, adj, side, targets) == outcome(
+            reference_matching, adj, side, targets
+        )
+
+    def test_later_search_skips_vertices_it_found_saturated(self):
+        # Left 1..5 with a = 1 ... e = 5.  a, b, c take 4, 1, 2 greedily.
+        # d's search finds b's neighbors all owned and reroutes through c
+        # to 7.  e's search re-enters d and b, whose neighbors are still
+        # all owned, and skips their free scans before a frees 8.
+        adj = {1: [4, 8], 2: [1, 2, 4], 3: [2, 7], 4: [1, 2], 5: [1]}
+        expected = {1: 8, 2: 4, 3: 7, 4: 2, 5: 1}
+        assert saturating_matching(adj, "left", range(1, 6)) == expected
+        assert reference_matching(adj, "left", range(1, 6)) == expected
+        # The plain rule scans a, b, c; d, b, c; e, d, b, a: ten scans.
+        # The memo drops the second scans of d and b.
+        CountingList.scans = 0
+        counted = {u: CountingList(vs) for u, vs in adj.items()}
+        assert saturating_matching(counted, "left", range(1, 6)) == expected
+        assert CountingList.scans == 8
 
     @given(graphs(max_side=5, max_degree=3))
     def test_failure_witness_beats_its_neighborhood(self, edges):

@@ -224,6 +224,16 @@ class TestExistsFull:
         with pytest.raises(BudgetExceeded, match="placing up to 1100 cells"):
             exists_full(v=1100, budget=Budget(1100, 1, 1100, 1100))
 
+    def test_volume_too_deep_to_search_may_still_be_refuted(self):
+        # One row and one symbol hold at most one cell, so 2000 pinned
+        # cells are refuted without going deep.  A volume at or above the
+        # stack is not on its own a reason to give up: a pre-check that
+        # raised BudgetExceeded there would lose this verdict.
+        assert exists_full(r=1, c=2000, s=1, v=2000, budget=Budget(2000, 2000, 2000, 2000)) == (
+            False,
+            None,
+        )
+
     def test_truncated_search_may_still_find_a_witness(self):
         tight = Budget(max_cells=3, max_rows=2, max_cols=2, max_symbols=3)
         found, witness = exists_full(s=3, budget=tight)
