@@ -25,15 +25,12 @@ from .core import (
 )
 from .errors import (
     BudgetExceeded,
-    ColSymbolClash,
     DocumentError,
-    DuplicateCell,
     EmptyInput,
     Infeasible,
     NoSaturation,
     PlsError,
     PreconditionViolated,
-    RowSymbolClash,
     TriplePairError,
 )
 from .feasibility import (
@@ -45,7 +42,7 @@ from .feasibility import (
 )
 from .formats import PlsDocument, SpecDocument, render_grid
 from .matching import merge_matchings, saturating_matching
-from .oracle import Budget, DEFAULT_BUDGET, enumerate_pls, exists_full
+from .oracle import Budget, enumerate_pls, exists_full
 from .realization import distribute_rows, realize_degree_matrix
 from .sweep import (
     SweepResult,
@@ -58,11 +55,8 @@ __all__ = [
     "Budget",
     "BudgetExceeded",
     "CellSet",
-    "ColSymbolClash",
     "Condition",
-    "DEFAULT_BUDGET",
     "DocumentError",
-    "DuplicateCell",
     "EmptyInput",
     "FeasibilityReport",
     "Infeasible",
@@ -72,7 +66,6 @@ __all__ = [
     "PlsDocument",
     "PlsError",
     "PreconditionViolated",
-    "RowSymbolClash",
     "SpecDocument",
     "SweepResult",
     "Triple",

@@ -39,6 +39,7 @@ allocates anything proportional to the volume.
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
 
 from .core import CellSet, PartialLatinSquare, positive_int, validate
@@ -107,28 +108,20 @@ def fill_symbols(cell_set: CellSet) -> PartialLatinSquare:
 
 
 def _split(labels: Labels, s: int) -> None:
-    # Relabel cells in place until s symbols are in use.  Symbols wait in
-    # buckets by count; the donor is the smallest label in the highest
-    # bucket, which drops to the bucket below.  A bucket is sorted when
-    # its turn comes, by then holding every symbol demoted into it.
+    # Relabel cells in place until s symbols are in use.  The donor is the
+    # symbol with the most cells, ties to the smallest label: the top of
+    # a heap of (-count, symbol), which the donor re-enters one cell down.
     if s == len(set(labels.values())):
         return
     cells_of: dict[int, list[tuple[int, int]]] = {}
     for cell in sorted(labels, reverse=True):
         cells_of.setdefault(labels[cell], []).append(cell)
-    by_count: dict[int, list[int]] = {}
-    for sym, cells in cells_of.items():
-        by_count.setdefault(len(cells), []).append(sym)
-
+    heap = [(-len(cells), sym) for sym, cells in cells_of.items()]
+    heapq.heapify(heap)
     fresh = max(cells_of)
-    level = max(by_count) + 1
-    queue: list[int] = []
     for _ in range(s - len(cells_of)):
-        while not queue:
-            level -= 1
-            queue = sorted(by_count.pop(level, ()), reverse=True)
-        donor = queue.pop()
-        by_count.setdefault(level - 1, []).append(donor)
+        count, donor = heap[0]
+        heapq.heapreplace(heap, (count + 1, donor))
         fresh += 1
         labels[cells_of[donor].pop()] = fresh
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
 from .formats import PlsDocument, SpecDocument, render_grid
-from .oracle import DEFAULT_BUDGET, Budget, enumerate_pls, exists_full
+from .oracle import Budget, enumerate_pls, exists_full
 from .sweep import sweep_row_params, sweep_sizes, sweep_theorem
 
 EXIT_OK = 0
@@ -85,7 +85,7 @@ _CONSTRAINTS = (
     *((name, int, None) for name in "rcsv"),
 )
 _CAPS = (("max_rows", 2), ("max_cols", 2), ("max_symbols", 2), ("max_cells", 4))
-_BUDGET = tuple(zip((field.replace("max_", "budget_") for field in Budget._fields), DEFAULT_BUDGET))
+_BUDGET = tuple(zip((field.replace("max_", "budget_") for field in Budget._fields), Budget()))
 
 
 def _values(args: argparse.Namespace, flags: tuple) -> list:
@@ -167,7 +167,7 @@ def _cmd_oracle_exists(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> 
     if args.file is not None:
         if any(value is not None for value in constraints):
             raise PreconditionViolated("give either --file or constraint flags, not both")
-        constraints = SpecDocument.from_json(_read_source(args.file, fin))[:-1]
+        constraints = SpecDocument.from_json(_read_source(args.file, fin))
     found, witness = exists_full(*constraints, budget=Budget(*_values(args, _BUDGET)))
     if found:
         print("exists", file=out)

@@ -18,13 +18,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from typing import Iterable, NoReturn, Sequence
 
-from .errors import (
-    ColSymbolClash,
-    DuplicateCell,
-    EmptyInput,
-    PreconditionViolated,
-    RowSymbolClash,
-)
+from .errors import EmptyInput, PreconditionViolated, TriplePairError
 
 AXES = ("row", "col", "sym")
 
@@ -108,24 +102,24 @@ def _check_triples(triples: Iterable) -> frozenset[Triple]:
     return checked
 
 
+# Each injectivity condition: the two coordinates a clash repeats, and its name.
+_CLASHES = (
+    ((0, 1), "two triples occupy the same cell"),
+    ((0, 2), "two triples repeat a symbol within a row"),
+    ((1, 2), "two triples repeat a symbol within a column"),
+)
+
+
 def _raise_first_clash(checked: frozenset[Triple]) -> NoReturn:
-    by_cell: dict[tuple[int, int], Triple] = {}
-    by_row_sym: dict[tuple[int, int], Triple] = {}
-    by_col_sym: dict[tuple[int, int], Triple] = {}
+    # A triple is checked for a cell clash, then a row clash, then a
+    # column clash, before the next triple in row-major order.
+    seen: list[dict[tuple[int, int], Triple]] = [{} for _ in _CLASHES]
     for t in sorted(checked):
-        row, col, sym = t
-        cell = (row, col)
-        if cell in by_cell:
-            raise DuplicateCell(by_cell[cell], t)
-        row_sym = (row, sym)
-        if row_sym in by_row_sym:
-            raise RowSymbolClash(by_row_sym[row_sym], t)
-        col_sym = (col, sym)
-        if col_sym in by_col_sym:
-            raise ColSymbolClash(by_col_sym[col_sym], t)
-        by_cell[cell] = t
-        by_row_sym[row_sym] = t
-        by_col_sym[col_sym] = t
+        for table, ((a, b), description) in zip(seen, _CLASHES):
+            key = (t[a], t[b])
+            if key in table:
+                raise TriplePairError(description, table[key], t)
+            table[key] = t
     raise AssertionError("a projection repeats, but the scan found no clash")
 
 
@@ -177,25 +171,13 @@ class PartialLatinSquare:
     def sorted_triples(self) -> tuple[Triple, ...]:
         return tuple(sorted(self.triples))
 
-    def cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset((t.row, t.col) for t in self.triples)
-
-    def row_values(self) -> tuple[int, ...]:
-        return tuple(sorted({t.row for t in self.triples}))
-
-    def col_values(self) -> tuple[int, ...]:
-        return tuple(sorted({t.col for t in self.triples}))
-
-    def sym_values(self) -> tuple[int, ...]:
-        return tuple(sorted({t.sym for t in self.triples}))
-
 
 def validate(triples: Iterable) -> PartialLatinSquare:
     """Check a set of triples and wrap it as a PartialLatinSquare.
 
     Accepts Triple instances or plain (row, col, sym) tuples.  Raises
-    EmptyInput, DuplicateCell, RowSymbolClash, or ColSymbolClash; the two
-    offending triples are named on the error.
+    EmptyInput, or TriplePairError naming the clash and its two offending
+    triples.
     """
     return PartialLatinSquare(triples)
 

@@ -15,26 +15,13 @@ class EmptyInput(PlsError):
 
 
 class TriplePairError(PlsError):
-    """Two triples together violate one of the injectivity conditions."""
+    """Two triples violate one injectivity condition, which ``description`` names."""
 
-    description = "conflict"
-
-    def __init__(self, first, second) -> None:
+    def __init__(self, description: str, first, second) -> None:
+        self.description = description
         self.first = first
         self.second = second
-        super().__init__(f"{self.description}: {first} and {second}")
-
-
-class DuplicateCell(TriplePairError):
-    description = "two triples occupy the same cell"
-
-
-class RowSymbolClash(TriplePairError):
-    description = "two triples repeat a symbol within a row"
-
-
-class ColSymbolClash(TriplePairError):
-    description = "two triples repeat a symbol within a column"
+        super().__init__(f"{description}: {first} and {second}")
 
 
 class NoSaturation(PlsError):

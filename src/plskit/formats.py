@@ -47,7 +47,7 @@ def _int_list(value: Any, where: str) -> tuple[int, ...]:
     return tuple(_int_field(k, f"{where} entry") for k in value)
 
 
-class PlsDocument(namedtuple("PlsDocument", ("triples", "schema"), defaults=(SCHEMA_VERSION,))):
+class PlsDocument(namedtuple("PlsDocument", ("triples",))):
     """Wire form of one partial Latin square: a list of triples."""
 
     __slots__ = ()
@@ -75,7 +75,7 @@ class PlsDocument(namedtuple("PlsDocument", ("triples", "schema"), defaults=(SCH
 
     def to_json(self) -> str:
         return json.dumps(
-            {"schema": self.schema, "triples": [list(t) for t in sorted(self.triples)]}
+            {"schema": SCHEMA_VERSION, "triples": [list(t) for t in sorted(self.triples)]}
         )
 
 
@@ -86,8 +86,8 @@ _SCALAR_FIELDS = ("r", "c", "s", "v")
 class SpecDocument(
     checked_namedtuple(
         "SpecDocument",
-        (*_LIST_FIELDS, *_SCALAR_FIELDS, "schema"),
-        defaults=(None,) * 7 + (SCHEMA_VERSION,),
+        (*_LIST_FIELDS, *_SCALAR_FIELDS),
+        defaults=(None,) * 7,
     )
 ):
     """Wire form of a prescription: parameter lists and scalar counts.
@@ -102,10 +102,10 @@ class SpecDocument(
 
     def __new__(cls, *args, **kwargs) -> "SpecDocument":
         # namedtuple binds the fields and their defaults; then the one
-        # check runs on the seven constraint fields, in order.
+        # check runs on the seven fields, in order.
         self = super().__new__(cls, *args, **kwargs)
         try:
-            check_prescription(*self[:-1])
+            check_prescription(*self)
         except PreconditionViolated as exc:
             raise DocumentError(str(exc)) from None
         return self
@@ -114,18 +114,11 @@ class SpecDocument(
     def from_json(cls, text: str) -> "SpecDocument":
         data = _load_object(text)
         kwargs: dict[str, Any] = {}
-        for name in _LIST_FIELDS + _SCALAR_FIELDS:
+        for name in cls._fields:
             if data.get(name) is not None:
                 parse = _int_list if name in _LIST_FIELDS else _int_field
                 kwargs[name] = parse(data[name], name)
         return cls(**kwargs)
-
-    def to_json(self) -> str:
-        payload: dict[str, Any] = {"schema": self.schema}
-        for name, value in zip(_LIST_FIELDS + _SCALAR_FIELDS, self):
-            if value is not None:
-                payload[name] = list(value) if name in _LIST_FIELDS else value
-        return json.dumps(payload)
 
 
 def render_grid(pls: PartialLatinSquare) -> str:

@@ -54,9 +54,6 @@ class Budget(checked_namedtuple("Budget", "max_cells max_rows max_cols max_symbo
         return budget
 
 
-DEFAULT_BUDGET = Budget()
-
-
 def _family(name: str, params: Sequence[int] | None) -> tuple[int, ...] | None:
     return None if params is None else positive_ints(name, params)
 
@@ -118,7 +115,7 @@ def exists_full(
     c: int | None = None,
     s: int | None = None,
     v: int | None = None,
-    budget: Budget = DEFAULT_BUDGET,
+    budget: Budget = Budget(),
 ) -> tuple[bool, PartialLatinSquare | None]:
     """Decide by exhaustive backtracking whether a matching PLS exists.
 
@@ -189,47 +186,51 @@ def exists_full(
     ):
         return no_square()
 
-    row_cnt = [0] * n_rows
-    col_cnt = [0] * n_cols
+    # One bitmask per line, bit k set when symbol k is in it, so a line's
+    # cell count is its mask's bit count; the placed cells are chosen.
     sym_cnt = [0] * (n_syms + 1)
-    row_used = [0] * n_rows  # bit k set: symbol k is in the row
+    row_used = [0] * n_rows
     col_used = [0] * n_cols
     chosen: list[tuple[int, int, int]] = []
-    placed = 0
     max_used = 0
     empty_cols = n_cols
 
     def accept() -> bool:
         # Placement never passes v_hi or a column or row target, so once
         # v_lo cells are placed the volume and any column family hold.
-        if placed < v_lo or (cols_all_nonempty and empty_cols):
+        if len(chosen) < v_lo or (cols_all_nonempty and empty_cols):
             return False
         if sym_desc is not None:
             return tuple(sorted(sym_cnt[1 : max_used + 1], reverse=True)) == sym_desc
         return s_eff is None or max_used == s_eff
 
     def recurse(idx: int) -> bool:
-        nonlocal placed, max_used, empty_cols
+        nonlocal max_used, empty_cols
         while True:
             i, j = divmod(idx, n_cols)
-            if j == 0 and i > 0 and row_target is None and row_cnt[i - 1] == 0:
+            if j == 0 and i > 0 and row_target is None and not row_used[i - 1]:
                 # Rows stay weakly decreasing: the rest stay empty.
                 return not rows_all_nonempty and accept()
             if i == n_rows:
                 return accept()
 
+            in_row = row_used[i].bit_count()
+            in_col = col_used[j].bit_count()
             # A row fills up to its target, or without a row family up to
             # the count of the row above; a column up to its target.
-            row_cap = row_target[i] if row_target is not None else row_cnt[i - 1] if i else n_cols
+            row_cap = (
+                row_target[i] if row_target is not None
+                else row_used[i - 1].bit_count() if i else n_cols
+            )
             # A placement here must leave room in v_hi for the pinned rows
             # below, pinned columns still empty and pinned symbols still
             # unused; only a new symbol lowers the last.
-            fresh_col = col_cnt[j] == 0
-            room = v_hi - placed - 1
+            fresh_col = not in_col
+            room = v_hi - len(chosen) - 1
             syms_left = s_eff - max_used if s_eff is not None else 0
             if (
-                row_cnt[i] < row_cap
-                and (col_target is None or col_cnt[j] < col_target[j])
+                in_row < row_cap
+                and (col_target is None or in_col < col_target[j])
                 and max(
                     n_rows - 1 - i if rows_all_nonempty else 0,
                     empty_cols - fresh_col if cols_all_nonempty else 0,
@@ -246,10 +247,7 @@ def exists_full(
                     is_new = k > max_used
                     row_used[i] |= bit
                     col_used[j] |= bit
-                    row_cnt[i] += 1
-                    col_cnt[j] += 1
                     sym_cnt[k] += 1
-                    placed += 1
                     max_used += is_new
                     empty_cols -= fresh_col
                     chosen.append((i + 1, j + 1, k))
@@ -258,17 +256,14 @@ def exists_full(
                     chosen.pop()
                     empty_cols += fresh_col
                     max_used -= is_new
-                    placed -= 1
                     sym_cnt[k] -= 1
-                    col_cnt[j] -= 1
-                    row_cnt[i] -= 1
                     row_used[i] ^= bit
                     col_used[j] ^= bit
             # Leaving the cell empty must leave room for the volume, row and column.
             if (
-                placed + n_rows * n_cols - idx - 1 < v_lo
-                or (row_target is not None and row_target[i] - row_cnt[i] > n_cols - j - 1)
-                or (col_target is not None and col_target[j] - col_cnt[j] > n_rows - i - 1)
+                len(chosen) + n_rows * n_cols - idx - 1 < v_lo
+                or (row_target is not None and row_target[i] - in_row > n_cols - j - 1)
+                or (col_target is not None and col_target[j] - in_col > n_rows - i - 1)
             ):
                 return False
             idx += 1
@@ -296,7 +291,7 @@ def enumerate_pls(
     max_cols: int,
     max_symbols: int,
     max_cells: int,
-    budget: Budget = DEFAULT_BUDGET,
+    budget: Budget = Budget(),
 ) -> Iterator[PartialLatinSquare]:
     """Stream every normalized PLS within the caps, each exactly once.
 

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import positive_int
 from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
-from .oracle import DEFAULT_BUDGET, Budget, exists_full
+from .oracle import Budget, exists_full
 
 
 class SweepResult(namedtuple("SweepResult", ("checked", "mismatches"))):
@@ -46,15 +46,28 @@ class SweepResult(namedtuple("SweepResult", ("checked", "mismatches"))):
         return not self.mismatches
 
 
-def _descending_vectors(length: int, max_entry: int, max_sum: int) -> Iterator[tuple[int, ...]]:
+def _even(total: int, length: int) -> list[int]:
+    # The non-increasing vector of this length and sum whose entries
+    # differ by at most 1: the least such vector in lexicographic order.
+    q, rem = divmod(total, length) if length else (0, 0)
+    return [q + 1] * rem + [q] * (length - rem)
+
+
+def _descending_vectors(
+    length: int, max_entry: int, min_sum: int, max_sum: int
+) -> Iterator[tuple[int, ...]]:
     # The non-increasing vectors of this length with entries at most
-    # max_entry and a sum of at most max_sum, in lexicographic order,
+    # max_entry and a sum from min_sum to max_sum, in lexicographic order,
     # visiting no others: the next vector raises the rightmost entry that
     # is below max_entry and below the entry before it, and whose raise
-    # keeps the sum within max_sum once the entries after it drop to 1.
-    vec = [1] * length
-    total = length
-    while total <= max_sum:
+    # keeps the sum within max_sum once the entries after it drop to 1;
+    # those entries then take the least sum that reaches min_sum, spread
+    # evenly.
+    total = max(min_sum, length)
+    if total > min(max_sum, length * max_entry):
+        return
+    vec = _even(total, length)
+    while True:
         yield tuple(vec)
         tail = 0
         for k in range(length - 1, -1, -1):
@@ -67,9 +80,11 @@ def _descending_vectors(length: int, max_entry: int, max_sum: int) -> Iterator[t
             tail += vec[k]
         else:
             return
-        total += length - k - tail
+        head = total - tail + 1
+        rest = max(length - k - 1, min_sum - head)
         vec[k] += 1
-        vec[k + 1:] = [1] * (length - k - 1)
+        vec[k + 1:] = _even(rest, length - k - 1)
+        total = head + rest
 
 
 def _check_bounds(**bounds: int) -> None:
@@ -91,7 +106,7 @@ def _sweep(
     # budget only decides which cases the oracle refuses: its caps are
     # the range's own bounds (cells, rows, columns, symbols), never below
     # the defaults.
-    budget = Budget(*map(max, DEFAULT_BUDGET, bounds))
+    budget = Budget(*map(max, Budget(), bounds))
     mismatches = []
     checked = 0
     for case in cases:
@@ -109,16 +124,18 @@ def theorem_tuples(
     """Canonical (n, m, s) with equal totals at most max_cells and s in range.
 
     n and m are non-increasing with n <= m, one per class under
-    reordering and transposition.  Only vectors summing to at most
-    max_cells are built, so the cost follows the number of cases, not
-    max_entry ** max_side.
+    reordering and transposition.  The vectors are built one total at a
+    time, those of each length in turn, so the cost follows the number of
+    cases, not max_entry ** max_side, and the memory one total's vectors.
     """
-    by_sum: dict[int, list[tuple[int, ...]]] = {}
-    for length in range(1, min(max_side, max_cells) + 1):
-        for vec in _descending_vectors(length, max_entry, max_cells):
-            by_sum.setdefault(sum(vec), []).append(vec)
-    for total in sorted(by_sum):
-        for n, m in itertools.product(by_sum[total], repeat=2):
+    for total in range(1, min(max_cells, max_side * max_entry) + 1):
+        # Lengths whose entries, each 1 to max_entry, can sum to total.
+        vectors = [
+            vec
+            for length in range(-(-total // max_entry), min(max_side, total) + 1)
+            for vec in _descending_vectors(length, max_entry, total, total)
+        ]
+        for n, m in itertools.product(vectors, repeat=2):
             if n <= m:
                 for s in range(max(n[0], m[0]), total + 1):
                     yield n, m, s
@@ -144,7 +161,7 @@ def row_params_tuples(
     column and symbol roles.
     """
     for length in range(1, max_side + 1):
-        for n in _descending_vectors(length, max_entry, length * max_entry):
+        for n in _descending_vectors(length, max_entry, length, length * max_entry):
             for c in range(1, max_side + 1):
                 for s in range(1 if c > max_symbols else c, max_symbols + 1):
                     yield n, c, s

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from plskit import (
     CellSet,
-    ColSymbolClash,
-    DuplicateCell,
     EmptyInput,
     ParameterProfile,
-    RowSymbolClash,
     Triple,
+    TriplePairError,
     conjugate,
     normalize,
     parameters_of,
@@ -82,27 +80,35 @@ class TestValidate:
             validate([])
 
     def test_duplicate_cell_names_the_pair(self):
-        with pytest.raises(DuplicateCell) as exc:
+        with pytest.raises(TriplePairError) as exc:
             validate([(1, 1, 1), (1, 1, 2)])
         assert exc.value.first == Triple(1, 1, 1)
         assert exc.value.second == Triple(1, 1, 2)
+        assert str(exc.value) == "two triples occupy the same cell: (1, 1, 1) and (1, 1, 2)"
 
     def test_row_symbol_clash(self):
-        with pytest.raises(RowSymbolClash) as exc:
+        with pytest.raises(TriplePairError) as exc:
             validate([(1, 1, 1), (1, 2, 1)])
         assert (exc.value.first, exc.value.second) == (Triple(1, 1, 1), Triple(1, 2, 1))
+        assert str(exc.value) == (
+            "two triples repeat a symbol within a row: (1, 1, 1) and (1, 2, 1)"
+        )
 
     def test_col_symbol_clash(self):
-        with pytest.raises(ColSymbolClash) as exc:
+        with pytest.raises(TriplePairError) as exc:
             validate([(1, 1, 1), (2, 1, 1)])
         assert (exc.value.first, exc.value.second) == (Triple(1, 1, 1), Triple(2, 1, 1))
+        assert str(exc.value) == (
+            "two triples repeat a symbol within a column: (1, 1, 1) and (2, 1, 1)"
+        )
 
     def test_report_is_deterministic_in_row_major_order(self):
         # Three mutual duplicates: the scan must report the first two.
-        with pytest.raises(DuplicateCell) as exc:
+        with pytest.raises(TriplePairError) as exc:
             validate([(1, 1, 3), (1, 1, 2), (1, 1, 1)])
         assert exc.value.first == Triple(1, 1, 1)
         assert exc.value.second == Triple(1, 1, 2)
+        assert str(exc.value) == "two triples occupy the same cell: (1, 1, 1) and (1, 1, 2)"
 
     @pytest.mark.parametrize(
         "bad, axis", [((0, 1, 1), "row"), ((1, True, 1), "col"), ((1, 1, 1.5), "sym")]
@@ -119,9 +125,21 @@ class TestValidate:
         assert validate([(1, 1, 1), (1, 1, 1)]).volume == 1
 
     def test_duplicate_cell_message(self):
-        with pytest.raises(DuplicateCell) as exc:
+        with pytest.raises(TriplePairError) as exc:
             validate([(1, 1, 2), (1, 1, 1)])
         assert str(exc.value) == "two triples occupy the same cell: (1, 1, 1) and (1, 1, 2)"
+
+    def test_row_and_column_clash_messages(self):
+        with pytest.raises(TriplePairError) as exc:
+            validate([(1, 2, 1), (1, 1, 1)])
+        assert str(exc.value) == (
+            "two triples repeat a symbol within a row: (1, 1, 1) and (1, 2, 1)"
+        )
+        with pytest.raises(TriplePairError) as exc:
+            validate([(2, 1, 1), (1, 1, 1)])
+        assert str(exc.value) == (
+            "two triples repeat a symbol within a column: (1, 1, 1) and (2, 1, 1)"
+        )
 
     def test_accepts_triple_instances(self):
         pls = validate([Triple(1, 1, 1)])
@@ -139,12 +157,16 @@ def sorted_scan(triples):
     if not checked:
         raise EmptyInput()
     seen = ({}, {}, {})
-    errors = (DuplicateCell, RowSymbolClash, ColSymbolClash)
+    clashes = (
+        "two triples occupy the same cell",
+        "two triples repeat a symbol within a row",
+        "two triples repeat a symbol within a column",
+    )
     for t in sorted(checked):
         keys = ((t.row, t.col), (t.row, t.sym), (t.col, t.sym))
-        for table, key, error in zip(seen, keys, errors):
+        for table, key, clash in zip(seen, keys, clashes):
             if key in table:
-                raise error(table[key], t)
+                raise TriplePairError(clash, table[key], t)
         for table, key in zip(seen, keys):
             table[key] = t
     return checked
@@ -153,7 +175,7 @@ def sorted_scan(triples):
 def outcome(check, triples):
     try:
         return "ok", check(triples)
-    except (EmptyInput, DuplicateCell, RowSymbolClash, ColSymbolClash) as exc:
+    except (EmptyInput, TriplePairError) as exc:
         return type(exc), str(exc), getattr(exc, "first", None), getattr(exc, "second", None)
 
 
@@ -267,9 +289,10 @@ class TestNormalize:
     def test_labels_become_prefixes(self, pls):
         norm = normalize(pls)
         profile = parameters_of(norm)
-        assert norm.row_values() == tuple(range(1, profile.r + 1))
-        assert norm.col_values() == tuple(range(1, profile.c + 1))
-        assert norm.sym_values() == tuple(range(1, profile.s + 1))
+        rows, cols, syms = (set(labels) for labels in zip(*norm.triples))
+        assert rows == set(range(1, profile.r + 1))
+        assert cols == set(range(1, profile.c + 1))
+        assert syms == set(range(1, profile.s + 1))
 
     @given(squares())
     def test_profile_is_preserved(self, pls):

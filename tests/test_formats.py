@@ -10,8 +10,8 @@ from plskit import (
     BudgetExceeded,
     DocumentError,
     PlsDocument,
-    RowSymbolClash,
     SpecDocument,
+    TriplePairError,
     render_grid,
     validate,
 )
@@ -59,8 +59,11 @@ class TestPlsDocument:
 
     def test_clashing_document_fails_at_to_pls(self):
         doc = PlsDocument.from_json('{"schema": "1", "triples": [[1, 1, 1], [1, 2, 1]]}')
-        with pytest.raises(RowSymbolClash):
+        with pytest.raises(TriplePairError) as exc:
             doc.to_pls()
+        assert str(exc.value) == (
+            "two triples repeat a symbol within a row: (1, 1, 1) and (1, 2, 1)"
+        )
 
     @given(squares())
     def test_round_trip_property(self, pls):
@@ -69,11 +72,6 @@ class TestPlsDocument:
 
 
 class TestSpecDocument:
-    def test_round_trip(self):
-        doc = SpecDocument(rows=(2, 1), s=2)
-        again = SpecDocument.from_json(doc.to_json())
-        assert again == doc
-
     def test_requires_a_constraint(self):
         with pytest.raises(DocumentError):
             SpecDocument()

@@ -220,6 +220,18 @@ def test_wide_entry_range_allocates_only_the_small_sums():
     assert peak < 1 << 20
 
 
+def test_the_first_case_holds_only_the_vectors_of_its_total():
+    # 2,000 totals of one vector each lie in range; the first case needs
+    # only the vector of total 1.
+    tracemalloc.start()
+    try:
+        assert next(theorem_tuples(2000, 1, 2000)) == ((1,), (1,), 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_long_families_are_built_without_recursion():
     # Families longer than the recursion limit are built without
     # recursion, up to the longest one in range.

@@ -1,6 +1,7 @@
 """Contracts of the value types: one check, immutability, equality, import cost."""
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -9,20 +10,17 @@ import sys
 import pytest
 
 from plskit import (
-    DEFAULT_BUDGET,
     Budget,
     CellSet,
-    ColSymbolClash,
     DocumentError,
-    DuplicateCell,
     EmptyInput,
     ParameterProfile,
     PartialLatinSquare,
     PlsDocument,
     PreconditionViolated,
-    RowSymbolClash,
     SpecDocument,
     SweepResult,
+    TriplePairError,
     validate,
 )
 import plskit
@@ -52,9 +50,9 @@ def profile(*values):
 # (class, keyword arguments, error) for inputs each class refuses
 INVALID = [
     (PartialLatinSquare, {"triples": []}, EmptyInput),
-    (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 1, 2)]}, DuplicateCell),
-    (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 2, 1)]}, RowSymbolClash),
-    (PartialLatinSquare, {"triples": [(1, 1, 1), (2, 1, 1)]}, ColSymbolClash),
+    (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 1, 2)]}, TriplePairError),
+    (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 2, 1)]}, TriplePairError),
+    (PartialLatinSquare, {"triples": [(1, 1, 1), (2, 1, 1)]}, TriplePairError),
     (PartialLatinSquare, {"triples": [(0, 1, 1)]}, ValueError),
     (PartialLatinSquare, {"triples": 5}, TypeError),
     (ParameterProfile, profile((1,), (1,), (1,), 0), ValueError),
@@ -146,10 +144,10 @@ def test_a_square_is_validated_through_post_init(monkeypatch):
 
 
 def test_budget_defaults():
-    assert Budget() == DEFAULT_BUDGET
-    assert tuple(DEFAULT_BUDGET) == (12, 6, 6, 6)
-    assert (DEFAULT_BUDGET.max_cells, DEFAULT_BUDGET.max_rows) == (12, 6)
-    assert (DEFAULT_BUDGET.max_cols, DEFAULT_BUDGET.max_symbols) == (6, 6)
+    budget = Budget()
+    assert tuple(budget) == (12, 6, 6, 6)
+    assert (budget.max_cells, budget.max_rows) == (12, 6)
+    assert (budget.max_cols, budget.max_symbols) == (6, 6)
 
 
 def test_spec_document_turns_precondition_violations_into_document_errors(monkeypatch):
@@ -170,10 +168,24 @@ def test_properties_and_classmethods_are_kept():
     assert (cells.row_counts(), cells.col_counts()) == ((1, 0, 1), (2, 0))
     assert SweepResult(3, ()).clean and not SweepResult(3, ((1,),)).clean
     document = PlsDocument.from_pls(square())
-    assert document.schema == "1" and document.to_pls() == square()
+    assert json.loads(document.to_json())["schema"] == "1" and document.to_pls() == square()
     assert PlsDocument.from_json(document.to_json()) == document
-    spec = SpecDocument(rows=(2, 1), c=2, s=2)
-    assert SpecDocument.from_json(spec.to_json()) == spec
+
+
+def test_the_public_names():
+    assert sorted(plskit.__all__) == [
+        "Budget", "BudgetExceeded", "CellSet", "Condition", "DocumentError",
+        "EmptyInput", "FeasibilityReport", "Infeasible", "NoSaturation",
+        "ParameterProfile", "PartialLatinSquare", "PlsDocument", "PlsError",
+        "PreconditionViolated", "SpecDocument", "SweepResult", "Triple",
+        "TriplePairError", "build_corollary", "build_proposition", "build_theorem",
+        "check_construction", "check_row_params", "check_sizes", "conjugate",
+        "distribute_rows", "enumerate_pls", "exists_full", "fill_symbols",
+        "merge_matchings", "normalize", "parameters_of", "realize_degree_matrix",
+        "render_grid", "saturating_matching", "split_symbols", "sweep_row_params",
+        "sweep_sizes", "sweep_theorem", "validate",
+    ]
+    assert all(hasattr(plskit, name) for name in plskit.__all__)
 
 
 def test_importing_the_package_and_cli_loads_no_dataclasses_or_inspect():
