@@ -10,25 +10,26 @@ it drops the maximum count to exactly p - 1.
 
 The peel keeps one row and one column adjacency list for the whole run.
 The lists are sorted once, line by line, not by sorting all cells; the
-peel labels each layer's cells as it removes them from those lists in
-place, and reads every line count off the list lengths.  The lists are
-the adjacency dicts that the public saturating_matching takes, so each
-layer is a row-side saturating_matching M, the same API any other caller
-uses.  When M already covers every column at the peak count, M is the
-layer: merge_matchings would start from M and walk from no column, so
-the column-side matching and the merge run only when M leaves part of
-that set uncovered.  This is every layer of a Latin or other regular
-profile.
+peel keeps each layer's cells as one list, removes them from those
+lists in place, and reads every line count off the list lengths.  The
+lists are the adjacency dicts that the public saturating_matching takes,
+so each layer is a row-side saturating_matching M, the same API any
+other caller uses.  When M already covers every column at the peak
+count, M is the layer: merge_matchings would start from M and walk from
+no column, so the column-side matching and the merge run only when M
+leaves part of that set uncovered.  This is every layer of a Latin or
+other regular profile.
 
 The three build_* entry points chain the feasibility predicate, the
 degree matrix realization, the symbol fill, and the symbol split into
 complete constructions for the three kinds of prescription.  The fill
-and the split hand a plain {(row, col): symbol} map to each other, and
-the square is validated once, when the finished map becomes a
-PartialLatinSquare.  Its output is normalized without a relabeling pass:
-the realization fills every row 1..r and column 1..c, every peel layer
-is nonempty so the fill uses every symbol 1..max, and the split adds
-symbols max+1, max+2, ...
+hands the split its layers as {symbol: [(row, col), ...]}; the split
+moves single cells out of a donor's list into lists of their own, and
+the square is validated once, when the finished layers become one
+triple list and then a PartialLatinSquare.  Its output is normalized
+without a relabeling pass: the realization fills every row 1..r and
+column 1..c, every peel layer is nonempty so the fill uses every symbol
+1..max, and the split adds symbols max+1, max+2, ...
 
 Each build_* validates its input in its own predicate and hands the
 checked or derived counts to realize_degree_matrix, whose own count
@@ -53,12 +54,12 @@ from .feasibility import (
 from .matching import LEFT, RIGHT, merge_matchings, saturating_matching
 from .realization import distribute_rows, realize_degree_matrix
 
-Labels = dict[tuple[int, int], int]  # (row, col) -> symbol
+Layers = dict[int, list[tuple[int, int]]]  # symbol -> its (row, col) cells
 
 MAX_CELLS = 10**6  # the largest volume a builder constructs
 
 
-def _fill(cell_set: CellSet) -> Labels:
+def _fill(cell_set: CellSet) -> Layers:
     # One matching per symbol, heaviest count first.  After the layer for
     # count p is removed no remaining line holds p or more cells; the
     # loop checks this instead of assuming it.
@@ -69,7 +70,7 @@ def _fill(cell_set: CellSet) -> Labels:
         cols.setdefault(j, []).append(i)
     for line in (*rows.values(), *cols.values()):
         line.sort()
-    labels: Labels = {}
+    layers: Layers = {}
     top = max(max(map(len, rows.values())), max(map(len, cols.values())))
     for p in range(top, 0, -1):
         peak = max(max(map(len, rows.values())), max(map(len, cols.values())))
@@ -85,16 +86,19 @@ def _fill(cell_set: CellSet) -> Labels:
         else:
             n = saturating_matching(cols, RIGHT, y1)
             layer = merge_matchings(m, n, x1, y1)
-        for i, j in layer:
+        layers[p] = cells = list(layer)
+        for i, j in cells:
             rows[i].remove(j)
             cols[j].remove(i)
-            labels[i, j] = p
     assert not any(rows.values()), "cells left over after the final layer"
-    return labels
+    return layers
 
 
-def _square(labels: Labels) -> PartialLatinSquare:
-    return validate((i, j, sym) for (i, j), sym in labels.items())
+def _square(layers: Layers) -> PartialLatinSquare:
+    # Consumes the layers: their cells are freed before the check runs.
+    triples = [(i, j, sym) for sym, cells in layers.items() for i, j in cells]
+    layers.clear()
+    return validate(triples)
 
 
 def fill_symbols(cell_set: CellSet) -> PartialLatinSquare:
@@ -107,23 +111,26 @@ def fill_symbols(cell_set: CellSet) -> PartialLatinSquare:
     return _square(_fill(cell_set))
 
 
-def _split(labels: Labels, s: int) -> None:
-    # Relabel cells in place until s symbols are in use.  The donor is the
-    # symbol with the most cells, ties to the smallest label: the top of
-    # a heap of (-count, symbol), which the donor re-enters one cell down.
-    if s == len(set(labels.values())):
-        return
-    cells_of: dict[int, list[tuple[int, int]]] = {}
-    for cell in sorted(labels, reverse=True):
-        cells_of.setdefault(labels[cell], []).append(cell)
-    heap = [(-len(cells), sym) for sym, cells in cells_of.items()]
+def _split(layers: Layers, s: int) -> None:
+    # Move single cells to fresh symbols in place until s symbols are in
+    # use.  The donor is the symbol with the most cells, ties to the
+    # smallest label: the top of a heap of (-count, symbol), which the
+    # donor re-enters one cell down.  It gives its lowest (row, col)
+    # first, so its list is sorted, last cell lowest, on its first
+    # donation and never again.
+    heap = [(-len(cells), sym) for sym, cells in layers.items()]
     heapq.heapify(heap)
-    fresh = max(cells_of)
-    for _ in range(s - len(cells_of)):
+    donors: set[int] = set()
+    fresh = max(layers)
+    for _ in range(s - len(layers)):
         count, donor = heap[0]
         heapq.heapreplace(heap, (count + 1, donor))
+        cells = layers[donor]
+        if donor not in donors:
+            donors.add(donor)
+            cells.sort(reverse=True)
         fresh += 1
-        labels[cells_of[donor].pop()] = fresh
+        layers[fresh] = [cells.pop()]
 
 
 def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:
@@ -136,14 +143,15 @@ def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:
     symbol disappears.
     """
     positive_int("s", s)
-    labels = {(i, j): k for i, j, k in pls.triples}
-    symbols = len(set(labels.values()))
-    if not (symbols <= s <= len(labels)):
+    layers: Layers = {}
+    for i, j, k in pls.triples:
+        layers.setdefault(k, []).append((i, j))
+    if not (len(layers) <= s <= pls.volume):
         raise PreconditionViolated(
-            f"target symbol count {s} outside [{symbols}, {len(labels)}]"
+            f"target symbol count {s} outside [{len(layers)}, {pls.volume}]"
         )
-    _split(labels, s)
-    return _square(labels)
+    _split(layers, s)
+    return _square(layers)
 
 
 def _require_feasible(report: FeasibilityReport) -> None:
@@ -158,9 +166,9 @@ def _require_volume(v: int) -> None:
 
 
 def _build(n: tuple[int, ...], m: tuple[int, ...], s: int) -> PartialLatinSquare:
-    labels = _fill(realize_degree_matrix(n, m))
-    _split(labels, s)
-    return _square(labels)
+    layers = _fill(realize_degree_matrix(n, m))
+    _split(layers, s)
+    return _square(layers)
 
 
 def build_theorem(n: Sequence[int], m: Sequence[int], s: int) -> PartialLatinSquare:

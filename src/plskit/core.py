@@ -16,6 +16,7 @@ order is the row-major order used throughout.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import repeat
 from typing import Iterable, NoReturn, Sequence
 
 from .errors import EmptyInput, PreconditionViolated, TriplePairError
@@ -81,17 +82,37 @@ class Triple(checked_namedtuple("Triple", AXES)):
         return f"({self.row}, {self.col}, {self.sym})"
 
 
+# A list, tuple or set whose elements are all tuples, lists or Triples is
+# label-checked in bulk, since it can be read twice.  Any other input
+# goes straight to the per-triple scan, which reads a generator or a
+# one-shot element exactly once.
+_BULK_INPUTS = frozenset((list, tuple, set, frozenset))
+_BULK_ELEMENTS = frozenset((tuple, list, Triple))
+
+
 def _check_triples(triples: Iterable) -> frozenset[Triple]:
     # The one pass that coerces, label-checks and clash-checks a square.
+    # Labels are checked in bulk: one C-level map makes every element a
+    # Triple, and the transposed axes show the arity, the exact int type
+    # and the positive minimum of every label.  The per-triple Triple(*t)
+    # scan runs only when that check fails: it walks the input in order,
+    # so it raises the first offender's error with an unchanged message,
+    # or accepts int-subclass labels.
     # A set collapses exact duplicates, and the square is clash-free
     # exactly when its (row, col), (row, sym) and (col, sym) projections
     # are all distinct.  The sorted scan runs only to name a clash: it
     # walks row-major order so the reported offending pair is
     # deterministic.
-    checked = frozenset(t if isinstance(t, Triple) else Triple(*t) for t in triples)
-    if not checked:
-        raise EmptyInput()
-    rows, cols, syms = zip(*checked)
+    axes = None
+    if type(triples) in _BULK_INPUTS and _BULK_ELEMENTS.issuperset(map(type, triples)):
+        checked = frozenset(map(tuple.__new__, repeat(Triple), triples))
+        axes = _plain_axes(checked)
+    if axes is None:
+        checked = frozenset(t if isinstance(t, Triple) else Triple(*t) for t in triples)
+        if not checked:
+            raise EmptyInput()
+        axes = zip(*checked)
+    rows, cols, syms = axes
     if not (
         len(set(zip(rows, cols)))
         == len(set(zip(rows, syms)))
@@ -100,6 +121,20 @@ def _check_triples(triples: Iterable) -> frozenset[Triple]:
     ):
         _raise_first_clash(checked)
     return checked
+
+
+def _plain_axes(checked: frozenset[Triple]) -> tuple[tuple[int, ...], ...] | None:
+    # The rows, columns and symbols of ``checked`` if it is nonempty, each
+    # triple has three labels and every label is a plain positive int;
+    # else None.
+    try:
+        rows, cols, syms = zip(*checked, strict=True)
+    except ValueError:
+        return None
+    for axis in (rows, cols, syms):
+        if not ({int}.issuperset(map(type, axis)) and min(axis) > 0):
+            return None
+    return rows, cols, syms
 
 
 # Each injectivity condition: the two coordinates a clash repeats, and its name.

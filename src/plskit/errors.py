@@ -13,6 +13,11 @@ class EmptyInput(PlsError):
     def __init__(self) -> None:
         super().__init__("a partial Latin square must be nonempty")
 
+    def __reduce__(self):
+        # Copies and pickles call __init__ with its own arguments, not with
+        # the message that .args holds; likewise below.
+        return type(self), (), self.__dict__
+
 
 class TriplePairError(PlsError):
     """Two triples violate one injectivity condition, which ``description`` names."""
@@ -22,6 +27,9 @@ class TriplePairError(PlsError):
         self.first = first
         self.second = second
         super().__init__(f"{description}: {first} and {second}")
+
+    def __reduce__(self):
+        return type(self), (self.description, self.first, self.second), self.__dict__
 
 
 class NoSaturation(PlsError):
@@ -35,6 +43,9 @@ class NoSaturation(PlsError):
             f"no matching saturates the {side}-side targets; "
             f"set {{{members}}} has more members than neighbors"
         )
+
+    def __reduce__(self):
+        return type(self), (self.side, self.witness), self.__dict__
 
 
 class PreconditionViolated(PlsError, ValueError):

@@ -443,3 +443,68 @@ class TestGoldenDigests:
     )
     def test_build_theorem_digest_is_pinned(self, args, digest):
         assert square_digest(build_theorem(*args)) == digest
+
+
+def sparse_profile(side: int, density: float, seed: int):
+    """Nonzero line counts of a random side x side 0-1 matrix of the given density."""
+    rng = random.Random(seed)
+    cells = {(i, j) for i in range(1, side + 1) for j in range(1, side + 1) if rng.random() < density}
+    cs = CellSet(frozenset(cells), rows=side, cols=side)
+    return tuple(k for k in cs.row_counts() if k), tuple(k for k in cs.col_counts() if k)
+
+
+def gappy_split(s: int):
+    """split_symbols on a Latin 8 whose symbol k is relabelled 3k + 7."""
+    base = build_theorem((8,) * 8, (8,) * 8, 8)
+    return split_symbols(validate((i, j, 3 * k + 7) for i, j, k in base.triples), s)
+
+
+def sparse_theorem(side: int, density: float, seed: int):
+    n, m = sparse_profile(side, density, seed)
+    return build_theorem(n, m, sum(n) // 2)
+
+
+def sparse_proposition(side: int, density: float, seed: int):
+    n, m = sparse_profile(side, density, seed)
+    return build_proposition(n, len(m), 2 * max(n + m))
+
+
+def sparse_corollary(side: int, density: float, seed: int):
+    n, m = sparse_profile(side, density, seed)
+    return build_corollary(len(n), len(m), 2 * max(n + m), sum(n))
+
+
+class TestGoldenSplitDigests:
+    """Squares whose symbols are split, shaped like the build-spread benchmark.
+
+    The digests were computed with square_digest at commit 0c70c1f, where
+    the fill and the split still handed each other a {(row, col): symbol}
+    map; a split that moves cells between per-symbol lists must reproduce
+    them byte for byte.
+    """
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (
+                lambda: sparse_theorem(300, 0.012, seed=11),
+                "c0bec329a95a5fcf21c6147207c3c88a75552c2fb3d74c8b4a90cacb967462d4",
+            ),
+            (
+                lambda: sparse_proposition(200, 0.015, seed=12),
+                "18254cd3221e9b263701e6e1e0c4ab20e4c60f705be3420e615772543e63e109",
+            ),
+            (
+                lambda: sparse_corollary(250, 0.012, seed=13),
+                "528c0e352eca913318e92c1257e58e0f99c88a0e43e979f42c5096f32bffea71",
+            ),
+            (
+                lambda: gappy_split(40),
+                "3029f1ed531aeae5a57e38424d1a8d4a2414be220d9ff261c9116ef9e5cd85dd",
+            ),
+        ],
+        ids=["theorem-half-volume", "proposition-twice-longest", "corollary-twice-longest",
+             "split-gappy-symbols"],
+    )
+    def test_split_digest_is_pinned(self, build, digest):
+        assert square_digest(build()) == digest

@@ -188,6 +188,136 @@ class TestValidateMatchesTheSortedScan:
         assert got == expected
 
 
+
+class Label(int):
+    """An int subclass: a label the per-triple check accepts."""
+
+
+def per_triple_reference(triples):
+    """validate's label check one triple at a time, then sorted_scan's clash scan."""
+    return sorted_scan(frozenset(t if isinstance(t, Triple) else Triple(*t) for t in triples))
+
+
+def any_outcome(check, make):
+    """The square, or the error with its message, of ``check`` on a fresh input."""
+    try:
+        return "ok", check(make())
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "first", None), getattr(exc, "second", None)
+
+
+# name -> a function making the input afresh, since some inputs are one-shot
+PARITY_CASES = {
+    "zero-row": lambda: [(1, 2, 2), (0, 1, 1)],
+    "negative-col": lambda: [(1, -1, 1)],
+    "true-sym": lambda: [(1, 1, True)],
+    "false-row": lambda: [(False, 1, 1)],
+    "all-true": lambda: [(True, True, True)],
+    "float-sym": lambda: [(1, 2, 2), (1, 1, 1.5)],
+    "integral-float": lambda: [(1.0, 1, 1)],
+    "none-col": lambda: [(1, None, 1)],
+    "str-row": lambda: [("x", 1, 1)],
+    "first-offender-in-input-order": lambda: [(1, 1, 1), (1, 0, 1), (0, 1, 1)],
+    "bad-label-after-clash": lambda: [(1, 1, 1), (1, 1, 2), (0, 1, 1)],
+    "int-subclass": lambda: [(Label(2), 1, Label(3)), (1, 1, 1)],
+    "int-subclass-clash": lambda: [(Label(1), 1, 1), (1, 1, 2)],
+    "int-subclass-zero": lambda: [(Label(0), 1, 1)],
+    "huge": lambda: [(1, 10**30, 1), (10**30, 1, 1)],
+    "huge-negative": lambda: [(-(10**30), 1, 1)],
+    "pair": lambda: [(1, 1)],
+    "quad": lambda: [(1, 1, 1, 1)],
+    "mixed-arity": lambda: [(1, 1, 1), (2, 2)],
+    "pairs-only": lambda: [(1, 1), (2, 2), (3, 3)],
+    "empty-element": lambda: [()],
+    "arity-before-label": lambda: [(1, 1), (0, 1, 1)],
+    "label-before-arity": lambda: [(0, 1, 1), (1, 1)],
+    "non-iterable-element": lambda: [(1, 1, 1), 5],
+    "none-element": lambda: [None],
+    "non-iterable-input": lambda: 5,
+    "empty-list": lambda: [],
+    "empty-generator": lambda: (t for t in ()),
+    "lists": lambda: [[1, 1, 1], [1, 2, 2], [2, 1, 2]],
+    "list-with-bad-label": lambda: [[1, 1, 1], [1, 2, 0]],
+    "set-elements": lambda: [{1, 2, 3}, {4, 5, 6}],
+    "short-set-element": lambda: [{1}],
+    "set-input": lambda: {(1, 1, 1), (1, 2, 2), (1, 2, 1)},
+    "frozenset-input": lambda: frozenset({(1, 1, 1), (2, 2, 2)}),
+    "tuple-input": lambda: ((1, 1, 1), (2, 1, 1)),
+    "triples": lambda: [Triple(1, 1, 1), Triple(1, 2, 1)],
+    "triples-and-tuples": lambda: [Triple(1, 1, 1), (1, 1, 1), (2, 2, 2)],
+    "generator": lambda: ((i, i, 1) for i in (1, 2, 0)),
+    "clean-generator": lambda: ((i, j, (i + j) % 3 + 1) for i in (1, 2, 3) for j in (1, 2, 3)),
+    "iterator-elements": lambda: [iter((1, 1, 1)), iter((2, 2, 2))],
+    "iterator-then-bad-label": lambda: [iter((1, 1, 1)), (0, 2, 2)],
+    "bad-iterator-then-non-iterable": lambda: [iter((0, 1, 1)), 5],
+    "generator-element": lambda: [(k for k in (1, 1, 1)), (1, 2, 2)],
+    "string-element": lambda: ["abc"],
+    "bytes-element": lambda: [bytes((1, 2, 3))],
+    "range-element": lambda: [range(1, 4), (2, 1, 1)],
+    "dict-input": lambda: {(1, 1, 1): None, (2, 2, 2): None},
+    "bad-label-behind-unhashable": lambda: [[0, 1, 1], (1, 1, 1)],
+}
+
+ODD_LABELS = st.sampled_from([0, -1, True, False, 1.5, None, "x", 10**30, Label(2)])
+LABELS = st.one_of(st.integers(1, 3), ODD_LABELS)
+ELEMENT_KINDS = ("tuple", "list", "iterator", "generator", "triple", "scalar")
+INPUT_KINDS = ("list", "tuple", "set", "frozenset", "generator")
+
+
+def make_element(kind, labels):
+    if kind == "list":
+        return list(labels)
+    if kind == "iterator":
+        return iter(labels)
+    if kind == "generator":
+        return (k for k in labels)
+    if kind == "triple":
+        try:
+            return Triple(*labels)
+        except (TypeError, ValueError):
+            return tuple(labels)
+    if kind == "scalar":
+        return labels[0] if labels else None
+    return tuple(labels)
+
+
+def make_input(kind, recipe):
+    if kind in ("set", "frozenset"):
+        # A set iterates its elements in hash order, so only elements that
+        # hash alike on every build keep the first offender fixed.
+        elements = [tuple(labels) for _, labels in recipe]
+        return set(elements) if kind == "set" else frozenset(elements)
+    elements = [make_element(*entry) for entry in recipe]
+    if kind == "generator":
+        return (t for t in elements)
+    return elements if kind == "list" else tuple(elements)
+
+
+class TestValidateMatchesThePerTripleCheck:
+    # The bulk label check must give exactly what the per-triple check
+    # gave: the same square, or the same first offender's error.
+    @pytest.mark.parametrize("make", PARITY_CASES.values(), ids=PARITY_CASES)
+    def test_corpus(self, make):
+        got = any_outcome(lambda ts: validate(ts).triples, make)
+        assert got == any_outcome(per_triple_reference, make)
+
+    @settings(max_examples=500)
+    @given(
+        st.sampled_from(INPUT_KINDS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(ELEMENT_KINDS),
+                st.one_of(st.lists(LABELS, min_size=3, max_size=3), st.lists(LABELS, max_size=4)),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_random_inputs(self, kind, recipe):
+        make = lambda: make_input(kind, recipe)  # noqa: E731
+        got = any_outcome(lambda ts: validate(ts).triples, make)
+        assert got == any_outcome(per_triple_reference, make)
+
+
 class TestParametersOf:
     def test_single_cell(self):
         profile = parameters_of(validate([(1, 1, 1)]))

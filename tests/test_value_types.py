@@ -11,16 +11,22 @@ import pytest
 
 from plskit import (
     Budget,
+    BudgetExceeded,
     CellSet,
     DocumentError,
     EmptyInput,
+    Infeasible,
+    NoSaturation,
     ParameterProfile,
     PartialLatinSquare,
     PlsDocument,
+    PlsError,
     PreconditionViolated,
     SpecDocument,
     SweepResult,
+    Triple,
     TriplePairError,
+    check_sizes,
     validate,
 )
 import plskit
@@ -116,6 +122,34 @@ def test_equal_instances_hash_equal_and_survive_copies(cls):
     for twin in (copy.copy(first), copy.deepcopy(first), pickle.loads(pickle.dumps(first))):
         assert type(twin) is cls and twin == first
 
+
+
+# public error class -> a function building one instance with every attribute set
+ERRORS = {
+    PlsError: lambda: PlsError("boom"),
+    EmptyInput: EmptyInput,
+    TriplePairError: lambda: TriplePairError(
+        "two triples occupy the same cell", Triple(1, 1, 1), Triple(1, 1, 2)
+    ),
+    NoSaturation: lambda: NoSaturation("left", frozenset({2, 3})),
+    PreconditionViolated: lambda: PreconditionViolated("s must be a positive integer"),
+    Infeasible: lambda: Infeasible("no such square", report=check_sizes(1, 1, 1, 2), witness=(1, 2)),
+    BudgetExceeded: lambda: BudgetExceeded("volume 9 above the budget cap 8"),
+    DocumentError: lambda: DocumentError("triples must be a nonempty array"),
+}
+PUBLIC_ERRORS = [
+    error
+    for error in map(plskit.__dict__.get, plskit.__all__)
+    if isinstance(error, type) and issubclass(error, PlsError)
+]
+
+
+@pytest.mark.parametrize("cls", PUBLIC_ERRORS, ids=lambda cls: cls.__name__)
+def test_errors_survive_copies_and_pickles(cls):
+    error = ERRORS[cls]()
+    for twin in (copy.copy(error), copy.deepcopy(error), pickle.loads(pickle.dumps(error))):
+        assert type(twin) is cls
+        assert (str(twin), twin.args, vars(twin)) == (str(error), error.args, vars(error))
 
 def test_a_square_equals_no_tuple():
     pls = square()
