@@ -14,7 +14,6 @@ from .builder import (
     split_symbols,
 )
 from .core import (
-    CellSet,
     ParameterProfile,
     PartialLatinSquare,
     Triple,
@@ -54,7 +53,6 @@ from .sweep import (
 __all__ = [
     "Budget",
     "BudgetExceeded",
-    "CellSet",
     "Condition",
     "DocumentError",
     "EmptyInput",

@@ -1,12 +1,12 @@
 """Constructions that realize a feasibility verdict as an explicit square.
 
-fill_symbols is the workhorse: it fills an arbitrary nonempty cell set
-with the fewest symbols possible, namely the maximum number of cells in
-any one line.  It peels one matching per symbol, from the heaviest count
-down to 1.  At count p, the rows and columns holding exactly p cells all
-have degree p in the occupancy graph of the remaining cells, whose
-maximum degree is p, so a matching covering all of them exists; removing
-it drops the maximum count to exactly p - 1.
+fill_symbols is the workhorse: it fills an arbitrary nonempty set of
+(row, col) cells with the fewest symbols possible, namely the maximum
+number of cells in any one line.  It peels one matching per symbol, from
+the heaviest count down to 1.  At count p, the rows and columns holding
+exactly p cells all have degree p in the occupancy graph of the
+remaining cells, whose maximum degree is p, so a matching covering all
+of them exists; removing it drops the maximum count to exactly p - 1.
 
 The peel keeps one row and one column adjacency list for the whole run.
 The lists are sorted once, line by line, not by sorting all cells; the
@@ -22,14 +22,16 @@ other regular profile.
 
 The three build_* entry points chain the feasibility predicate, the
 degree matrix realization, the symbol fill, and the symbol split into
-complete constructions for the three kinds of prescription.  The fill
-hands the split its layers as {symbol: [(row, col), ...]}; the split
-moves single cells out of a donor's list into lists of their own, and
-the square is validated once, when the finished layers become one
-triple list and then a PartialLatinSquare.  Its output is normalized
-without a relabeling pass: the realization fills every row 1..r and
-column 1..c, every peel layer is nonempty so the fill uses every symbol
-1..max, and the split adds symbols max+1, max+2, ...
+complete constructions for the three kinds of prescription.  The
+realization hands the fill a plain frozenset of cells, the fill hands
+the split its layers as {symbol: [(row, col), ...]}, and the split
+moves single cells out of a donor's list into lists of their own.  No
+stage re-checks the cells it is given: the one cell check of a build is
+validate, when the finished layers become one triple list and then a
+PartialLatinSquare.  Its output is normalized without a relabeling
+pass: the realization fills every row 1..r and column 1..c, every peel
+layer is nonempty so the fill uses every symbol 1..max, and the split
+adds symbols max+1, max+2, ...
 
 Each build_* validates its input in its own predicate and hands the
 checked or derived counts to realize_degree_matrix, whose own count
@@ -41,9 +43,9 @@ allocates anything proportional to the volume.
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .core import CellSet, PartialLatinSquare, positive_int, validate
+from .core import PartialLatinSquare, is_positive_int, positive_int, validate
 from .errors import BudgetExceeded, Infeasible, PreconditionViolated
 from .feasibility import (
     FeasibilityReport,
@@ -59,13 +61,13 @@ Layers = dict[int, list[tuple[int, int]]]  # symbol -> its (row, col) cells
 MAX_CELLS = 10**6  # the largest volume a builder constructs
 
 
-def _fill(cell_set: CellSet) -> Layers:
+def _fill(cells: frozenset[tuple[int, int]]) -> Layers:
     # One matching per symbol, heaviest count first.  After the layer for
     # count p is removed no remaining line holds p or more cells; the
     # loop checks this instead of assuming it.
     rows: dict[int, list[int]] = {}
     cols: dict[int, list[int]] = {}
-    for i, j in cell_set.cells:
+    for i, j in cells:
         rows.setdefault(i, []).append(j)
         cols.setdefault(j, []).append(i)
     for line in (*rows.values(), *cols.values()):
@@ -101,14 +103,29 @@ def _square(layers: Layers) -> PartialLatinSquare:
     return validate(triples)
 
 
-def fill_symbols(cell_set: CellSet) -> PartialLatinSquare:
-    """Fill the cells of ``cell_set`` using the minimum number of symbols.
+def _cell(cell) -> tuple[int, int]:
+    if not (
+        isinstance(cell, (tuple, list)) and len(cell) == 2 and all(map(is_positive_int, cell))
+    ):
+        raise PreconditionViolated(f"cell {cell!r} must be a (row, col) pair of positive integers")
+    return tuple(cell)
 
-    The result occupies exactly the given cells and its symbol count
-    equals the maximum line count of the cell set; the cells removed at
-    count p all receive symbol p.
+
+def fill_symbols(cells: Iterable[tuple[int, int]]) -> PartialLatinSquare:
+    """Fill the given (row, col) cells using the minimum number of symbols.
+
+    ``cells`` is any iterable of pairs of positive integers, read once; a
+    repeated cell counts once.  The result occupies exactly those cells
+    and its symbol count equals their maximum line count; the cells
+    removed at count p all receive symbol p.  Raises PreconditionViolated
+    for an empty input or any other cell.
     """
-    return _square(_fill(cell_set))
+    # Every cell is checked before the fill sorts any line, so labels of
+    # mixed types are refused here, not met as a TypeError in a sort.
+    cells = frozenset(map(_cell, cells))
+    if not cells:
+        raise PreconditionViolated("fill_symbols needs at least one cell")
+    return _square(_fill(cells))
 
 
 def _split(layers: Layers, s: int) -> None:

@@ -10,7 +10,10 @@ occupied rows are exactly 1..r, columns 1..c, and symbols 1..s.
 
 A Triple is a tuple ``(row, col, sym)`` whose labels were checked on
 construction; it compares and hashes equal to the plain tuple, and tuple
-order is the row-major order used throughout.
+order is the row-major order used throughout.  A set of cells is a plain
+frozenset of ``(row, col)`` tuples with no type of its own: the builders
+hand one from stage to stage, and a build checks its labels once, when
+validate checks the finished square.
 """
 
 from __future__ import annotations
@@ -294,50 +297,3 @@ def normalize(pls: PartialLatinSquare) -> PartialLatinSquare:
     return PartialLatinSquare(
         frozenset((rows[i], cols[j], syms[k]) for i, j, k in pls.triples)
     )
-
-
-class CellSet(checked_namedtuple("CellSet", ("cells", "rows", "cols"))):
-    """A nonempty set of board cells together with the board dimensions.
-
-    ``rows`` and ``cols`` bound the board: every cell (i, j) satisfies
-    1 <= i <= rows and 1 <= j <= cols.  Lines outside the occupied range
-    still count as (empty) lines of the board, so ``row_counts`` and
-    ``col_counts`` report them as zeros.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, cells: Iterable[tuple[int, int]], rows: int, cols: int) -> "CellSet":
-        if not isinstance(cells, frozenset):
-            cells = frozenset(tuple(c) for c in cells)
-        if not (is_positive_int(rows) and is_positive_int(cols)):
-            raise ValueError(f"board dimensions must be positive integers, got {rows!r} x {cols!r}")
-        if not cells:
-            raise ValueError("cell set must be nonempty")
-        for i, j in cells:
-            # Plain ints on the board pass without two calls per cell.
-            if type(i) is type(j) is int and 0 < i <= rows and 0 < j <= cols:
-                continue
-            if not (is_positive_int(i) and is_positive_int(j)):
-                raise ValueError(f"cell ({i!r}, {j!r}) must have positive integer coordinates")
-            if i > rows or j > cols:
-                raise ValueError(f"cell ({i}, {j}) outside the {rows} x {cols} board")
-        return tuple.__new__(cls, (cells, rows, cols))
-
-    @property
-    def volume(self) -> int:
-        return len(self.cells)
-
-    def row_counts(self) -> tuple[int, ...]:
-        """Cells per board row, including zero entries for empty rows."""
-        counts = [0] * self.rows
-        for i, _ in self.cells:
-            counts[i - 1] += 1
-        return tuple(counts)
-
-    def col_counts(self) -> tuple[int, ...]:
-        """Cells per board column, including zero entries for empty columns."""
-        counts = [0] * self.cols
-        for _, j in self.cells:
-            counts[j - 1] += 1
-        return tuple(counts)

@@ -12,7 +12,7 @@ from collections import namedtuple
 from typing import Any
 
 from . import builder
-from .core import PartialLatinSquare, checked_namedtuple, is_positive_int, validate
+from .core import PartialLatinSquare, Triple, checked_namedtuple, validate
 from .errors import BudgetExceeded, DocumentError, PreconditionViolated
 from .oracle import check_prescription
 
@@ -35,18 +35,6 @@ def _load_object(text: str) -> dict:
     return data
 
 
-def _int_field(value: Any, where: str) -> int:
-    if not is_positive_int(value):
-        raise DocumentError(f"{where} must be a positive integer, got {value!r}")
-    return value
-
-
-def _int_list(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise DocumentError(f"{where} must be a nonempty array")
-    return tuple(_int_field(k, f"{where} entry") for k in value)
-
-
 class PlsDocument(namedtuple("PlsDocument", ("triples",))):
     """Wire form of one partial Latin square: a list of triples."""
 
@@ -66,7 +54,10 @@ class PlsDocument(namedtuple("PlsDocument", ("triples",))):
         for entry in raw:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise DocumentError(f"each triple must be a three element array, got {entry!r}")
-            triples.append(tuple(_int_field(k, "triple entry") for k in entry))
+            try:
+                triples.append(Triple(*entry))
+            except ValueError as exc:
+                raise DocumentError(str(exc)) from None
         return cls(tuple(triples))
 
     def to_pls(self) -> PartialLatinSquare:
@@ -115,9 +106,12 @@ class SpecDocument(
         data = _load_object(text)
         kwargs: dict[str, Any] = {}
         for name in cls._fields:
-            if data.get(name) is not None:
-                parse = _int_list if name in _LIST_FIELDS else _int_field
-                kwargs[name] = parse(data[name], name)
+            value = data.get(name)
+            if value is not None and name in _LIST_FIELDS:
+                if not isinstance(value, list):
+                    raise DocumentError(f"{name} must be an array")
+                value = tuple(value)
+            kwargs[name] = value
         return cls(**kwargs)
 
 

@@ -1,11 +1,13 @@
 """Constructing cell sets with prescribed line counts.
 
-realize_degree_matrix builds a 0-1 matrix with given row and column sums
-by the classical greedy argument behind the Gale-Ryser theorem: each row,
-taken in decreasing count order, goes to the columns with the most demand
-left.  A bucket queue of columns keyed by remaining demand replaces a sort
-of every column per row, so beyond one sort of the rows the cost is
-proportional to the cells placed and the demand levels visited.  A row
+realize_degree_matrix builds a 0-1 matrix with given row and column sums,
+returned as the plain frozenset of its (row, col) cells, which the
+builders fill as they are.  It follows the classical greedy argument
+behind the Gale-Ryser theorem: each row, taken in decreasing count
+order, goes to the columns with the most demand left.  A bucket queue
+of columns keyed by remaining demand replaces a sort of every column
+per row, so beyond one sort of the rows the cost is proportional to
+the cells placed and the demand levels visited.  A row
 that finds too few columns names its witness with the dominance scan
 check_construction runs, so both report the same prefix pair.
 distribute_rows splits a volume into near equal line counts.  That split
@@ -20,13 +22,16 @@ from __future__ import annotations
 from bisect import insort
 from typing import Sequence
 
-from .core import CellSet, positive_int, positive_ints
+from .core import positive_int, positive_ints
 from .errors import Infeasible, PreconditionViolated
 from .feasibility import _worst_pair
 
 
-def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
+def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> frozenset[tuple[int, int]]:
     """Place sum(n) cells so row i holds n[i] of them and column j holds m[j].
+
+    Returns the frozenset of (row, col) cells, rows numbered 1..len(n) and
+    columns 1..len(m).
 
     Rows are processed in decreasing count order (ties by index) and each
     row's cells go to the columns with the largest remaining demand (ties
@@ -103,7 +108,7 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> CellSet:
         low = max(top - 1, 0)
         landed = {demand for demand, _ in moves if demand}
         demands[low:] = sorted(landed.union(demands[low : top + 1]))
-    return CellSet(frozenset(cells), rows=len(n), cols=len(m))
+    return frozenset(cells)
 
 
 def distribute_rows(v: int, r: int, cap: int) -> tuple[int, ...]:

@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import strategies as st
 
-from plskit import CellSet, PartialLatinSquare, validate
+from plskit import PartialLatinSquare, validate
 
 
 @st.composite
@@ -36,7 +36,8 @@ def squares(draw, max_rows: int = 4, max_cols: int = 4, max_symbols: int = 4,
 
 
 @st.composite
-def cell_sets(draw, max_rows: int = 6, max_cols: int = 6) -> CellSet:
+def cell_sets(draw, max_rows: int = 6, max_cols: int = 6) -> frozenset[tuple[int, int]]:
+    """A random nonempty frozenset of (row, col) cells on a small board."""
     rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(1, max_cols))
     cells = draw(
@@ -46,7 +47,21 @@ def cell_sets(draw, max_rows: int = 6, max_cols: int = 6) -> CellSet:
             max_size=rows * cols,
         )
     )
-    return CellSet(frozenset(cells), rows=rows, cols=cols)
+    return frozenset(cells)
+
+
+def line_counts(cells, rows: int, cols: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cells per row 1..rows and per column 1..cols, in index order, zeros included.
+
+    A cell off that board fails the assertion, so counts that match also
+    place every cell on the board.
+    """
+    row_counts, col_counts = [0] * rows, [0] * cols
+    for i, j in cells:
+        assert 1 <= i <= rows and 1 <= j <= cols, f"cell {(i, j)} off the {rows} x {cols} board"
+        row_counts[i - 1] += 1
+        col_counts[j - 1] += 1
+    return tuple(row_counts), tuple(col_counts)
 
 
 @st.composite

@@ -13,7 +13,6 @@ import pytest
 
 from plskit import (
     Budget,
-    CellSet,
     build_corollary,
     build_proposition,
     build_theorem,
@@ -29,10 +28,18 @@ from plskit import (
     saturating_matching,
     validate,
 )
-from plskit.sweep import sweep_row_params, sweep_sizes, sweep_theorem
+from plskit.sweep import (
+    row_params_tuples,
+    sizes_tuples,
+    sweep_row_params,
+    sweep_sizes,
+    sweep_theorem,
+    theorem_tuples,
+)
 
 from conftest import (
     adjacency,
+    line_counts,
     ordered_row_params_tuples,
     ordered_sizes_tuples,
     ordered_theorem_tuples,
@@ -110,15 +117,15 @@ def test_criteria_1_to_3_grown_ranges(sweep, bounds):
     )
 
 
-def test_criterion_4_constructive_soundness():
-    # Every ordered case, not one per class: the builders take the order
-    # and the roles of the families as given.
+def soundness_failures(theorem_cases, rows_cases, sizes_cases):
+    """Build every case its predicate accepts and read its parameters back.
+
+    Returns the number of builds and the cases whose square misses its
+    prescription or is not normalized.
+    """
     failures = []
     built = 0
-    walked = []
-    cases = list(ordered_theorem_tuples(3, 3, 9))
-    walked.append(len(cases))
-    for n, m, s in cases:
+    for n, m, s in theorem_cases:
         if not check_construction(n, m, s).feasible:
             continue
         built += 1
@@ -132,9 +139,7 @@ def test_criterion_4_constructive_soundness():
             failures.append(("theorem", n, m, s))
         elif normalize(pls) != pls:
             failures.append(("theorem", n, m, s, "not normalized"))
-    cases = list(ordered_row_params_tuples(3, 3, 3))
-    walked.append(len(cases))
-    for n, c, s in cases:
+    for n, c, s in rows_cases:
         if not check_row_params(n, c, s).feasible:
             continue
         built += 1
@@ -144,9 +149,7 @@ def test_criterion_4_constructive_soundness():
             failures.append(("rows", n, c, s))
         elif normalize(pls) != pls:
             failures.append(("rows", n, c, s, "not normalized"))
-    cases = list(ordered_sizes_tuples(3, 9))
-    walked.append(len(cases))
-    for r, c, s, v in cases:
+    for r, c, s, v in sizes_cases:
         if not check_sizes(r, c, s, v).feasible:
             continue
         built += 1
@@ -156,10 +159,38 @@ def test_criterion_4_constructive_soundness():
             failures.append(("sizes", r, c, s, v))
         elif normalize(pls) != pls:
             failures.append(("sizes", r, c, s, v, "not normalized"))
+    return built, failures
+
+
+def test_criterion_4_constructive_soundness():
+    # Every ordered case, not one per class: the builders take the order
+    # and the roles of the families as given.
+    cases = (
+        list(ordered_theorem_tuples(3, 3, 9)),
+        list(ordered_row_params_tuples(3, 3, 3)),
+        list(ordered_sizes_tuples(3, 9)),
+    )
+    walked = [len(kind) for kind in cases]
+    built, failures = soundness_failures(*cases)
     report(
         "criterion 4: constructive soundness on every feasible tuple",
         not failures and walked == [819, 351, 243],
         f"{built} builds over {walked} cases, {len(failures)} failures",
+    )
+
+
+def test_criterion_4_constructive_soundness_on_the_grown_ranges():
+    # One case per class on the largest grown ranges above, where the
+    # builders meet longer lines and more symbols than criterion 4's.
+    started = time.monotonic()
+    built, failures = soundness_failures(
+        theorem_tuples(5, 4, 14), row_params_tuples(5, 4, 5), sizes_tuples(8, 18)
+    )
+    elapsed = time.monotonic() - started
+    report(
+        "criterion 4: constructive soundness on the grown ranges",
+        not failures and built == 4240,
+        f"{built} builds, {len(failures)} failures, {elapsed:.1f}s",
     )
 
 
@@ -224,10 +255,9 @@ def test_criterion_6_fill_symbols_exactness():
         cells = frozenset(
             rng.sample([(i, j) for i in range(1, rows + 1) for j in range(1, cols + 1)], volume)
         )
-        cs = CellSet(cells, rows=rows, cols=cols)
-        pls = fill_symbols(cs)
-        top = max(max(cs.row_counts()), max(cs.col_counts()))
-        if {t[:2] for t in pls.triples} != cs.cells or len({t.sym for t in pls.triples}) != top:
+        pls = fill_symbols(cells)
+        top = max(max(counts) for counts in line_counts(cells, rows, cols))
+        if {t[:2] for t in pls.triples} != cells or len({t.sym for t in pls.triples}) != top:
             failures += 1
     report(
         "criterion 6: fill_symbols exact on 10,000 random cell sets",
@@ -289,11 +319,7 @@ def test_criterion_8_degree_matrix_realization():
         produced += 1
         first = realize_degree_matrix(n, m)
         second = realize_degree_matrix(n, m)
-        if (
-            first.row_counts() != n
-            or first.col_counts() != m
-            or second.cells != first.cells
-        ):
+        if line_counts(first, len(n), len(m)) != (n, m) or second != first:
             failures += 1
     report(
         "criterion 8: Gale-Ryser realization on 1,000 feasible pairs",

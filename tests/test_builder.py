@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import plskit.builder
 from plskit import (
     BudgetExceeded,
-    CellSet,
     Infeasible,
     PreconditionViolated,
     Triple,
@@ -28,14 +27,14 @@ from plskit import (
     validate,
 )
 
-from conftest import adjacency, cell_sets, squares
+from conftest import adjacency, cell_sets, line_counts, squares
 
 
-def max_line_count(cs: CellSet) -> int:
-    return max(max(cs.row_counts()), max(cs.col_counts()))
+def max_line_count(cells) -> int:
+    return max(max(Counter(i for i, _ in cells).values()), max(Counter(j for _, j in cells).values()))
 
 
-def peel_layers(cs: CellSet):
+def peel_layers(cs):
     """fill_symbols' peel as (count, cells) pairs, heaviest first.
 
     The cells peeled at count p are the ones labelled p.
@@ -48,21 +47,17 @@ def peel_layers(cs: CellSet):
 
 class TestPeelLayers:
     def test_layers_partition_and_peel(self):
-        cs = CellSet(
-            frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)}), rows=3, cols=3
-        )
+        cs = frozenset({(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)})
         layers = peel_layers(cs)
         assert [p for p, _ in layers] == [3, 2, 1]
         seen = set()
         for _, layer in layers:
             assert not (seen & layer)
             seen |= layer
-        assert seen == cs.cells
+        assert seen == cs
 
     def test_each_layer_is_a_matching(self):
-        cs = CellSet(
-            frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}), rows=2, cols=2
-        )
+        cs = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
         for _, layer in peel_layers(cs):
             rows = [i for i, _ in layer]
             cols = [j for _, j in layer]
@@ -71,7 +66,7 @@ class TestPeelLayers:
 
     @given(cell_sets())
     def test_peeling_lowers_the_max_count_by_one(self, cs):
-        remaining = set(cs.cells)
+        remaining = set(cs)
         expected = max_line_count(cs)
         for p, layer in peel_layers(cs):
             assert p == expected
@@ -88,9 +83,9 @@ class TestPeelLayers:
         assert not remaining
 
 
-def reference_layers(cs: CellSet):
+def reference_layers(cs):
     """The plain peel: both saturating matchings and the merge at every layer."""
-    remaining = set(cs.cells)
+    remaining = set(cs)
     while remaining:
         rows, cols = adjacency(remaining, "left"), adjacency(remaining, "right")
         p = max(max(map(len, rows.values())), max(map(len, cols.values())))
@@ -103,10 +98,11 @@ def reference_layers(cs: CellSet):
         remaining -= layer
 
 
-def dense_board(side: int, density: float, seed: int) -> CellSet:
+def dense_board(side: int, density: float, seed: int) -> frozenset[tuple[int, int]]:
     rng = random.Random(seed)
-    cells = {(i, j) for i in range(1, side + 1) for j in range(1, side + 1) if rng.random() < density}
-    return CellSet(frozenset(cells), rows=side, cols=side)
+    return frozenset(
+        (i, j) for i in range(1, side + 1) for j in range(1, side + 1) if rng.random() < density
+    )
 
 
 class TestReferencePeel:
@@ -121,7 +117,7 @@ class TestReferencePeel:
     @pytest.mark.parametrize(
         "cs",
         [
-            CellSet(frozenset((i, j) for i in range(1, 31) for j in range(1, 31)), rows=30, cols=30),
+            frozenset((i, j) for i in range(1, 31) for j in range(1, 31)),
             dense_board(30, 0.8, seed=7),
         ],
         ids=["latin-30", "dense-30"],
@@ -132,27 +128,55 @@ class TestReferencePeel:
 
 class TestFillSymbols:
     def test_three_cell_trace(self):
-        cs = CellSet(frozenset({(1, 1), (1, 2), (2, 1)}), rows=2, cols=2)
+        cs = frozenset({(1, 1), (1, 2), (2, 1)})
         pls = fill_symbols(cs)
         assert pls.triples == frozenset(
             {Triple(1, 1, 2), Triple(1, 2, 1), Triple(2, 1, 1)}
         )
 
     def test_full_board_gives_latin_square(self):
-        cs = CellSet(frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}), rows=2, cols=2)
+        cs = frozenset({(1, 1), (1, 2), (2, 1), (2, 2)})
         pls = fill_symbols(cs)
         assert parameters_of(pls).sym_params == (2, 2)
 
     def test_diagonal_uses_one_symbol(self):
-        cs = CellSet(frozenset({(1, 1), (2, 2), (3, 3)}), rows=3, cols=3)
+        cs = frozenset({(1, 1), (2, 2), (3, 3)})
         pls = fill_symbols(cs)
         assert {t.sym for t in pls.triples} == {1}
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            pytest.param([], id="empty"),
+            pytest.param([(0, 1)], id="row-0"),
+            pytest.param([(1, -1)], id="col-minus-1"),
+            pytest.param([(True, 1)], id="row-True"),
+            pytest.param([(1, True)], id="col-True"),
+            pytest.param([(1.5, 1)], id="row-1.5"),
+            pytest.param([(1, 1.5)], id="col-1.5"),
+            pytest.param([("1", 1)], id="row-str"),
+            pytest.param([(1, None)], id="col-None"),
+            pytest.param([(1, 1, 1)], id="triple"),
+            pytest.param([(1, 1), ("a", 2)], id="mixed-label-types"),
+        ],
+    )
+    def test_rejects_bad_input(self, cells):
+        # PreconditionViolated, never a TypeError from sorting the labels.
+        with pytest.raises(PreconditionViolated):
+            fill_symbols(cells)
+
+    def test_any_iterable_gives_the_square_of_its_set(self):
+        cells = [(1, 1), (1, 2), (2, 1), (3, 3)]
+        expected = fill_symbols(frozenset(cells))
+        assert fill_symbols(cell for cell in cells) == expected
+        assert fill_symbols(cells + cells[:2]) == expected
+        assert fill_symbols([list(cell) for cell in cells]) == expected
 
     @settings(max_examples=300)
     @given(cell_sets())
     def test_support_and_symbol_count_are_exact(self, cs):
         pls = fill_symbols(cs)
-        assert {t[:2] for t in pls.triples} == cs.cells
+        assert {t[:2] for t in pls.triples} == cs
         assert len({t.sym for t in pls.triples}) == max_line_count(cs)
 
 
@@ -413,8 +437,7 @@ def square_digest(pls) -> str:
 
 def dense_profile(side: int, density: float, seed: int):
     """Line counts of dense_board, with s its longest line."""
-    cs = dense_board(side, density, seed)
-    n, m = cs.row_counts(), cs.col_counts()
+    n, m = line_counts(dense_board(side, density, seed), side, side)
     return n, m, max(n + m)
 
 
@@ -449,8 +472,8 @@ def sparse_profile(side: int, density: float, seed: int):
     """Nonzero line counts of a random side x side 0-1 matrix of the given density."""
     rng = random.Random(seed)
     cells = {(i, j) for i in range(1, side + 1) for j in range(1, side + 1) if rng.random() < density}
-    cs = CellSet(frozenset(cells), rows=side, cols=side)
-    return tuple(k for k in cs.row_counts() if k), tuple(k for k in cs.col_counts() if k)
+    n, m = line_counts(cells, side, side)
+    return tuple(k for k in n if k), tuple(k for k in m if k)
 
 
 def gappy_split(s: int):

@@ -129,6 +129,26 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, document, message",
+        [
+            (
+                ["verify", "-"],
+                '{"schema": "1", "triples": [[1, 1, 0]]}',
+                "sym label must be a positive integer, got 0",
+            ),
+            (
+                ["oracle", "exists", "--file", "-"],
+                '{"schema": "1", "rows": [2, 0]}',
+                "row_params must be a nonempty sequence of positive integers",
+            ),
+        ],
+        ids=["square", "prescription"],
+    )
+    def test_a_bad_number_in_a_document_gets_the_library_message(self, argv, document, message):
+        # Documents keep no number rule of their own: the message is core's.
+        assert invoke(argv, stdin_text=document) == (2, "", f"error: {message}\n")
+
     def test_missing_file(self):
         code, _, err = invoke(["verify", "/no/such/file.json"])
         assert code == 2

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plskit import (
-    CellSet,
     EmptyInput,
     ParameterProfile,
     Triple,
@@ -427,31 +426,3 @@ class TestNormalize:
     @given(squares())
     def test_profile_is_preserved(self, pls):
         assert parameters_of(normalize(pls)) == parameters_of(pls)
-
-
-class TestCellSet:
-    def test_counts_include_empty_lines(self):
-        cs = CellSet(frozenset({(1, 1), (1, 3)}), rows=2, cols=3)
-        assert cs.row_counts() == (2, 0)
-        assert cs.col_counts() == (1, 0, 1)
-        assert cs.volume == 2
-
-    def test_rejects_out_of_range_cells(self):
-        with pytest.raises(ValueError):
-            CellSet(frozenset({(3, 1)}), rows=2, cols=2)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            CellSet(frozenset(), rows=1, cols=1)
-
-    def test_rejects_bad_dimensions(self):
-        for bad in (0, True, 1.5):
-            with pytest.raises(ValueError):
-                CellSet(frozenset({(1, 1)}), rows=bad, cols=1)
-            with pytest.raises(ValueError):
-                CellSet(frozenset({(1, 1)}), rows=1, cols=bad)
-
-    @pytest.mark.parametrize("cell", [(1.5, 1), (1, 1.5), (True, 1), (1, True), ("1", 1)])
-    def test_rejects_non_integer_coordinates(self, cell):
-        with pytest.raises(ValueError, match="positive integer coordinates"):
-            CellSet(frozenset({cell}), rows=2, cols=2)

@@ -12,7 +12,6 @@ import pytest
 from plskit import (
     Budget,
     BudgetExceeded,
-    CellSet,
     DocumentError,
     EmptyInput,
     Infeasible,
@@ -41,7 +40,6 @@ def square():
 INSTANCES = {
     PartialLatinSquare: square,
     ParameterProfile: lambda: ParameterProfile((2, 1), (2, 1), (2, 1), 3),
-    CellSet: lambda: CellSet({(1, 1), (2, 2)}, 2, 3),
     Budget: lambda: Budget(max_rows=3),
     SweepResult: lambda: SweepResult(4, ((1, 2, True, False),)),
     PlsDocument: lambda: PlsDocument(((1, 1, 1),)),
@@ -65,10 +63,11 @@ INVALID = [
     (ParameterProfile, profile((), (1,), (1,), 1), ValueError),
     (ParameterProfile, profile((1,), (2,), (1,), 1), ValueError),
     (ParameterProfile, profile((1,), None, (1,), 1), TypeError),
-    (CellSet, {"cells": {(1, 1)}, "rows": 0, "cols": 1}, ValueError),
-    (CellSet, {"cells": set(), "rows": 1, "cols": 1}, ValueError),
-    (CellSet, {"cells": {(0, 1)}, "rows": 1, "cols": 1}, ValueError),
-    (CellSet, {"cells": {(2, 1)}, "rows": 1, "cols": 1}, ValueError),
+    # A document's numbers meet check_prescription's positivity rule.
+    (SpecDocument, {"rows": (2, 0)}, DocumentError),
+    (SpecDocument, {"rows": ()}, DocumentError),
+    (SpecDocument, {"rows": (True,)}, DocumentError),
+    (SpecDocument, {"v": "3"}, DocumentError),
     (SpecDocument, {"rows": None, "c": None, "s": None}, DocumentError),
     (SpecDocument, {"rows": (2, 1), "r": 3}, DocumentError),
     (SpecDocument, {"rows": (2, 1), "v": 4}, DocumentError),
@@ -197,9 +196,6 @@ def test_spec_document_turns_precondition_violations_into_document_errors(monkey
 def test_properties_and_classmethods_are_kept():
     params = ParameterProfile(row_params=[2, 1], col_params=(2, 1), sym_params=(1, 1, 1), volume=3)
     assert params.row_params == (2, 1) and (params.r, params.c, params.s) == (2, 2, 3)
-    cells = CellSet(cells=[[1, 1], (3, 1)], rows=3, cols=2)
-    assert cells.cells == frozenset({(1, 1), (3, 1)}) and cells.volume == 2
-    assert (cells.row_counts(), cells.col_counts()) == ((1, 0, 1), (2, 0))
     assert SweepResult(3, ()).clean and not SweepResult(3, ((1,),)).clean
     document = PlsDocument.from_pls(square())
     assert json.loads(document.to_json())["schema"] == "1" and document.to_pls() == square()
@@ -208,7 +204,7 @@ def test_properties_and_classmethods_are_kept():
 
 def test_the_public_names():
     assert sorted(plskit.__all__) == [
-        "Budget", "BudgetExceeded", "CellSet", "Condition", "DocumentError",
+        "Budget", "BudgetExceeded", "Condition", "DocumentError",
         "EmptyInput", "FeasibilityReport", "Infeasible", "NoSaturation",
         "ParameterProfile", "PartialLatinSquare", "PlsDocument", "PlsError",
         "PreconditionViolated", "SpecDocument", "SweepResult", "Triple",
