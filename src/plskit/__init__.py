@@ -25,7 +25,6 @@ from .core import (
 from .errors import (
     BudgetExceeded,
     DocumentError,
-    EmptyInput,
     Infeasible,
     NoSaturation,
     PlsError,
@@ -39,7 +38,7 @@ from .feasibility import (
     check_row_params,
     check_sizes,
 )
-from .formats import PlsDocument, SpecDocument, render_grid
+from .formats import PlsDocument, render_grid
 from .matching import merge_matchings, saturating_matching
 from .oracle import Budget, enumerate_pls, exists_full
 from .realization import distribute_rows, realize_degree_matrix
@@ -55,7 +54,6 @@ __all__ = [
     "BudgetExceeded",
     "Condition",
     "DocumentError",
-    "EmptyInput",
     "FeasibilityReport",
     "Infeasible",
     "NoSaturation",
@@ -64,7 +62,6 @@ __all__ = [
     "PlsDocument",
     "PlsError",
     "PreconditionViolated",
-    "SpecDocument",
     "SweepResult",
     "Triple",
     "TriplePairError",

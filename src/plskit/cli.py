@@ -22,9 +22,10 @@ from .errors import (
     Infeasible,
     PlsError,
     PreconditionViolated,
+    TriplePairError,
 )
 from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
-from .formats import PlsDocument, SpecDocument, render_grid
+from .formats import PlsDocument, prescription_from_json, render_grid
 from .oracle import Budget, enumerate_pls, exists_full
 from .sweep import sweep_row_params, sweep_sizes, sweep_theorem
 
@@ -76,8 +77,8 @@ _FORMS = {
     ),
 }
 
-# exists_full's constraints (name, type, metavar) in its parameter order,
-# enumerate_pls's caps and one flag per Budget field (name, default).
+# exists_full's constraints (name, type, metavar), enumerate_pls's caps
+# and one flag per Budget field (name, default).
 _CONSTRAINTS = (
     ("rows", _int_list, "N1,N2,..."),
     ("cols", _int_list, "M1,M2,..."),
@@ -148,7 +149,7 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
     document = PlsDocument.from_json(text)
     try:
         pls = document.to_pls()
-    except PlsError as exc:
+    except TriplePairError as exc:
         print(f"invalid: {exc}", file=out)
         return EXIT_NEGATIVE
     profile = parameters_of(pls)
@@ -161,14 +162,12 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
 
 
 def _cmd_oracle_exists(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
-    # The flags and a SpecDocument's fields both list the constraints in
-    # the order of exists_full's parameters.
-    constraints = _values(args, _CONSTRAINTS)
+    constraints = {flag: getattr(args, flag) for flag, _, _ in _CONSTRAINTS}
     if args.file is not None:
-        if any(value is not None for value in constraints):
+        if any(value is not None for value in constraints.values()):
             raise PreconditionViolated("give either --file or constraint flags, not both")
-        constraints = SpecDocument.from_json(_read_source(args.file, fin))
-    found, witness = exists_full(*constraints, budget=Budget(*_values(args, _BUDGET)))
+        constraints = prescription_from_json(_read_source(args.file, fin))
+    found, witness = exists_full(**constraints, budget=Budget(*_values(args, _BUDGET)))
     if found:
         print("exists", file=out)
         print(PlsDocument.from_pls(witness).to_json(), file=out)

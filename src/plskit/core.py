@@ -22,7 +22,7 @@ from collections import Counter, namedtuple
 from itertools import repeat
 from typing import Iterable, NoReturn, Sequence
 
-from .errors import EmptyInput, PreconditionViolated, TriplePairError
+from .errors import PreconditionViolated, TriplePairError
 
 AXES = ("row", "col", "sym")
 
@@ -95,12 +95,14 @@ _BULK_ELEMENTS = frozenset((tuple, list, Triple))
 
 def _check_triples(triples: Iterable) -> frozenset[Triple]:
     # The one pass that coerces, label-checks and clash-checks a square.
-    # Labels are checked in bulk: one C-level map makes every element a
-    # Triple, and the transposed axes show the arity, the exact int type
-    # and the positive minimum of every label.  The per-triple Triple(*t)
-    # scan runs only when that check fails: it walks the input in order,
-    # so it raises the first offender's error with an unchanged message,
-    # or accepts int-subclass labels.
+    # Labels are checked in bulk: the transposed axes of the input show
+    # the arity, the exact int type and the positive minimum of every
+    # label before anything is hashed, so a label such as True or 1.0
+    # cannot collapse into an equal triple; then one C-level map makes
+    # every element a Triple.  The per-triple Triple(*t) scan runs only
+    # when that check fails: it walks the input in order, so it raises the
+    # first offender's error with an unchanged message, or accepts
+    # int-subclass labels.
     # A set collapses exact duplicates, and the square is clash-free
     # exactly when its (row, col), (row, sym) and (col, sym) projections
     # are all distinct.  The sorted scan runs only to name a clash: it
@@ -108,13 +110,14 @@ def _check_triples(triples: Iterable) -> frozenset[Triple]:
     # deterministic.
     axes = None
     if type(triples) in _BULK_INPUTS and _BULK_ELEMENTS.issuperset(map(type, triples)):
-        checked = frozenset(map(tuple.__new__, repeat(Triple), triples))
-        axes = _plain_axes(checked)
+        axes = _plain_axes(triples)
     if axes is None:
         checked = frozenset(t if isinstance(t, Triple) else Triple(*t) for t in triples)
         if not checked:
-            raise EmptyInput()
+            raise PreconditionViolated("a partial Latin square must be nonempty")
         axes = zip(*checked)
+    else:
+        checked = frozenset(map(tuple.__new__, repeat(Triple), triples))
     rows, cols, syms = axes
     if not (
         len(set(zip(rows, cols)))
@@ -126,12 +129,12 @@ def _check_triples(triples: Iterable) -> frozenset[Triple]:
     return checked
 
 
-def _plain_axes(checked: frozenset[Triple]) -> tuple[tuple[int, ...], ...] | None:
-    # The rows, columns and symbols of ``checked`` if it is nonempty, each
+def _plain_axes(triples: Iterable) -> tuple[tuple[int, ...], ...] | None:
+    # The rows, columns and symbols of ``triples`` if it is nonempty, each
     # triple has three labels and every label is a plain positive int;
     # else None.
     try:
-        rows, cols, syms = zip(*checked, strict=True)
+        rows, cols, syms = zip(*triples, strict=True)
     except ValueError:
         return None
     for axis in (rows, cols, syms):
@@ -214,8 +217,8 @@ def validate(triples: Iterable) -> PartialLatinSquare:
     """Check a set of triples and wrap it as a PartialLatinSquare.
 
     Accepts Triple instances or plain (row, col, sym) tuples.  Raises
-    EmptyInput, or TriplePairError naming the clash and its two offending
-    triples.
+    PreconditionViolated on no triples, ValueError on a bad label, or
+    TriplePairError naming the clash and its two offending triples.
     """
     return PartialLatinSquare(triples)
 

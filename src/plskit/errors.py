@@ -7,18 +7,6 @@ class PlsError(Exception):
     """Base class for every error raised by this package."""
 
 
-class EmptyInput(PlsError):
-    """A partial Latin square must contain at least one triple."""
-
-    def __init__(self) -> None:
-        super().__init__("a partial Latin square must be nonempty")
-
-    def __reduce__(self):
-        # Copies and pickles call __init__ with its own arguments, not with
-        # the message that .args holds; likewise below.
-        return type(self), (), self.__dict__
-
-
 class TriplePairError(PlsError):
     """Two triples violate one injectivity condition, which ``description`` names."""
 
@@ -29,6 +17,8 @@ class TriplePairError(PlsError):
         super().__init__(f"{description}: {first} and {second}")
 
     def __reduce__(self):
+        # Copies and pickles call __init__ with its own arguments, not with
+        # the message that .args holds; likewise below.
         return type(self), (self.description, self.first, self.second), self.__dict__
 
 

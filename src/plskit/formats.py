@@ -1,8 +1,10 @@
 """Serialized document formats used by the command line front end.
 
 Both documents are JSON objects carrying an explicit schema version so
-future revisions can stay backward compatible.  The grid rendering is a
-display aid only; nothing parses it.
+future revisions can stay backward compatible.  Reading a document checks
+only its JSON shape; its numbers are checked once, by the library: a
+square's labels by validate, a prescription's counts by check_prescription.
+The grid rendering is a display aid only; nothing parses it.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from collections import namedtuple
 from typing import Any
 
 from . import builder
-from .core import PartialLatinSquare, Triple, checked_namedtuple, validate
-from .errors import BudgetExceeded, DocumentError, PreconditionViolated
-from .oracle import check_prescription
+from .core import PartialLatinSquare, validate
+from .errors import BudgetExceeded, DocumentError
 
 SCHEMA_VERSION = "1"
 
@@ -46,23 +47,26 @@ class PlsDocument(namedtuple("PlsDocument", ("triples",))):
 
     @classmethod
     def from_json(cls, text: str) -> "PlsDocument":
+        """Read the document's shape: a nonempty array of three element arrays.
+
+        The labels are left to to_pls, which checks them once with the rest
+        of the square.
+        """
         data = _load_object(text)
         raw = data.get("triples")
         if not isinstance(raw, list) or not raw:
             raise DocumentError("triples must be a nonempty array")
-        triples = []
         for entry in raw:
             if not isinstance(entry, list) or len(entry) != 3:
                 raise DocumentError(f"each triple must be a three element array, got {entry!r}")
-            try:
-                triples.append(Triple(*entry))
-            except ValueError as exc:
-                raise DocumentError(str(exc)) from None
-        return cls(tuple(triples))
+        return cls(tuple(map(tuple, raw)))
 
     def to_pls(self) -> PartialLatinSquare:
-        """Validate and wrap; clashes raise the usual validation errors."""
-        return validate(self.triples)
+        """Validate and wrap: a bad label raises DocumentError, a clash TriplePairError."""
+        try:
+            return validate(self.triples)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -70,49 +74,22 @@ class PlsDocument(namedtuple("PlsDocument", ("triples",))):
         )
 
 
-_LIST_FIELDS = ("rows", "cols", "symbols")
-_SCALAR_FIELDS = ("r", "c", "s", "v")
+_FAMILIES = ("rows", "cols", "symbols")
 
 
-class SpecDocument(
-    checked_namedtuple(
-        "SpecDocument",
-        (*_LIST_FIELDS, *_SCALAR_FIELDS),
-        defaults=(None,) * 7,
-    )
-):
-    """Wire form of a prescription: parameter lists and scalar counts.
+def prescription_from_json(text: str) -> dict[str, Any]:
+    """A prescription document's constraints, as exists_full keyword arguments.
 
-    Every field is optional, but the fields must pass the oracle's
-    check_prescription: at least one constraint is present, each scalar
-    matches its list's length, and all implied volumes (list totals and v)
-    agree.
+    The document may give any of the lists rows, cols and symbols and the
+    counts r, c, s and v; an absent field is None.  Only the JSON shape is
+    checked here; exists_full's check_prescription checks the numbers,
+    under the same names.
     """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "SpecDocument":
-        # namedtuple binds the fields and their defaults; then the one
-        # check runs on the seven fields, in order.
-        self = super().__new__(cls, *args, **kwargs)
-        try:
-            check_prescription(*self)
-        except PreconditionViolated as exc:
-            raise DocumentError(str(exc)) from None
-        return self
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpecDocument":
-        data = _load_object(text)
-        kwargs: dict[str, Any] = {}
-        for name in cls._fields:
-            value = data.get(name)
-            if value is not None and name in _LIST_FIELDS:
-                if not isinstance(value, list):
-                    raise DocumentError(f"{name} must be an array")
-                value = tuple(value)
-            kwargs[name] = value
-        return cls(**kwargs)
+    data = _load_object(text)
+    for name in _FAMILIES:
+        if not isinstance(data.get(name), (list, type(None))):
+            raise DocumentError(f"{name} must be an array")
+    return {name: data.get(name) for name in (*_FAMILIES, "r", "c", "s", "v")}
 
 
 def render_grid(pls: PartialLatinSquare) -> str:

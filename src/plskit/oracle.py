@@ -5,8 +5,9 @@ a mix of constraints: parameter families matched as multisets and scalar
 line or volume counts matched exactly.  enumerate_pls streams every
 normalized square within given caps.  Neither function consults the
 feasibility predicates, so the two routes can be compared against each
-other in tests.  check_prescription is the one consistency check for a
-mix of constraints; exists_full and the CLI's SpecDocument both run it.
+other in tests.  check_prescription is the one check of a mix of
+constraints, run by exists_full on every call; its messages name each
+constraint as the CLI flags and prescription documents spell it.
 
 The witness exists_full returns is normalized and validated once.  The
 search itself fixes the row and symbol labels: a row is only used once
@@ -71,9 +72,9 @@ def _merge_scalar(name: str, scalar: int | None, family: tuple[int, ...] | None)
 
 
 def check_prescription(
-    row_params: Sequence[int] | None = None,
-    col_params: Sequence[int] | None = None,
-    sym_params: Sequence[int] | None = None,
+    rows: Sequence[int] | None = None,
+    cols: Sequence[int] | None = None,
+    symbols: Sequence[int] | None = None,
     r: int | None = None,
     c: int | None = None,
     s: int | None = None,
@@ -84,13 +85,13 @@ def check_prescription(
     Every given family and scalar must be positive, at least one
     constraint must be given, each scalar must equal the length of its
     family, and every implied volume (family totals and v) must agree.
-    Returns (row_params, col_params, sym_params, r, c, s, v) with the
-    families as tuples and every scalar or volume the others imply filled
-    in; raises PreconditionViolated otherwise.
+    Returns (rows, cols, symbols, r, c, s, v) with the families as
+    tuples and every scalar or volume the others imply filled in; raises
+    PreconditionViolated otherwise.
     """
-    rm = _family("row_params", row_params)
-    cm = _family("col_params", col_params)
-    sm = _family("sym_params", sym_params)
+    rm = _family("rows", rows)
+    cm = _family("cols", cols)
+    sm = _family("symbols", symbols)
     r_eff = _merge_scalar("r", r, rm)
     c_eff = _merge_scalar("c", c, cm)
     s_eff = _merge_scalar("s", s, sm)
@@ -108,9 +109,9 @@ def check_prescription(
 
 
 def exists_full(
-    row_params: Sequence[int] | None = None,
-    col_params: Sequence[int] | None = None,
-    sym_params: Sequence[int] | None = None,
+    rows: Sequence[int] | None = None,
+    cols: Sequence[int] | None = None,
+    symbols: Sequence[int] | None = None,
     r: int | None = None,
     c: int | None = None,
     s: int | None = None,
@@ -125,9 +126,7 @@ def exists_full(
     must agree.  Returns (True, witness) or (False, None); raises
     BudgetExceeded when the answer cannot be settled within the budget.
     """
-    rm, cm, sm, r_eff, c_eff, s_eff, v_eff = check_prescription(
-        row_params, col_params, sym_params, r, c, s, v
-    )
+    rm, cm, sm, r_eff, c_eff, s_eff, v_eff = check_prescription(rows, cols, symbols, r, c, s, v)
 
     # Board planning.  A dimension the caller pinned must fit the budget
     # outright; a free dimension is capped, and if the cap truncates the
@@ -159,8 +158,8 @@ def exists_full(
             truncated = True
 
     # Symmetry reductions, all induced by relabeling: row counts weakly
-    # decreasing (exactly the sorted targets when row_params is given),
-    # column counts weakly decreasing when col_params is given, and
+    # decreasing (exactly the sorted targets when rows is given),
+    # column counts weakly decreasing when cols is given, and
     # symbols first used in increasing order.
     row_target = tuple(sorted(rm, reverse=True)) if rm is not None else None
     col_target = tuple(sorted(cm, reverse=True)) if cm is not None else None

@@ -146,7 +146,7 @@ def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> 
     return _sweep(
         theorem_tuples(max_side, max_entry, max_cells),
         check_construction,
-        ("row_params", "col_params", "s"),
+        ("rows", "cols", "s"),
         (max_cells, max_side, max_side, max_cells),
     )
 
@@ -172,7 +172,7 @@ def sweep_row_params(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3
     return _sweep(
         row_params_tuples(max_side, max_entry, max_symbols),
         check_row_params,
-        ("row_params", "c", "s"),
+        ("rows", "c", "s"),
         (max_side * max_entry, max_side, max_side, max_symbols),
     )
 
@@ -180,10 +180,16 @@ def sweep_row_params(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3
 def sizes_tuples(
     max_side: int = 3, max_cells: int = 9
 ) -> Iterator[tuple[int, int, int, int]]:
-    """Canonical (r, c, s, v): r <= c <= s <= max_side and v <= max_cells."""
-    for r, c, s in itertools.combinations_with_replacement(range(1, max_side + 1), 3):
-        for v in range(1, max_cells + 1):
-            yield r, c, s, v
+    """Canonical (r, c, s, v): r <= c <= s <= max_side and v <= max_cells.
+
+    Nested ranges give (r, c, s) in lexicographic order without copying
+    a range, so memory does not grow with max_side.
+    """
+    for r in range(1, max_side + 1):
+        for c in range(r, max_side + 1):
+            for s in range(c, max_side + 1):
+                for v in range(1, max_cells + 1):
+                    yield r, c, s, v
 
 
 def sweep_sizes(max_side: int = 3, max_cells: int = 9) -> SweepResult:

@@ -11,6 +11,9 @@ from plskit import parameters_of, validate
 from plskit.cli import run
 
 
+FAMILY_RULE = "must be a nonempty sequence of positive integers"
+
+
 def invoke(argv, stdin_text=""):
     out = io.StringIO()
     err = io.StringIO()
@@ -137,16 +140,23 @@ class TestVerify:
                 '{"schema": "1", "triples": [[1, 1, 0]]}',
                 "sym label must be a positive integer, got 0",
             ),
-            (
-                ["oracle", "exists", "--file", "-"],
-                '{"schema": "1", "rows": [2, 0]}',
-                "row_params must be a nonempty sequence of positive integers",
+            *(
+                (["oracle", "exists", "--file", "-"], '{"schema": "1", %s}' % field, message)
+                for field, message in (
+                    ('"rows": [2, 0]', f"rows {FAMILY_RULE}"),
+                    ('"cols": []', f"cols {FAMILY_RULE}"),
+                    ('"symbols": [1, "2"]', f"symbols {FAMILY_RULE}"),
+                    ('"r": 0', "r must be a positive integer"),
+                )
             ),
         ],
-        ids=["square", "prescription"],
+        ids=[
+            "square", "prescription", "prescription-cols", "prescription-symbols", "prescription-r"
+        ],
     )
     def test_a_bad_number_in_a_document_gets_the_library_message(self, argv, document, message):
-        # Documents keep no number rule of their own: the message is core's.
+        # Documents keep no number rule of their own: the message is the
+        # library's, and it names the field the document spells.
         assert invoke(argv, stdin_text=document) == (2, "", f"error: {message}\n")
 
     def test_missing_file(self):
@@ -226,6 +236,35 @@ class TestOracle:
         )
         assert code == 0
         assert out.splitlines()[0] == "exists"
+
+    @pytest.mark.parametrize(
+        "argv, document",
+        [
+            (["oracle", "exists", "--rows", "2,1", "--s", "2"], ""),
+            (["oracle", "exists", "--file", "-"], '{"schema": "1", "rows": [2, 1], "s": 2}'),
+        ],
+        ids=["flags", "file"],
+    )
+    def test_each_prescription_is_checked_once(self, monkeypatch, argv, document):
+        # Wrap check_prescription wherever a module of the package holds it.
+        calls = []
+        original = plskit.oracle.check_prescription
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "plskit"]:
+            if getattr(module, "check_prescription", None) is original:
+                monkeypatch.setattr(module, "check_prescription", counted)
+        code, out, _ = invoke(argv, stdin_text=document)
+        assert (code, out.splitlines()[0]) == (0, "exists")
+        assert len(calls) == 1
+
+    def test_a_bad_family_flag_names_the_flag(self):
+        for flag in ("--rows", "--cols", "--symbols"):
+            message = f"error: {flag[2:]} {FAMILY_RULE}\n"
+            assert invoke(["oracle", "exists", flag, "2,0"]) == (2, "", message)
 
     def test_file_and_flags_conflict(self):
         code, _, err = invoke(

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plskit import (
-    EmptyInput,
     ParameterProfile,
+    PreconditionViolated,
     Triple,
     TriplePairError,
     conjugate,
@@ -75,7 +75,7 @@ class TestValidate:
         assert pls.volume == 2
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PreconditionViolated, match="^a partial Latin square must be nonempty$"):
             validate([])
 
     def test_duplicate_cell_names_the_pair(self):
@@ -116,6 +116,13 @@ class TestValidate:
         with pytest.raises(ValueError, match=f"^{axis} label must be a positive integer"):
             validate([(1, 2, 2), bad])
 
+    @pytest.mark.parametrize("bad", [(1, 1, True), (1, 1, 1.0), (1, [1], 1)])
+    def test_a_bad_label_is_refused_before_anything_is_hashed(self, bad):
+        # A label equal to an int must not collapse into the equal triple
+        # before it, and an unhashable one must not end in TypeError.
+        with pytest.raises(ValueError, match="label must be a positive integer"):
+            validate([(1, 1, 1), bad])
+
     def test_rejects_a_short_triple(self):
         with pytest.raises(TypeError):
             validate([(1, 1)])
@@ -154,7 +161,7 @@ def sorted_scan(triples):
     """The clash check as a plain row-major scan over every triple."""
     checked = frozenset(Triple(*t) for t in triples)
     if not checked:
-        raise EmptyInput()
+        raise PreconditionViolated("a partial Latin square must be nonempty")
     seen = ({}, {}, {})
     clashes = (
         "two triples occupy the same cell",
@@ -174,7 +181,7 @@ def sorted_scan(triples):
 def outcome(check, triples):
     try:
         return "ok", check(triples)
-    except (EmptyInput, TriplePairError) as exc:
+    except (PreconditionViolated, TriplePairError) as exc:
         return type(exc), str(exc), getattr(exc, "first", None), getattr(exc, "second", None)
 
 

@@ -1,6 +1,7 @@
 """Wire documents and the grid view."""
 
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -10,11 +11,13 @@ from plskit import (
     BudgetExceeded,
     DocumentError,
     PlsDocument,
-    SpecDocument,
+    PreconditionViolated,
     TriplePairError,
+    exists_full,
     render_grid,
     validate,
 )
+from plskit.formats import prescription_from_json
 
 from conftest import squares
 
@@ -50,12 +53,21 @@ class TestPlsDocument:
         for payload in (
             '{"schema": "1", "triples": []}',
             '{"schema": "1", "triples": [[1, 1]]}',
-            '{"schema": "1", "triples": [[1, 1, 0]]}',
-            '{"schema": "1", "triples": [[1, 1, true]]}',
+            '{"schema": "1", "triples": [[1, 1, 1], 5]}',
             '{"schema": "1", "triples": "x"}',
         ):
             with pytest.raises(DocumentError):
                 PlsDocument.from_json(payload)
+        # A bad label is left to validate, and to_pls reports core's message.
+        for triples, label in (
+            ("[[1, 1, 0]]", "0"),
+            ("[[1, 1, true]]", "True"),
+            ("[[1, 1, 1], [1, 2, 1.0]]", "1.0"),
+        ):
+            document = PlsDocument.from_json('{"schema": "1", "triples": %s}' % triples)
+            message = f"sym label must be a positive integer, got {label}"
+            with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+                document.to_pls()
 
     def test_clashing_document_fails_at_to_pls(self):
         doc = PlsDocument.from_json('{"schema": "1", "triples": [[1, 1, 1], [1, 2, 1]]}')
@@ -71,37 +83,34 @@ class TestPlsDocument:
         assert PlsDocument.from_json(text).to_pls() == pls
 
 
-class TestSpecDocument:
-    def test_requires_a_constraint(self):
-        with pytest.raises(DocumentError):
-            SpecDocument()
-
-    def test_scalar_list_agreement(self):
-        assert SpecDocument(rows=(2, 1), r=2).r == 2
-        with pytest.raises(DocumentError):
-            SpecDocument(rows=(2, 1), r=3)
-
-    def test_volume_agreement(self):
-        with pytest.raises(DocumentError):
-            SpecDocument(rows=(2, 1), cols=(2, 2))
-        with pytest.raises(DocumentError):
-            SpecDocument(rows=(2, 1), v=4)
-        assert SpecDocument(rows=(2, 1), v=3).v == 3
-
+class TestPrescriptionDocument:
+    # The reader checks the JSON shape only; exists_full checks the numbers.
     def test_from_json_field_types(self):
-        with pytest.raises(DocumentError):
-            SpecDocument.from_json('{"schema": "1", "rows": [2, "x"]}')
-        with pytest.raises(DocumentError):
-            SpecDocument.from_json('{"schema": "1", "r": 0}')
-        with pytest.raises(DocumentError):
-            SpecDocument.from_json('{"schema": "1"}')
+        for payload, message in (
+            ('["rows"]', "document must be a JSON object"),
+            ('{"rows": [2, 1]}', "unsupported schema None, expected '1'"),
+            ('{"schema": "1", "rows": 2}', "rows must be an array"),
+            ('{"schema": "1", "cols": "2,1"}', "cols must be an array"),
+            ('{"schema": "1", "symbols": {"1": 2}}', "symbols must be an array"),
+        ):
+            with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+                prescription_from_json(payload)
+        for payload, message in (
+            ('{"schema": "1", "rows": [2, "x"]}', "rows must be a nonempty sequence"),
+            ('{"schema": "1", "r": 0}', "r must be a positive integer"),
+            ('{"schema": "1"}', "at least one constraint is required"),
+        ):
+            with pytest.raises(PreconditionViolated, match=f"^{message}"):
+                exists_full(**prescription_from_json(payload))
 
     def test_full_document(self):
-        text = '{"schema": "1", "rows": [2, 1], "cols": [2, 1], "s": 2, "v": 3}'
-        doc = SpecDocument.from_json(text)
-        assert doc.rows == (2, 1)
-        assert doc.cols == (2, 1)
-        assert (doc.s, doc.v) == (2, 3)
+        text = '{"schema": "1", "rows": [2, 1], "cols": [2, 1], "s": 2, "v": 3, "note": "x"}'
+        assert prescription_from_json(text) == {
+            "rows": [2, 1], "cols": [2, 1], "symbols": None,
+            "r": None, "c": None, "s": 2, "v": 3,
+        }
+        found, _ = exists_full(**prescription_from_json(text))
+        assert found
 
 
 class TestRenderGrid:

@@ -77,16 +77,14 @@ def key_of(pls):
 
 class TestExistsFull:
     def test_all_families_witness(self):
-        found, witness = exists_full(
-            row_params=(2, 1), col_params=(2, 1), sym_params=(2, 1)
-        )
+        found, witness = exists_full(rows=(2, 1), cols=(2, 1), symbols=(2, 1))
         assert found
         assert witness.triples == frozenset(
             {Triple(1, 1, 1), Triple(1, 2, 2), Triple(2, 1, 2)}
         )
 
     def test_single_cell(self):
-        found, witness = exists_full(row_params=(1,), col_params=(1,), sym_params=(1,))
+        found, witness = exists_full(rows=(1,), cols=(1,), symbols=(1,))
         assert found
         assert witness.triples == frozenset({Triple(1, 1, 1)})
 
@@ -96,13 +94,13 @@ class TestExistsFull:
         assert witness is None
 
     def test_families_matched_as_multisets(self):
-        found_sorted, w1 = exists_full(row_params=(2, 1), col_params=(2, 1), s=2)
-        found_shuffled, w2 = exists_full(row_params=(1, 2), col_params=(1, 2), s=2)
+        found_sorted, w1 = exists_full(rows=(2, 1), cols=(2, 1), s=2)
+        found_shuffled, w2 = exists_full(rows=(1, 2), cols=(1, 2), s=2)
         assert found_sorted and found_shuffled
         assert w1 == w2
 
     def test_witness_satisfies_the_constraints(self):
-        found, witness = exists_full(row_params=(2, 2, 1), c=3, s=3)
+        found, witness = exists_full(rows=(2, 2, 1), c=3, s=3)
         assert found
         profile = parameters_of(witness)
         assert sorted(profile.row_params) == [1, 2, 2]
@@ -117,17 +115,17 @@ class TestExistsFull:
         with pytest.raises(PreconditionViolated):
             exists_full(r=True)
         with pytest.raises(PreconditionViolated):
-            exists_full(row_params=(True,))
+            exists_full(rows=(True,))
 
     def test_volume_disagreement_rejected(self):
         with pytest.raises(PreconditionViolated):
-            exists_full(row_params=(2, 1), col_params=(2, 2))
+            exists_full(rows=(2, 1), cols=(2, 2))
         with pytest.raises(PreconditionViolated):
-            exists_full(row_params=(2, 1), v=4)
+            exists_full(rows=(2, 1), v=4)
 
     def test_scalar_family_disagreement_rejected(self):
         with pytest.raises(PreconditionViolated):
-            exists_full(row_params=(2, 1), r=3)
+            exists_full(rows=(2, 1), r=3)
 
     def test_pinned_dimension_above_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -150,14 +148,14 @@ class TestExistsFull:
         # A row of 3 cannot fit the 2 columns the budget allows, but the
         # columns were left free: a wider board might hold it.
         with pytest.raises(BudgetExceeded, match="truncated"):
-            exists_full(row_params=(3,), sym_params=(2, 1), budget=Budget(5, 2, 2, 5))
+            exists_full(rows=(3,), symbols=(2, 1), budget=Budget(5, 2, 2, 5))
         # The twin: a column of 3 with the rows left free.
         with pytest.raises(BudgetExceeded, match="truncated"):
-            exists_full(col_params=(3,), sym_params=(2, 1), budget=Budget(5, 2, 2, 5))
+            exists_full(cols=(3,), symbols=(2, 1), budget=Budget(5, 2, 2, 5))
 
     def test_row_longer_than_a_pinned_board_is_false(self):
-        assert exists_full(row_params=(3,), c=2) == (False, None)
-        assert exists_full(col_params=(3,), r=2) == (False, None)
+        assert exists_full(rows=(3,), c=2) == (False, None)
+        assert exists_full(cols=(3,), r=2) == (False, None)
 
     def test_lines_beyond_the_volume_allocate_nothing_per_line(self):
         # 2000 pinned columns and symbols cannot fit in one cell.  The
@@ -189,9 +187,7 @@ class TestExistsFull:
         # A 40 x 40 board with one cell per line: only the 40 placed cells
         # open a frame, not the 1600 board cells.
         ones = (1,) * 40
-        found, witness = exists_full(
-            row_params=ones, col_params=ones, s=40, budget=Budget(40, 40, 40, 40)
-        )
+        found, witness = exists_full(rows=ones, cols=ones, s=40, budget=Budget(40, 40, 40, 40))
         assert found
         assert parameters_of(witness) == ParameterProfile(ones, ones, ones, 40)
 
@@ -241,16 +237,16 @@ class TestExistsFull:
         assert len({t.sym for t in witness.triples}) == 3
 
     def test_infeasible_profile_is_false_not_an_error(self):
-        found, _ = exists_full(row_params=(2, 2), col_params=(4,), s=2)
+        found, _ = exists_full(rows=(2, 2), cols=(4,), s=2)
         assert not found
 
     def test_witness_is_normalized_on_a_small_grid(self):
         # exists_full relabels only the columns of its witness; the search
         # must hand over rows 1..r and symbols 1..s, pinned or not.
         families = [v for length in (1, 2, 3) for v in product((1, 2), repeat=length)]
-        rows_or_r = [{}, *({"row_params": f} for f in families), *({"r": k} for k in (1, 2, 3))]
-        cols_or_c = [{}, *({"col_params": f} for f in families), *({"c": k} for k in (1, 2, 3))]
-        syms_or_s = [{}, *({"sym_params": f} for f in families), *({"s": k} for k in (1, 2))]
+        rows_or_r = [{}, *({"rows": f} for f in families), *({"r": k} for k in (1, 2, 3))]
+        cols_or_c = [{}, *({"cols": f} for f in families), *({"c": k} for k in (1, 2, 3))]
+        syms_or_s = [{}, *({"symbols": f} for f in families), *({"s": k} for k in (1, 2))]
         found = 0
         for rows, cols, syms in product(rows_or_r, cols_or_c, syms_or_s):
             try:
@@ -267,9 +263,9 @@ class TestExistsFull:
     def test_every_real_profile_is_found(self, pls):
         profile = parameters_of(pls)
         found, witness = exists_full(
-            row_params=profile.row_params,
-            col_params=profile.col_params,
-            sym_params=profile.sym_params,
+            rows=profile.row_params,
+            cols=profile.col_params,
+            symbols=profile.sym_params,
         )
         assert found
         got = parameters_of(witness)
@@ -366,7 +362,7 @@ class TestOracleAgreesWithEnumeration:
                             )
                         )
         for n, m, k in sorted(candidates):
-            found, _ = exists_full(row_params=n, col_params=m, sym_params=k)
+            found, _ = exists_full(rows=n, cols=m, symbols=k)
             assert found == ((n, m, k) in emitted_profiles), (n, m, k)
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 4), (2, 3, 3, 4)])
@@ -412,13 +408,13 @@ class TestOracleAgreesWithEnumeration:
             checked += 1
         for n in sorted(families(max_rows)):
             for c, s in product(range(1, max_cols + 1), range(1, max_syms + 1)):
-                found, _ = exists_full(row_params=n, c=c, s=s, budget=budget)
+                found, _ = exists_full(rows=n, c=c, s=s, budget=budget)
                 expected = any((rn, len(m), k) == (n, c, s) for rn, m, k, _ in emitted)
                 assert found == expected, (n, c, s)
                 checked += 1
         for m in sorted(families(max_cols)):
             for r, s in product(range(1, max_rows + 1), range(1, max_syms + 1)):
-                found, _ = exists_full(col_params=m, r=r, s=s, budget=budget)
+                found, _ = exists_full(cols=m, r=r, s=s, budget=budget)
                 expected = any((len(n), cm, k) == (r, m, s) for n, cm, k, _ in emitted)
                 assert found == expected, (m, r, s)
                 checked += 1

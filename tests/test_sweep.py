@@ -33,11 +33,11 @@ from conftest import ordered_row_params_tuples, ordered_sizes_tuples, ordered_th
 FORMS = {
     "theorem": (
         sweep_theorem, (3, 3, 9), theorem_tuples, ordered_theorem_tuples,
-        "check_construction", ("row_params", "col_params", "s"),
+        "check_construction", ("rows", "cols", "s"),
     ),
     "rows": (
         sweep_row_params, (3, 3, 3), row_params_tuples, ordered_row_params_tuples,
-        "check_row_params", ("row_params", "c", "s"),
+        "check_row_params", ("rows", "c", "s"),
     ),
     "sizes": (
         sweep_sizes, (3, 9), sizes_tuples, ordered_sizes_tuples,
@@ -124,10 +124,10 @@ def test_mismatch_is_reported_on_a_canonical_case(monkeypatch):
     calls = record_calls(monkeypatch, "exists_full", exists_full)
     result = sweep_theorem(2, 2, 4)
     predicted = not real_predicate(*flipped_case).feasible
-    actual, _ = exists_full(row_params=(2, 1), col_params=(2, 1), s=2)
+    actual, _ = exists_full(rows=(2, 1), cols=(2, 1), s=2)
     assert result.checked == 10
     assert result.mismatches == ((*flipped_case, predicted, actual),)
-    searched = [(call["row_params"], call["col_params"], call["s"]) for call in calls]
+    searched = [(call["rows"], call["cols"], call["s"]) for call in calls]
     assert len(searched) == result.checked
     assert searched.count(flipped_case) == 1
 
@@ -222,14 +222,19 @@ def test_wide_entry_range_allocates_only_the_small_sums():
 
 def test_the_first_case_holds_only_the_vectors_of_its_total():
     # 2,000 totals of one vector each lie in range; the first case needs
-    # only the vector of total 1.
-    tracemalloc.start()
-    try:
-        assert next(theorem_tuples(2000, 1, 2000)) == ((1,), (1,), 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # only the vector of total 1.  A side of 10**6 gives the first sizes
+    # case without building the side's range.
+    for cases, bounds, first in (
+        (theorem_tuples, (2000, 1, 2000), ((1,), (1,), 1)),
+        (sizes_tuples, (10**6, 1), (1, 1, 1, 1)),
+    ):
+        tracemalloc.start()
+        try:
+            assert next(cases(*bounds)) == first
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_long_families_are_built_without_recursion():

@@ -13,7 +13,6 @@ from plskit import (
     Budget,
     BudgetExceeded,
     DocumentError,
-    EmptyInput,
     Infeasible,
     NoSaturation,
     ParameterProfile,
@@ -21,7 +20,6 @@ from plskit import (
     PlsDocument,
     PlsError,
     PreconditionViolated,
-    SpecDocument,
     SweepResult,
     Triple,
     TriplePairError,
@@ -29,7 +27,6 @@ from plskit import (
     validate,
 )
 import plskit
-import plskit.formats
 
 
 def square():
@@ -43,7 +40,6 @@ INSTANCES = {
     Budget: lambda: Budget(max_rows=3),
     SweepResult: lambda: SweepResult(4, ((1, 2, True, False),)),
     PlsDocument: lambda: PlsDocument(((1, 1, 1),)),
-    SpecDocument: lambda: SpecDocument(rows=(2, 1), c=2, s=2),
 }
 each_class = pytest.mark.parametrize("cls", INSTANCES, ids=lambda cls: cls.__name__)
 
@@ -53,7 +49,7 @@ def profile(*values):
 
 # (class, keyword arguments, error) for inputs each class refuses
 INVALID = [
-    (PartialLatinSquare, {"triples": []}, EmptyInput),
+    (PartialLatinSquare, {"triples": []}, PreconditionViolated),
     (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 1, 2)]}, TriplePairError),
     (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 2, 1)]}, TriplePairError),
     (PartialLatinSquare, {"triples": [(1, 1, 1), (2, 1, 1)]}, TriplePairError),
@@ -63,15 +59,16 @@ INVALID = [
     (ParameterProfile, profile((), (1,), (1,), 1), ValueError),
     (ParameterProfile, profile((1,), (2,), (1,), 1), ValueError),
     (ParameterProfile, profile((1,), None, (1,), 1), TypeError),
-    # A document's numbers meet check_prescription's positivity rule.
-    (SpecDocument, {"rows": (2, 0)}, DocumentError),
-    (SpecDocument, {"rows": ()}, DocumentError),
-    (SpecDocument, {"rows": (True,)}, DocumentError),
-    (SpecDocument, {"v": "3"}, DocumentError),
-    (SpecDocument, {"rows": None, "c": None, "s": None}, DocumentError),
-    (SpecDocument, {"rows": (2, 1), "r": 3}, DocumentError),
-    (SpecDocument, {"rows": (2, 1), "v": 4}, DocumentError),
-    (SpecDocument, {"c": 0}, DocumentError),
+    # The volume and every entry meet the positivity rule, and each family
+    # is a nonempty iterable with the volume's sum.
+    (ParameterProfile, profile((1,), (1,), (1,), True), ValueError),
+    (ParameterProfile, profile((1,), (1,), (1,), 1.0), ValueError),
+    (ParameterProfile, profile((1,), (True,), (1,), 1), ValueError),
+    (ParameterProfile, profile((1,), (1,), (0, 1), 1), ValueError),
+    (ParameterProfile, profile((1,), (1,), (), 1), ValueError),
+    (ParameterProfile, profile((2,), (1, 1), (1, 1), 3), ValueError),
+    (ParameterProfile, profile((1,), (1,), (1, 1), 1), ValueError),
+    (ParameterProfile, profile((1,), (1,), 1, 1), TypeError),
     *(
         (Budget, {field: bad}, ValueError)
         for field in Budget._fields
@@ -126,7 +123,6 @@ def test_equal_instances_hash_equal_and_survive_copies(cls):
 # public error class -> a function building one instance with every attribute set
 ERRORS = {
     PlsError: lambda: PlsError("boom"),
-    EmptyInput: EmptyInput,
     TriplePairError: lambda: TriplePairError(
         "two triples occupy the same cell", Triple(1, 1, 1), Triple(1, 1, 2)
     ),
@@ -171,7 +167,7 @@ def test_a_square_is_validated_through_post_init(monkeypatch):
     monkeypatch.setattr(PartialLatinSquare, "__post_init__", counting)
     pls = validate([(1, 1, 1)])
     assert calls == [pls]
-    with pytest.raises(EmptyInput):
+    with pytest.raises(PreconditionViolated):
         PartialLatinSquare(frozenset())
     assert len(calls) == 2
 
@@ -181,16 +177,6 @@ def test_budget_defaults():
     assert tuple(budget) == (12, 6, 6, 6)
     assert (budget.max_cells, budget.max_rows) == (12, 6)
     assert (budget.max_cols, budget.max_symbols) == (6, 6)
-
-
-def test_spec_document_turns_precondition_violations_into_document_errors(monkeypatch):
-    def refuse(*args):
-        raise PreconditionViolated("refused")
-
-    monkeypatch.setattr(plskit.formats, "check_prescription", refuse)
-    with pytest.raises(DocumentError, match="^refused$") as info:
-        SpecDocument(v=1)
-    assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 def test_properties_and_classmethods_are_kept():
@@ -205,9 +191,9 @@ def test_properties_and_classmethods_are_kept():
 def test_the_public_names():
     assert sorted(plskit.__all__) == [
         "Budget", "BudgetExceeded", "Condition", "DocumentError",
-        "EmptyInput", "FeasibilityReport", "Infeasible", "NoSaturation",
+        "FeasibilityReport", "Infeasible", "NoSaturation",
         "ParameterProfile", "PartialLatinSquare", "PlsDocument", "PlsError",
-        "PreconditionViolated", "SpecDocument", "SweepResult", "Triple",
+        "PreconditionViolated", "SweepResult", "Triple",
         "TriplePairError", "build_corollary", "build_proposition", "build_theorem",
         "check_construction", "check_row_params", "check_sizes", "conjugate",
         "distribute_rows", "enumerate_pls", "exists_full", "fill_symbols",
