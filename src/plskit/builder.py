@@ -8,35 +8,50 @@ exactly p cells all have degree p in the occupancy graph of the
 remaining cells, whose maximum degree is p, so a matching covering all
 of them exists; removing it drops the maximum count to exactly p - 1.
 
-The peel keeps one row and one column adjacency list for the whole run.
-The lists are sorted once, line by line, not by sorting all cells; the
-peel keeps each layer's cells as one list, removes them from those
-lists in place, and reads every line count off the list lengths.  The
-lists are the adjacency dicts that the public saturating_matching takes,
-so each layer is a row-side saturating_matching M, the same API any
-other caller uses.  When M already covers every column at the peak
-count, M is the layer: merge_matchings would start from M and walk from
-no column, so the column-side matching and the merge run only when M
-leaves part of that set uncovered.  This is every layer of a Latin or
-other regular profile.
+The peel works on one row and one column adjacency map for the whole
+run, each line's partners in increasing order, removes each layer's
+cells from them in place, and reads every line count off the list
+lengths.  The maps are the adjacency dicts that the public
+saturating_matching takes, so each layer is a row-side
+saturating_matching M, the same API any other caller uses.  When M
+already covers every column at the peak count, M is the layer:
+merge_matchings would start from M and walk from no column, so the
+column-side matching and the merge run only when M leaves part of that
+set uncovered.  This is every layer of a Latin or other regular profile.
+
+The peel never scans all lines for the peak.  A line at count p is
+tight; the layer takes exactly one cell from each tight line and at
+most one from any other, so a tight line is tight again at p - 1, and
+a line that is not yet tight becomes so only by reaching the count
+untouched.  So the tight rows and columns are carried from layer to
+layer, and the other lines wait in buckets keyed by the count they were
+filed at.  At count p only the bucket for p is read: a line still at p
+joins the tight set, and one the peel has touched since it was filed
+goes into the bucket for its count now.  A layer costs what its matching and its
+cells cost, not the number of lines, so a 1 x n board peels in time
+near linear in n, apart from the list shift of each removal.  The peel
+checks its invariant as it goes: every layer is nonempty, every line a
+layer touches lands on p - 1 if tight and below that otherwise, and no
+cell is left after the last layer.
 
 The three build_* entry points chain the feasibility predicate, the
 degree matrix realization, the symbol fill, and the symbol split into
 complete constructions for the three kinds of prescription.  The
-realization hands the fill a plain frozenset of cells, the fill hands
-the split its layers as {symbol: [(row, col), ...]}, and the split
-moves single cells out of a donor's list into lists of their own.  No
-stage re-checks the cells it is given: the one cell check of a build is
-validate, when the finished layers become one triple list and then a
-PartialLatinSquare.  Its output is normalized without a relabeling
-pass: the realization fills every row 1..r and column 1..c, every peel
-layer is nonempty so the fill uses every symbol 1..max, and the split
-adds symbols max+1, max+2, ...
+realization hands the fill its row and column maps as it built them,
+already sorted, so a build never regroups cells; fill_symbols groups its
+own cells into the same maps.  The fill hands the split its layers as
+{symbol: [(row, col), ...]}, and the split moves single cells out of a
+donor's list into lists of their own.  No stage re-checks the cells it
+is given: the one cell check of a build is validate, when the finished
+layers become one triple list and then a PartialLatinSquare.  Its
+output is normalized without a relabeling pass: the realization fills
+every row 1..r and column 1..c, every peel layer is nonempty so the fill
+uses every symbol 1..max, and the split adds symbols max+1, max+2, ...
 
 Each build_* validates its input in its own predicate and hands the
-checked or derived counts to realize_degree_matrix, whose own count
-check is one linear pass beside the build.  Once the predicate passes,
-a build whose volume exceeds MAX_CELLS raises BudgetExceeded before it
+checked or derived counts to realize_lines, whose own count check is
+one linear pass beside the build.  Once the predicate passes, a build
+whose volume exceeds MAX_CELLS raises BudgetExceeded before it
 allocates anything proportional to the volume.
 """
 
@@ -54,33 +69,42 @@ from .feasibility import (
     check_sizes,
 )
 from .matching import LEFT, RIGHT, merge_matchings, saturating_matching
-from .realization import distribute_rows, realize_degree_matrix
+from .realization import Lines, distribute_rows, realize_lines
 
 Layers = dict[int, list[tuple[int, int]]]  # symbol -> its (row, col) cells
 
 MAX_CELLS = 10**6  # the largest volume a builder constructs
 
 
-def _fill(cells: frozenset[tuple[int, int]]) -> Layers:
-    # One matching per symbol, heaviest count first.  After the layer for
-    # count p is removed no remaining line holds p or more cells; the
-    # loop checks this instead of assuming it.
-    rows: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-    for i, j in cells:
-        rows.setdefault(i, []).append(j)
-        cols.setdefault(j, []).append(i)
-    for line in (*rows.values(), *cols.values()):
-        line.sort()
-    layers: Layers = {}
-    top = max(max(map(len, rows.values())), max(map(len, cols.values())))
-    for p in range(top, 0, -1):
-        peak = max(max(map(len, rows.values())), max(map(len, cols.values())))
-        assert peak == p, f"expected maximum line count {p}, found {peak}"
+def _admit(tight: set[int], waiting: dict[int, list[int]], lines: Lines, p: int) -> None:
+    # Lines filed under count p that still hold p cells join the tight
+    # set; the peel has taken cells from the rest since they were filed,
+    # so each is filed again under its count now, or dropped once empty.
+    for key in waiting.pop(p, ()):
+        k = len(lines[key])
+        if k == p:
+            tight.add(key)
+        elif k:
+            waiting.setdefault(k, []).append(key)
 
-        # Both calls below take the targets in any order.
-        x1 = [i for i, line in rows.items() if len(line) == p]
-        y1 = [j for j, line in cols.items() if len(line) == p]
+
+def _fill(rows: Lines, cols: Lines) -> Layers:
+    # One matching per symbol, heaviest count first, emptying rows and
+    # cols.  x1 and y1 hold the tight rows and columns, those at count p,
+    # carried from layer to layer as the module docstring explains; no
+    # line holds more than p.  The loop checks this instead of assuming
+    # it: a line that lands on the wrong count, or a cell left over, stops
+    # the peel.
+    top = max(max(map(len, rows.values())), max(map(len, cols.values())))
+    x1: set[int] = set()
+    y1: set[int] = set()
+    rows_waiting = {top: list(rows)}
+    cols_waiting = {top: list(cols)}
+    layers: Layers = {}
+    for p in range(top, 0, -1):
+        _admit(x1, rows_waiting, rows, p)
+        _admit(y1, cols_waiting, cols, p)
+        # Both calls below take the targets in any order, so sets will do.
         m = saturating_matching(rows, LEFT, x1)
         if set(m.values()).issuperset(y1):
             # The merge would start from M and walk from no Y1 vertex.
@@ -89,9 +113,13 @@ def _fill(cells: frozenset[tuple[int, int]]) -> Layers:
             n = saturating_matching(cols, RIGHT, y1)
             layer = merge_matchings(m, n, x1, y1)
         layers[p] = cells = list(layer)
+        assert cells, f"no cell peeled at count {p}"
         for i, j in cells:
-            rows[i].remove(j)
-            cols[j].remove(i)
+            row, col = rows[i], cols[j]
+            row.remove(j)
+            col.remove(i)
+            assert len(row) == p - 1 if i in x1 else len(row) < p - 1, f"row {i} at count {p}"
+            assert len(col) == p - 1 if j in y1 else len(col) < p - 1, f"column {j} at count {p}"
     assert not any(rows.values()), "cells left over after the final layer"
     return layers
 
@@ -125,7 +153,14 @@ def fill_symbols(cells: Iterable[tuple[int, int]]) -> PartialLatinSquare:
     cells = frozenset(map(_cell, cells))
     if not cells:
         raise PreconditionViolated("fill_symbols needs at least one cell")
-    return _square(_fill(cells))
+    rows: Lines = {}
+    cols: Lines = {}
+    for i, j in cells:
+        rows.setdefault(i, []).append(j)
+        cols.setdefault(j, []).append(i)
+    for line in (*rows.values(), *cols.values()):
+        line.sort()
+    return _square(_fill(rows, cols))
 
 
 def _split(layers: Layers, s: int) -> None:
@@ -183,7 +218,7 @@ def _require_volume(v: int) -> None:
 
 
 def _build(n: tuple[int, ...], m: tuple[int, ...], s: int) -> PartialLatinSquare:
-    layers = _fill(realize_degree_matrix(n, m))
+    layers = _fill(*realize_lines(n, m))
     _split(layers, s)
     return _square(layers)
 

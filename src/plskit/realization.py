@@ -1,14 +1,18 @@
 """Constructing cell sets with prescribed line counts.
 
-realize_degree_matrix builds a 0-1 matrix with given row and column sums,
-returned as the plain frozenset of its (row, col) cells, which the
-builders fill as they are.  It follows the classical greedy argument
-behind the Gale-Ryser theorem: each row, taken in decreasing count
-order, goes to the columns with the most demand left.  A bucket queue
-of columns keyed by remaining demand replaces a sort of every column
-per row, so beyond one sort of the rows the cost is proportional to
-the cells placed and the demand levels visited.  A row
-that finds too few columns names its witness with the dominance scan
+realize_lines builds a 0-1 matrix with given row and column sums as the
+two adjacency maps the builders' peel works on: each row's columns and
+each column's rows, in increasing order.  realize_degree_matrix is the
+public view of the same matrix, the plain frozenset of its (row, col)
+cells.  Both follow the classical greedy argument behind the Gale-Ryser
+theorem: each row, taken in decreasing count order, goes to the columns
+with the most demand left.  A bucket queue of columns keyed by remaining
+demand replaces a sort of every column per row, so beyond one sort of
+the rows the cost is proportional to the cells placed and the demand
+levels visited.  A row's columns come from a few levels, each already
+in index order, so sorting the row merges a few runs; the columns' rows
+come out sorted by reading the rows in index order.  A row that finds
+too few columns names its witness with the dominance scan
 check_construction runs, so both report the same prefix pair.
 distribute_rows splits a volume into near equal line counts.  That split
 is minimal in the majorization order, so by Gale-Ryser it is realizable
@@ -27,29 +31,16 @@ from .errors import Infeasible, PreconditionViolated
 from .feasibility import _worst_pair
 
 
-def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> frozenset[tuple[int, int]]:
-    """Place sum(n) cells so row i holds n[i] of them and column j holds m[j].
+Lines = dict[int, list[int]]  # line -> its partners, increasing
 
-    Returns the frozenset of (row, col) cells, rows numbered 1..len(n) and
-    columns 1..len(m).
 
-    Rows are processed in decreasing count order (ties by index) and each
-    row's cells go to the columns with the largest remaining demand (ties
-    by index), so the construction is deterministic.  The columns sit in
-    a bucket queue: one list per distinct remaining demand, each in
-    increasing index order, with the demands kept in a sorted list.  A
-    row of count k takes columns from the highest level down, lowest
-    index first within a level, and then moves every taken column down
-    one level.  Beyond the one sort of the rows, the cost is proportional
-    to the cells placed and the levels visited, and the structure is
-    sized by the number of columns, never by a demand value.
+def realize_lines(n: Sequence[int], m: Sequence[int]) -> tuple[Lines, Lines]:
+    """The cells realize_degree_matrix returns, as (rows, cols) adjacency maps.
 
-    By Gale-Ryser this greedy fills every row exactly when the dominance
-    condition holds, so the dominance scan runs only once a row finds too
-    few columns with demand left, to name the witness.  Raises Infeasible
-    when the totals differ, with witness (sum(n), sum(m)), or when the
-    dominance condition fails, with the violating prefix pair (k, l) that
-    check_construction reports.
+    ``rows`` maps each row 1..len(n) to its columns and ``cols`` each
+    column 1..len(m) to its rows, both in increasing order: the form
+    saturating_matching takes.  Same checks, same cells and the same
+    Infeasible witnesses as realize_degree_matrix.
     """
     n = positive_ints("n", n)
     m = positive_ints("m", m)
@@ -62,7 +53,7 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> frozenset[tuple
     for j, demand in enumerate(m, start=1):
         levels.setdefault(demand, []).append(j)
     demands = sorted(levels)  # the nonempty levels, increasing
-    cells = []
+    lines: list[list[int]] = [[] for _ in n]
     # A stable sort in reverse keeps equal counts in increasing index order.
     for i in sorted(range(len(n)), key=n.__getitem__, reverse=True):
         need = n[i]
@@ -90,9 +81,9 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> frozenset[tuple
             moves.append((demand - 1, columns))
             need -= len(columns)
         # Move only after every take, so no column is taken twice.
-        row = i + 1
+        line = lines[i]
         for demand, columns in moves:
-            cells.extend([(row, j) for j in columns])
+            line += columns
             if demand:
                 below = levels.get(demand)
                 if below is None:
@@ -102,13 +93,46 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> frozenset[tuple
                     # them one by one beats re-sorting a long level.
                     for j in columns:
                         insort(below, j)
+        line.sort()
         # Only levels from demands[top - 1] up can have appeared, vanished
         # or merged: the moves land at most one level below the last one
         # taken from, which is demands[top] or demands[top + 1].
         low = max(top - 1, 0)
         landed = {demand for demand, _ in moves if demand}
         demands[low:] = sorted(landed.union(demands[low : top + 1]))
-    return frozenset(cells)
+    cols: Lines = {j: [] for j in range(1, len(m) + 1)}
+    for i, line in enumerate(lines, start=1):
+        for j in line:
+            cols[j].append(i)
+    return dict(enumerate(lines, start=1)), cols
+
+
+def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> frozenset[tuple[int, int]]:
+    """Place sum(n) cells so row i holds n[i] of them and column j holds m[j].
+
+    Returns the frozenset of (row, col) cells, rows numbered 1..len(n) and
+    columns 1..len(m).
+
+    Rows are processed in decreasing count order (ties by index) and each
+    row's cells go to the columns with the largest remaining demand (ties
+    by index), so the construction is deterministic.  The columns sit in
+    a bucket queue: one list per distinct remaining demand, each in
+    increasing index order, with the demands kept in a sorted list.  A
+    row of count k takes columns from the highest level down, lowest
+    index first within a level, and then moves every taken column down
+    one level.  Beyond the one sort of the rows, the cost is proportional
+    to the cells placed and the levels visited, and the structure is
+    sized by the number of columns, never by a demand value.
+
+    By Gale-Ryser this greedy fills every row exactly when the dominance
+    condition holds, so the dominance scan runs only once a row finds too
+    few columns with demand left, to name the witness.  Raises Infeasible
+    when the totals differ, with witness (sum(n), sum(m)), or when the
+    dominance condition fails, with the violating prefix pair (k, l) that
+    check_construction reports.
+    """
+    rows, _ = realize_lines(n, m)
+    return frozenset((i, j) for i, line in rows.items() for j in line)
 
 
 def distribute_rows(v: int, r: int, cap: int) -> tuple[int, ...]:

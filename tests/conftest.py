@@ -64,6 +64,16 @@ def line_counts(cells, rows: int, cols: int) -> tuple[tuple[int, ...], tuple[int
     return tuple(row_counts), tuple(col_counts)
 
 
+def nonzero_line_counts(cells) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The nonzero row and column counts of a nonempty cell set, in index order.
+
+    They are the line sums of a 0-1 matrix, so realize_degree_matrix and
+    build_theorem accept them.
+    """
+    n, m = line_counts(cells, max(i for i, _ in cells), max(j for _, j in cells))
+    return tuple(k for k in n if k), tuple(k for k in m if k)
+
+
 @st.composite
 def graphs(draw, max_side: int = 6, max_degree: int = 4) -> frozenset[tuple[int, int]]:
     """The (left, right) edges of a bipartite graph with max degree capped.

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -22,12 +23,13 @@ from plskit import (
     merge_matchings,
     normalize,
     parameters_of,
+    realize_degree_matrix,
     saturating_matching,
     split_symbols,
     validate,
 )
 
-from conftest import adjacency, cell_sets, line_counts, squares
+from conftest import adjacency, cell_sets, line_counts, nonzero_line_counts, squares
 
 
 def max_line_count(cells) -> int:
@@ -179,6 +181,14 @@ class TestFillSymbols:
         assert {t[:2] for t in pls.triples} == cs
         assert len({t.sym for t in pls.triples}) == max_line_count(cs)
 
+    @settings(max_examples=300)
+    @given(cell_sets(max_rows=8, max_cols=8))
+    def test_realized_cells_fill_as_their_build_does(self, cs):
+        # fill_symbols regroups raw cells into lines; a build hands the
+        # realization's own lines to the same peel.  Both give one square.
+        n, m = nonzero_line_counts(cs)
+        assert fill_symbols(realize_degree_matrix(n, m)) == build_theorem(n, m, max(n + m))
+
 
 class TestSplitSymbols:
     def test_no_op_at_current_count(self):
@@ -293,6 +303,18 @@ class TestBuildCorollary:
             build_corollary(2, 2, 2, 5)
         assert {c.id for c in exc.value.report.violated()} == {"upper-bound"}
 
+    def test_wide_board_cost_follows_the_volume(self):
+        # One row of 20,000 cells: a peel that scanned every line on each
+        # of its 20,000 layers took ~40 s of CPU on a shared 2-vCPU host;
+        # carrying the tight lines from layer to layer takes ~0.2 s.
+        start = time.process_time()
+        pls = build_corollary(1, 20_000, 20_000, 20_000)
+        elapsed = time.process_time() - start
+        profile = parameters_of(pls)
+        assert profile.row_params == (20_000,)
+        assert profile.col_params == profile.sym_params == (1,) * 20_000
+        assert elapsed < 5, f"1 x 20000 build took {elapsed:.1f} s of CPU"
+
 
 class TestOnePredicatePerBuild:
     @pytest.mark.parametrize(
@@ -332,7 +354,7 @@ class TestVolumeCap:
         def unreachable(n, m):
             raise AssertionError("realization reached above the cap")
 
-        monkeypatch.setattr(plskit.builder, "realize_degree_matrix", unreachable)
+        monkeypatch.setattr(plskit.builder, "realize_lines", unreachable)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded, match="above the builder cap"):
@@ -441,13 +463,29 @@ def dense_profile(side: int, density: float, seed: int):
     return n, m, max(n + m)
 
 
+def sparse_profile(side: int, density: float, seed: int):
+    """Nonzero line counts of a random side x side 0-1 matrix of the given density."""
+    rng = random.Random(seed)
+    cells = {(i, j) for i in range(1, side + 1) for j in range(1, side + 1) if rng.random() < density}
+    return nonzero_line_counts(cells)
+
+
+def sparse_args(side: int, density: float, seed: int, symbols):
+    """build_theorem arguments for sparse_profile, with symbols(n, m) symbols."""
+    n, m = sparse_profile(side, density, seed)
+    return n, m, symbols(n, m)
+
+
 class TestGoldenDigests:
     """Squares at ladder size, where the peel grows many augmenting paths.
 
-    The digests were computed with square_digest on the build_theorem
-    output of commit 37a2fde, the peel before its greedy step, its
-    saturated-vertex memo and its per-line sorting; a faster engine must
-    reproduce them byte for byte.
+    The digests of latin-30 and dense-30 were computed with square_digest
+    on the build_theorem output of commit 37a2fde, the peel before its
+    greedy step, its saturated-vertex memo and its per-line sorting.  The
+    two sparse ones were computed at commit b4be73b, the peel that still
+    scanned every line for the peak on each layer: their lines reach the
+    peak count late, which no line of latin-30 does.  A faster engine
+    must reproduce them byte for byte.
     """
 
     @pytest.mark.parametrize(
@@ -461,19 +499,19 @@ class TestGoldenDigests:
                 dense_profile(30, 0.8, seed=7),
                 "738bc6e9989a98185491604ff2c19ce2a1a368c7eff4aa85500ee2b62e945946",
             ),
+            (
+                sparse_args(400, 0.01, seed=21, symbols=lambda n, m: max(n + m)),
+                "f422fc6744246870d8ac3566be4d5a7e51a03145cc7d0606dd3bdd289e1aef73",
+            ),
+            (
+                sparse_args(400, 0.01, seed=22, symbols=lambda n, m: sum(n) // 2),
+                "9f0a72d0a670a8ad62f24a9979ddf6304d60f36e304729372a37c55a72c9e2c6",
+            ),
         ],
-        ids=["latin-30", "dense-30"],
+        ids=["latin-30", "dense-30", "sparse-400-longest-line", "sparse-400-half-volume"],
     )
     def test_build_theorem_digest_is_pinned(self, args, digest):
         assert square_digest(build_theorem(*args)) == digest
-
-
-def sparse_profile(side: int, density: float, seed: int):
-    """Nonzero line counts of a random side x side 0-1 matrix of the given density."""
-    rng = random.Random(seed)
-    cells = {(i, j) for i in range(1, side + 1) for j in range(1, side + 1) if rng.random() < density}
-    n, m = line_counts(cells, side, side)
-    return tuple(k for k in n if k), tuple(k for k in m if k)
 
 
 def gappy_split(s: int):

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plskit.realization
@@ -16,7 +16,7 @@ from plskit import (
     realize_degree_matrix,
 )
 
-from conftest import dominance_double_loop, line_counts
+from conftest import cell_sets, dominance_double_loop, line_counts, nonzero_line_counts
 
 
 def reference_realization(n, m):
@@ -145,6 +145,20 @@ class TestRealizeDegreeMatrix:
             tracemalloc.stop()
         assert exc.value.witness == witness
         assert peak < 1 << 20
+
+    @settings(max_examples=300)
+    @given(cell_sets(max_rows=8, max_cols=8))
+    def test_lines_are_sorted_and_hold_exactly_the_cells(self, cs):
+        n, m = nonzero_line_counts(cs)
+        rows, cols = plskit.realization.realize_lines(n, m)
+        assert list(rows) == list(range(1, len(n) + 1))
+        assert list(cols) == list(range(1, len(m) + 1))
+        for line in (*rows.values(), *cols.values()):
+            assert all(a < b for a, b in zip(line, line[1:])), line
+        cells = realize_degree_matrix(n, m)
+        assert sum(map(len, rows.values())) == sum(map(len, cols.values())) == len(cells)
+        assert {(i, j) for i, line in rows.items() for j in line} == cells
+        assert {(i, j) for j, line in cols.items() for i in line} == cells
 
     def test_feasible_pair_skips_dominance_check(self, monkeypatch):
         calls = []
