@@ -137,9 +137,9 @@ def _plain_axes(triples: Iterable) -> tuple[tuple[int, ...], ...] | None:
         rows, cols, syms = zip(*triples, strict=True)
     except ValueError:
         return None
-    for axis in (rows, cols, syms):
-        if not ({int}.issuperset(map(type, axis)) and min(axis) > 0):
-            return None
+    labels = rows + cols + syms
+    if not ({int}.issuperset(map(type, labels)) and min(labels) > 0):
+        return None
     return rows, cols, syms
 
 

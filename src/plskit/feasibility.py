@@ -48,8 +48,9 @@ class FeasibilityReport(checked_namedtuple("FeasibilityReport", ("feasible", "co
 
     @classmethod
     def from_conditions(cls, conditions: Sequence[Condition]) -> "FeasibilityReport":
+        # The verdict is computed here, so there is nothing for __new__ to check.
         conditions = tuple(conditions)
-        return cls(all(c.satisfied for c in conditions), conditions)
+        return tuple.__new__(cls, (all(c.satisfied for c in conditions), conditions))
 
     def violated(self) -> tuple[Condition, ...]:
         return tuple(c for c in self.conditions if not c.satisfied)

@@ -9,17 +9,41 @@ other in tests.  check_prescription is the one check of a mix of
 constraints, run by exists_full on every call; its messages name each
 constraint as the CLI flags and prescription documents spell it.
 
-The witness exists_full returns is normalized and validated once.  The
-search itself fixes the row and symbol labels: a row is only used once
-every row above it is, and a symbol only once every smaller one is, so
-the occupied rows are 1..r and the symbols 1..s by construction.  No
-rule fixes the column labels, so only the columns are relabeled, in
-increasing order, before the one validation.
+The witness exists_full returns is normalized as found and validated
+once.  Any square can be relabeled into the form the search walks, by
+three rules applied in order:
+
+1. Rows by count: row counts weakly decreasing (exactly the sorted
+   targets when a row family is given), so the occupied rows are 1..r.
+2. Columns by first use in row-major order, when no column family is
+   given; with one, column counts weakly decreasing instead.  Either
+   way the columns only move within their rows, so every row keeps its
+   count and rule 1 still holds; by first use the occupied columns are
+   1..c, and with a family no column is empty.
+3. Symbols by first use in row-major order, so the symbols are 1..s.
+   This moves no cell, so rules 1 and 2 still hold.
+
+So a row may place a symbol in a column no row has used only at the
+first unused one, index n_cols - empty_cols; leaving that cell empty
+leaves the rest of its row empty, and the search skips to the next row.
+
+The rule cannot change the first witness found: no branch it prunes
+holds a witness.  A pruned branch first breaks the rule by placing
+symbol k at (i, j) in a fresh column j past the first unused column u,
+with (i, u) through (i, j - 1) empty.  Columns u and j hold no cell
+above row i, so swapping them maps any square below that branch onto
+one with the same cells before (i, u), k at (i, u), and its later
+symbols relabeled by rule 3: a square below the branch that put k at
+(i, u).  The search tried that branch earlier, since a cell tries its
+symbols before it is left empty, and left it, so it held no witness;
+hence neither does the pruned one.
 
 exists_full opens one stack frame per placed cell and moves past an empty
 cell in the same frame, so its depth follows the volume, not the board.
 Each row and column keeps its used symbols as one int bitmask, so its
-memory grows with the number of lines, not lines times symbols.
+memory grows with the number of lines, not lines times symbols, and
+only with the lines the search enters: a free column dimension costs
+the columns used, not the budget's cap.
 Its fill caps (the volume cap, line targets, and without a row family the
 row above's count) make rows end on their targets and the volume settle
 any column family.  One room rule covers rows, columns and the volume,
@@ -157,9 +181,10 @@ def exists_full(
         if n_rows * n_cols > budget.max_cells:
             truncated = True
 
-    # Symmetry reductions, all induced by relabeling: row counts weakly
-    # decreasing (exactly the sorted targets when rows is given),
-    # column counts weakly decreasing when cols is given, and
+    # Symmetry reductions, all induced by relabeling (the three rules of
+    # the module docstring): row counts weakly decreasing (exactly the
+    # sorted targets when rows is given), column counts weakly decreasing
+    # when cols is given and columns first used in order when not, and
     # symbols first used in increasing order.
     row_target = tuple(sorted(rm, reverse=True)) if rm is not None else None
     col_target = tuple(sorted(cm, reverse=True)) if cm is not None else None
@@ -187,9 +212,11 @@ def exists_full(
 
     # One bitmask per line, bit k set when symbol k is in it, so a line's
     # cell count is its mask's bit count; the placed cells are chosen.
+    # The line tables grow as the search first enters a row or reaches a
+    # column, so their memory follows the lines it touches, not the board.
     sym_cnt = [0] * (n_syms + 1)
-    row_used = [0] * n_rows
-    col_used = [0] * n_cols
+    row_used: list[int] = []
+    col_used: list[int] = []
     chosen: list[tuple[int, int, int]] = []
     max_used = 0
     empty_cols = n_cols
@@ -207,11 +234,16 @@ def exists_full(
         nonlocal max_used, empty_cols
         while True:
             i, j = divmod(idx, n_cols)
-            if j == 0 and i > 0 and row_target is None and not row_used[i - 1]:
-                # Rows stay weakly decreasing: the rest stay empty.
-                return not rows_all_nonempty and accept()
-            if i == n_rows:
-                return accept()
+            if j == 0:
+                if i and row_target is None and not row_used[i - 1]:
+                    # Rows stay weakly decreasing: the rest stay empty.
+                    return not rows_all_nonempty and accept()
+                if i == n_rows:
+                    return accept()
+                if i == len(row_used):
+                    row_used.append(0)
+            if j == len(col_used):
+                col_used.append(0)
 
             in_row = row_used[i].bit_count()
             in_col = col_used[j].bit_count()
@@ -258,6 +290,16 @@ def exists_full(
                     sym_cnt[k] -= 1
                     row_used[i] ^= bit
                     col_used[j] ^= bit
+            if fresh_col and col_target is None:
+                # Columns open in order, so leaving the first unused one
+                # empty leaves the rest of the row empty: the rows below
+                # must hold the volume, and the row must be on its target.
+                if len(chosen) + (n_rows - 1 - i) * n_cols < v_lo or (
+                    row_target is not None and in_row < row_target[i]
+                ):
+                    return False
+                idx = (i + 1) * n_cols
+                continue
             # Leaving the cell empty must leave room for the volume, row and column.
             if (
                 len(chosen) + n_rows * n_cols - idx - 1 < v_lo
@@ -278,11 +320,9 @@ def exists_full(
         ) from None
     if not found:
         return no_square()
-    # A successful search leaves its placements in chosen.  Rows and
-    # symbols are already 1..r and 1..s (see the module docstring);
-    # relabeling the columns completes the normalization.
-    cols = {j: rank for rank, j in enumerate(sorted({j for _, j, _ in chosen}), 1)}
-    return True, validate([(i, cols[j], k) for i, j, k in chosen])
+    # A successful search leaves its placements in chosen, already
+    # normalized (see the module docstring).
+    return True, validate(chosen)
 
 
 def enumerate_pls(

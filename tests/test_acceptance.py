@@ -100,6 +100,7 @@ GROWN_RANGES = [
     (sweep_sizes, (6, 12)),
     (sweep_row_params, (5, 4, 5)),
     (sweep_sizes, (8, 18)),
+    (sweep_row_params, (6, 3, 5)),
 ]
 
 

@@ -75,6 +75,23 @@ def key_of(pls):
     return pls.sorted_triples()
 
 
+def recurse_frames(**kwargs):
+    """exists_full(**kwargs) and the number of search frames it opened."""
+    frames = 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_name == "recurse":
+            frames += 1
+
+    sys.setprofile(count)
+    try:
+        got = exists_full(**kwargs)
+    finally:
+        sys.setprofile(None)
+    return got, frames
+
+
 class TestExistsFull:
     def test_all_families_witness(self):
         found, witness = exists_full(rows=(2, 1), cols=(2, 1), symbols=(2, 1))
@@ -196,20 +213,41 @@ class TestExistsFull:
         # symbol, when a placement there would leave too little volume for
         # the pinned lines and symbols: no frame is opened only to fail.
         n = 40
-        frames = 0
-
-        def count(frame, event, arg):
-            nonlocal frames
-            if event == "call" and frame.f_code.co_name == "recurse":
-                frames += 1
-
-        sys.setprofile(count)
-        try:
-            found, _ = exists_full(r=n, c=n, s=n, v=n, budget=Budget(n, n, n, n))
-        finally:
-            sys.setprofile(None)
+        (found, _), frames = recurse_frames(r=n, c=n, s=n, v=n, budget=Budget(n, n, n, n))
         assert found
         assert frames == n + 1
+
+    def test_free_columns_open_in_order(self):
+        # Without a column family a row opens only the first unused
+        # column; leaving it empty skips the rest of the row, so this
+        # refutation opens 49 frames where trying every fresh column of
+        # each row would open 1,575.
+        got, frames = recurse_frames(r=3, c=5, s=2, v=7, budget=Budget(12, 6, 6, 6))
+        assert got == (False, None)
+        assert frames == 49
+
+    def test_line_tables_follow_the_lines_the_search_touches(self):
+        # A 10**5-column budget over 3 rows finds an 18-cell witness, and
+        # 10**5 pinned rows of one cell run out of symbols after six; a
+        # table per budgeted column or pinned row would take ~785 KiB.
+        tracemalloc.start()
+        try:
+            found, witness = exists_full(r=3, budget=Budget(10**5, 6, 10**5, 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found
+        assert witness.volume == 18 and parameters_of(witness).r == 3
+        assert peak < 64 * 1024
+        n = 10**5
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="truncated"):
+                exists_full(r=n, c=1, v=n, budget=Budget(n, n, 1, 6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_nonpositive_budget_is_a_precondition_and_a_value_error(self):
         with pytest.raises(PreconditionViolated, match="^max_cells must be a positive integer$"):
@@ -241,8 +279,8 @@ class TestExistsFull:
         assert not found
 
     def test_witness_is_normalized_on_a_small_grid(self):
-        # exists_full relabels only the columns of its witness; the search
-        # must hand over rows 1..r and symbols 1..s, pinned or not.
+        # exists_full relabels nothing: the search must hand over rows
+        # 1..r, columns 1..c and symbols 1..s, pinned or not.
         families = [v for length in (1, 2, 3) for v in product((1, 2), repeat=length)]
         rows_or_r = [{}, *({"rows": f} for f in families), *({"r": k} for k in (1, 2, 3))]
         cols_or_c = [{}, *({"cols": f} for f in families), *({"c": k} for k in (1, 2, 3))]
