@@ -41,16 +41,20 @@ hence neither does the pruned one.
 exists_full opens one stack frame per placed cell and moves past an empty
 cell in the same frame, so its depth follows the volume, not the board.
 Each row and column keeps its used symbols as one int bitmask, so its
-memory grows with the number of lines, not lines times symbols, and
-only with the lines the search enters: a free column dimension costs
-the columns used, not the budget's cap.
+memory grows with the number of lines, not lines times symbols.  The
+row, column and symbol tables grow on first use, when the search enters
+a row, reaches a column or opens a symbol, so a dimension costs what the
+search touches, not its pinned count or the budget's cap.
 Its fill caps (the volume cap, line targets, and without a row family the
 row above's count) make rows end on their targets and the volume settle
-any column family.  One room rule covers rows, columns and the volume,
-checked where a step can break it: before the search, which bounds each
-dimension it allocates by the budget's cell cap; at a cell before its
-symbol loop, as only a placement uses up the volume that pinned lines and
-symbols still need; at each empty cell.
+any column family.  One room rule covers rows, columns, symbols and the
+volume, checked where a step can break it: before the search, the
+largest entry of each family against both other dimensions and the
+volume against the board, which also bounds each pinned dimension by the
+budget's cell cap; at a cell before its symbol loop, as only a placement
+uses up the volume that pinned lines and symbols still need; and at the
+one leave-empty step, which moves to the next cell, or past the first
+unused column to the next row.
 
 Soundness over the budget: when a dimension left unconstrained by the
 caller had to be capped by the budget, a fruitless search proves nothing,
@@ -190,8 +194,6 @@ def exists_full(
     col_target = tuple(sorted(cm, reverse=True)) if cm is not None else None
     sym_desc = tuple(sorted(sm, reverse=True)) if sm is not None else None
     sym_cap = sym_desc[0] if sym_desc is not None else v_hi
-    rows_all_nonempty = r_eff is not None
-    cols_all_nonempty = c_eff is not None
 
     def no_square() -> tuple[bool, None]:
         if truncated:
@@ -201,43 +203,44 @@ def exists_full(
             )
         return False, None
 
-    # Room on the empty board; past it no dimension passes the cell cap.
+    # Room on the empty board: the volume fits it, each family's largest
+    # entry both other dimensions; past it no dimension passes the cell cap.
     if (
         n_rows * n_cols < v_lo
         or max(r_eff or 0, c_eff or 0, s_eff or 0) > v_hi
-        or (row_target is not None and row_target[0] > n_cols)
-        or (col_target is not None and col_target[0] > n_rows)
+        or (row_target is not None and row_target[0] > min(n_cols, n_syms))
+        or (col_target is not None and col_target[0] > min(n_rows, n_syms))
+        or (sym_desc is not None and sym_desc[0] > min(n_rows, n_cols))
     ):
         return no_square()
 
     # One bitmask per line, bit k set when symbol k is in it, so a line's
-    # cell count is its mask's bit count; the placed cells are chosen.
-    # The line tables grow as the search first enters a row or reaches a
-    # column, so their memory follows the lines it touches, not the board.
-    sym_cnt = [0] * (n_syms + 1)
+    # cell count is its mask's bit count; sym_cnt[k] counts symbol k's
+    # cells, and the placed cells are chosen.  All three tables grow on
+    # first use; symbols open in order, so len(sym_cnt) - 1 are in use.
+    sym_cnt = [0]
     row_used: list[int] = []
     col_used: list[int] = []
     chosen: list[tuple[int, int, int]] = []
-    max_used = 0
     empty_cols = n_cols
 
     def accept() -> bool:
         # Placement never passes v_hi or a column or row target, so once
         # v_lo cells are placed the volume and any column family hold.
-        if len(chosen) < v_lo or (cols_all_nonempty and empty_cols):
+        if len(chosen) < v_lo or (c_eff is not None and empty_cols):
             return False
         if sym_desc is not None:
-            return tuple(sorted(sym_cnt[1 : max_used + 1], reverse=True)) == sym_desc
-        return s_eff is None or max_used == s_eff
+            return tuple(sorted(sym_cnt[1:], reverse=True)) == sym_desc
+        return s_eff is None or len(sym_cnt) - 1 == s_eff
 
     def recurse(idx: int) -> bool:
-        nonlocal max_used, empty_cols
+        nonlocal empty_cols
         while True:
             i, j = divmod(idx, n_cols)
             if j == 0:
                 if i and row_target is None and not row_used[i - 1]:
                     # Rows stay weakly decreasing: the rest stay empty.
-                    return not rows_all_nonempty and accept()
+                    return r_eff is None and accept()
                 if i == n_rows:
                     return accept()
                 if i == len(row_used):
@@ -258,56 +261,51 @@ def exists_full(
             # unused; only a new symbol lowers the last.
             fresh_col = not in_col
             room = v_hi - len(chosen) - 1
-            syms_left = s_eff - max_used if s_eff is not None else 0
+            syms_left = s_eff + 1 - len(sym_cnt) if s_eff is not None else 0
             if (
                 in_row < row_cap
                 and (col_target is None or in_col < col_target[j])
                 and max(
-                    n_rows - 1 - i if rows_all_nonempty else 0,
-                    empty_cols - fresh_col if cols_all_nonempty else 0,
+                    n_rows - 1 - i if r_eff is not None else 0,
+                    empty_cols - fresh_col if c_eff is not None else 0,
                     syms_left - 1,
                 )
                 <= room
             ):
-                k_lo = 1 if syms_left <= room else max_used + 1
+                k_lo = 1 if syms_left <= room else len(sym_cnt)
                 used = row_used[i] | col_used[j]
-                for k in range(k_lo, min(n_syms, max_used + 1) + 1):
+                for k in range(k_lo, min(n_syms, len(sym_cnt)) + 1):
                     bit = 1 << k
-                    if used & bit or sym_cnt[k] >= sym_cap:
+                    if k == len(sym_cnt):
+                        # A symbol not yet open is in no line, under any cap.
+                        sym_cnt.append(0)
+                    elif used & bit or sym_cnt[k] >= sym_cap:
                         continue
-                    is_new = k > max_used
                     row_used[i] |= bit
                     col_used[j] |= bit
                     sym_cnt[k] += 1
-                    max_used += is_new
                     empty_cols -= fresh_col
                     chosen.append((i + 1, j + 1, k))
                     if recurse(idx + 1):
                         return True
                     chosen.pop()
                     empty_cols += fresh_col
-                    max_used -= is_new
                     sym_cnt[k] -= 1
+                    if not sym_cnt[k]:
+                        sym_cnt.pop()
                     row_used[i] ^= bit
                     col_used[j] ^= bit
-            if fresh_col and col_target is None:
-                # Columns open in order, so leaving the first unused one
-                # empty leaves the rest of the row empty: the rows below
-                # must hold the volume, and the row must be on its target.
-                if len(chosen) + (n_rows - 1 - i) * n_cols < v_lo or (
-                    row_target is not None and in_row < row_target[i]
-                ):
-                    return False
-                idx = (i + 1) * n_cols
-                continue
-            # Leaving the cell empty must leave room for the volume, row and column.
+            # Leaving the cell empty moves on to nxt: the next cell, or the
+            # next row when it is the first unused column, as columns open
+            # in order.  What is left must hold the volume, row and column.
+            nxt = (i + 1) * n_cols if fresh_col and col_target is None else idx + 1
             if (
-                len(chosen) + n_rows * n_cols - idx - 1 < v_lo
-                or (row_target is not None and row_target[i] - in_row > n_cols - j - 1)
+                len(chosen) + n_rows * n_cols - nxt < v_lo
+                or (row_target is not None and row_target[i] - in_row > (i + 1) * n_cols - nxt)
                 or (col_target is not None and col_target[j] - in_col > n_rows - i - 1)
             ):
                 return False
-            idx += 1
+            idx = nxt
 
     try:
         found = recurse(0)

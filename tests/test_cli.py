@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -489,3 +491,47 @@ def test_nonpositive_count_is_rejected_by_the_library(argv):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+
+
+
+def huge_count_command(n, mix):
+    """oracle exists with every budget at n, and each count in mix at n unless set."""
+    argv = ["oracle", "exists"]
+    for flag, _, value in (token.partition("=") for token in mix.split()):
+        argv += [f"--{flag}", value or str(n)]
+    for flag in BUDGET_FLAGS:
+        argv += [flag, str(n)]
+    return argv
+
+
+HUGE_MIXES = ("r", "c", "s", "v", "rows", "s v", "r v", "c v", "r=1 s v")
+# The child caps its own address space at 1 GiB, as CI's ulimit -v does.
+LIMITED_MAIN = (
+    "import resource; "
+    "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard)); "
+    "from plskit.cli import main; main()"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(huge_count_command(n, mix) for n in (10**11, 10**30) for mix in HUGE_MIXES),
+        huge_count_command(3 * 10**8, "s v"),
+    ],
+    ids=" ".join,
+)
+def test_huge_counts_under_a_huge_budget_are_budget_errors(argv):
+    # Each search runs out of stack after about a thousand cells (exit 3).
+    # Its tables grow with the lines and symbols it touches, so a count or
+    # budget past memory, or past an index, never ends in exit 4.
+    src = os.path.dirname(os.path.dirname(plskit.cli.__file__))
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert done.returncode == 3, done.stderr
+    assert "internal error" not in done.stderr

@@ -173,6 +173,18 @@ class TestExistsFull:
     def test_row_longer_than_a_pinned_board_is_false(self):
         assert exists_full(rows=(3,), c=2) == (False, None)
         assert exists_full(cols=(3,), r=2) == (False, None)
+        assert exists_full(symbols=(3,), r=2) == (False, None)
+        assert exists_full(symbols=(3,), c=2) == (False, None)
+        assert exists_full(rows=(3,), s=2) == (False, None)
+        assert exists_full(cols=(3,), s=2) == (False, None)
+        assert exists_full(r=2, s=2, v=5) == (False, None)
+
+    def test_symbol_used_more_often_than_the_board_has_rows_opens_no_frame(self):
+        # A symbol used 4 times needs 4 rows; a search over the 3 rows
+        # would open ~188,000 frames before it found that out.
+        got, frames = recurse_frames(r=3, c=8, symbols=(3, 4, 2, 3), budget=Budget(16, 5, 8, 5))
+        assert got == (False, None)
+        assert frames == 0
 
     def test_lines_beyond_the_volume_allocate_nothing_per_line(self):
         # 2000 pinned columns and symbols cannot fit in one cell.  The
@@ -189,16 +201,23 @@ class TestExistsFull:
     def test_search_keeps_no_line_by_symbol_table(self):
         # One row of 2000 cells over 2000 pinned columns and symbols runs
         # out of stack.  Each line holds its used symbols as one int, where
-        # a flag per column and symbol would take ~32 MB here.
+        # a flag per column and symbol would take ~32 MB here.  Symbol
+        # counts grow as symbols open: 10**6 pinned symbols, where a count
+        # per pinned symbol would take ~8 MB, run out of stack the same way.
         n = 2000
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetExceeded, match="stack depth"):
-                exists_full(r=1, c=n, s=n, v=n, budget=Budget(n, 1, n, n))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+        big = 10**6
+        for kwargs in (
+            dict(r=1, c=n, s=n, v=n, budget=Budget(n, 1, n, n)),
+            dict(s=big, v=big, budget=Budget(big, big, big, big)),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceeded, match="stack depth"):
+                    exists_full(**kwargs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000
 
     def test_stack_depth_follows_the_volume_not_the_board(self):
         # A 40 x 40 board with one cell per line: only the 40 placed cells
