@@ -18,7 +18,6 @@ from .core import (
     PartialLatinSquare,
     Triple,
     conjugate,
-    normalize,
     parameters_of,
     validate,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "exists_full",
     "fill_symbols",
     "merge_matchings",
-    "normalize",
     "parameters_of",
     "realize_degree_matrix",
     "render_grid",

@@ -5,6 +5,10 @@ it is infeasible, invalid, or a sweep found a mismatch; 2 on usage or
 I/O errors; 3 when the oracle budget or the builder volume cap was
 exceeded; 4 when the program itself failed, so that a crash never reads
 as a negative answer.
+
+The forms of check, build and sweep are the rows of ``plskit.sweep.FORMS``,
+which names each form's predicate, builder, sweep and range bounds; this
+module adds only their help text and flags.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from typing import IO
+from typing import IO, Iterable
 
 from .builder import build_corollary, build_proposition, build_theorem
 from .core import parameters_of
@@ -27,7 +31,7 @@ from .errors import (
 from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
 from .formats import PlsDocument, prescription_from_json, render_grid
 from .oracle import Budget, enumerate_pls, exists_full
-from .sweep import sweep_row_params, sweep_sizes, sweep_theorem
+from .sweep import FORMS, sweep_row_params, sweep_sizes, sweep_theorem
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -46,35 +50,20 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 # The command line only parses text; the library checks every value.
-# Each form of check, build and sweep: help text; predicate, builder and
-# their flags (name, type, metavar) in argument order; sweep and its range
-# bounds (name, default) in argument order.  Functions are named and looked
-# up when called, so a wrapper set on this module sees the call.
+# Each form of check and build: help text, and the flags (name, type,
+# metavar) of its predicate and builder in argument order.  The functions
+# are named in FORMS and looked up here when called, so a wrapper set on
+# this module sees the call.
 _FORMS = {
     "theorem": (
         "row and column parameters, symbol count",
-        "check_construction",
-        "build_theorem",
         (("rows", _int_list, "N1,N2,..."), ("cols", _int_list, "M1,M2,..."), ("symbols", int, "S")),
-        "sweep_theorem",
-        (("max_side", 3), ("max_entry", 3), ("max_cells", 9)),
     ),
     "rows": (
         "row parameters, column count, symbol count",
-        "check_row_params",
-        "build_proposition",
         (("rows", _int_list, "N1,N2,..."), ("c", int, None), ("s", int, None)),
-        "sweep_row_params",
-        (("max_side", 3), ("max_entry", 3), ("max_symbols", 3)),
     ),
-    "sizes": (
-        "row, column, symbol, and cell counts",
-        "check_sizes",
-        "build_corollary",
-        tuple((name, int, None) for name in "rcsv"),
-        "sweep_sizes",
-        (("max_side", 3), ("max_cells", 9)),
-    ),
+    "sizes": ("row, column, symbol, and cell counts", tuple((name, int, None) for name in "rcsv")),
 }
 
 # exists_full's constraints (name, type, metavar), enumerate_pls's caps
@@ -93,11 +82,13 @@ def _values(args: argparse.Namespace, flags: tuple) -> list:
     return [getattr(args, flag[0]) for flag in flags]
 
 
-def _call(function: str, args: argparse.Namespace, flags: tuple):
-    return globals()[function](*_values(args, flags))
+def _call(role: str, args: argparse.Namespace):
+    # The form's predicate or builder, as this module holds it now.
+    function = getattr(FORMS[args.form], role)
+    return globals()[function](*_values(args, _FORMS[args.form][1]))
 
 
-def _add_counts(parser: argparse.ArgumentParser, counts: tuple) -> None:
+def _add_counts(parser: argparse.ArgumentParser, counts: Iterable[tuple]) -> None:
     for name, default in counts:
         parser.add_argument("--" + name.replace("_", "-"), type=int, default=default)
 
@@ -113,16 +104,14 @@ def _print_report(report: FeasibilityReport, out: IO[str]) -> None:
 
 
 def _cmd_check(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
-    _, predicate, _, flags, _, _ = _FORMS[args.form]
-    report = _call(predicate, args, flags)
+    report = _call("predicate", args)
     _print_report(report, out)
     return EXIT_OK if report.feasible else EXIT_NEGATIVE
 
 
 def _cmd_build(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
-    _, _, builder, flags, _, _ = _FORMS[args.form]
     try:
-        pls = _call(builder, args, flags)
+        pls = _call("builder", args)
     except Infeasible as exc:
         _print_report(exc.report, out)
         return EXIT_NEGATIVE
@@ -187,8 +176,10 @@ def _cmd_oracle_enumerate(args: argparse.Namespace, out: IO[str], _fin: IO[str])
 
 
 def _cmd_sweep(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
-    *_, sweep, bounds = _FORMS[args.form]
-    result = _call(sweep, args, bounds)
+    form = FORMS[args.form]
+    # Only the range flags given: the sweep's signature holds the defaults.
+    given = {name: getattr(args, name) for name in form.bounds if name in args}
+    result = globals()[form.sweep](**given)
     if result.clean:
         print(f"checked {result.checked} prescriptions: no mismatches", file=out)
         return EXIT_OK
@@ -211,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, handler, with_grid in (("check", _cmd_check, False), ("build", _cmd_build, True)):
         command = sub.add_parser(name)
         forms = command.add_subparsers(dest="form", required=True)
-        for form_name, (help_text, _, _, flags, _, _) in _FORMS.items():
+        for form_name, (help_text, flags) in _FORMS.items():
             form = forms.add_parser(form_name, help=help_text)
             for flag, kind, metavar in flags:
                 form.add_argument("--" + flag, type=kind, required=True, metavar=metavar)
@@ -239,9 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="compare predicate and oracle over a bounded range")
     sweep_sub = sweep.add_subparsers(dest="form", required=True)
-    for form_name, (*_, bounds) in _FORMS.items():
+    for form_name, row in FORMS.items():
         form = sweep_sub.add_parser(form_name)
-        _add_counts(form, bounds)
+        _add_counts(form, ((name, argparse.SUPPRESS) for name in row.bounds))
         form.set_defaults(handler=_cmd_sweep)
 
     return parser

@@ -285,18 +285,3 @@ def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquar
         raise ValueError(f"perm must be a permutation of {AXES}, got {perm!r}")
     a, b, c = (AXES.index(axis) for axis in perm)
     return PartialLatinSquare(frozenset((t[a], t[b], t[c]) for t in pls.triples))
-
-
-def normalize(pls: PartialLatinSquare) -> PartialLatinSquare:
-    """Relabel rows, columns, and symbols onto 1..r, 1..c, 1..s.
-
-    The relabeling preserves the relative order of labels within each
-    axis, so normalize is idempotent and preserves the parameter profile.
-    """
-    rows, cols, syms = (
-        {value: rank for rank, value in enumerate(sorted(set(labels)), 1)}
-        for labels in zip(*pls.triples)
-    )
-    return PartialLatinSquare(
-        frozenset((rows[i], cols[j], syms[k]) for i, j, k in pls.triples)
-    )

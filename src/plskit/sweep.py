@@ -20,19 +20,27 @@ symbols swaps c and s with the row family fixed, and any permutation of
   symbol bound, in which case its partner (n, s, c) is out of range;
 - sizes (r, c, s, v): r <= c <= s.
 
-``checked`` counts these.  The sweep reads ``exists_full`` and the
-predicates from this module's globals, so a wrapper set on them (a
-tracer, a test double) sees every call, one per checked prescription.
+``checked`` counts these.
+
+``FORMS`` is the one place a form is defined: its predicate and builder,
+the ``exists_full`` constraints its values pin, its canonical cases, its
+range bounds, the oracle budget they need, and its public sweep, whose
+signature holds the bounds' defaults.  The command line reads its check,
+build and sweep forms from it, so a new shape of prescription is one
+more row.  Functions are named, not held, and each caller looks a name
+up in its own module when it calls: a wrapper set on a module (a tracer,
+a test double) sees every call.  ``sweep`` reads ``exists_full`` and the
+predicates from this module, one call each per checked prescription.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator
 
 from .core import positive_int
-from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
+from .feasibility import check_construction, check_row_params, check_sizes
 from .oracle import Budget, exists_full
 
 
@@ -44,6 +52,31 @@ class SweepResult(namedtuple("SweepResult", ("checked", "mismatches"))):
     @property
     def clean(self) -> bool:
         return not self.mismatches
+
+
+# One form of prescription: the names of its predicate, builder, canonical
+# case generator and sweep; the exists_full constraints its values pin and
+# its range bounds, each in order; and the budget caps (cells, rows,
+# columns, symbols) that a range with those bounds needs.
+Form = namedtuple("Form", ("predicate", "builder", "cases", "sweep", "fields", "bounds", "caps"))
+
+FORMS = {
+    "theorem": Form(
+        "check_construction", "build_theorem", "theorem_tuples", "sweep_theorem",
+        ("rows", "cols", "s"), ("max_side", "max_entry", "max_cells"),
+        lambda side, entry, cells: (cells, side, side, cells),
+    ),
+    "rows": Form(
+        "check_row_params", "build_proposition", "row_params_tuples", "sweep_row_params",
+        ("rows", "c", "s"), ("max_side", "max_entry", "max_symbols"),
+        lambda side, entry, symbols: (side * entry, side, side, symbols),
+    ),
+    "sizes": Form(
+        "check_sizes", "build_corollary", "sizes_tuples", "sweep_sizes",
+        ("r", "c", "s", "v"), ("max_side", "max_cells"),
+        lambda side, cells: (cells, side, side, side),
+    ),
+}
 
 
 def _even(total: int, length: int) -> list[int]:
@@ -87,39 +120,8 @@ def _descending_vectors(
         total = head + rest
 
 
-def _check_bounds(**bounds: int) -> None:
-    # A bound below 1 would make an empty range, and so a vacuous clean.
-    for name, value in bounds.items():
-        positive_int(name, value)
-
-
-def _sweep(
-    cases: Iterable[tuple],
-    predicate: Callable[..., FeasibilityReport],
-    oracle_kwargs: Sequence[str],
-    bounds: tuple[int, int, int, int],
-) -> SweepResult:
-    # The predicate takes each case's values in order, the oracle takes
-    # them as the constraints named in oracle_kwargs.  exists_full is read
-    # from the module globals on every call, and each sweep passes the
-    # predicate it reads there.  Every case pins each dimension, so the
-    # budget only decides which cases the oracle refuses: its caps are
-    # the range's own bounds (cells, rows, columns, symbols), never below
-    # the defaults.
-    budget = Budget(*map(max, Budget(), bounds))
-    mismatches = []
-    checked = 0
-    for case in cases:
-        checked += 1
-        predicted = predicate(*case).feasible
-        actual, _ = exists_full(**dict(zip(oracle_kwargs, case)), budget=budget)
-        if predicted != actual:
-            mismatches.append((*case, predicted, actual))
-    return SweepResult(checked, tuple(mismatches))
-
-
 def theorem_tuples(
-    max_side: int = 3, max_entry: int = 3, max_cells: int = 9
+    max_side: int, max_entry: int, max_cells: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Canonical (n, m, s) with equal totals at most max_cells and s in range.
 
@@ -141,18 +143,8 @@ def theorem_tuples(
                     yield n, m, s
 
 
-def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> SweepResult:
-    _check_bounds(max_side=max_side, max_entry=max_entry, max_cells=max_cells)
-    return _sweep(
-        theorem_tuples(max_side, max_entry, max_cells),
-        check_construction,
-        ("rows", "cols", "s"),
-        (max_cells, max_side, max_side, max_cells),
-    )
-
-
 def row_params_tuples(
-    max_side: int = 3, max_entry: int = 3, max_symbols: int = 3
+    max_side: int, max_entry: int, max_symbols: int
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Canonical (n, c, s) with len(n), c <= max_side and s <= max_symbols.
 
@@ -167,19 +159,7 @@ def row_params_tuples(
                     yield n, c, s
 
 
-def sweep_row_params(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3) -> SweepResult:
-    _check_bounds(max_side=max_side, max_entry=max_entry, max_symbols=max_symbols)
-    return _sweep(
-        row_params_tuples(max_side, max_entry, max_symbols),
-        check_row_params,
-        ("rows", "c", "s"),
-        (max_side * max_entry, max_side, max_side, max_symbols),
-    )
-
-
-def sizes_tuples(
-    max_side: int = 3, max_cells: int = 9
-) -> Iterator[tuple[int, int, int, int]]:
+def sizes_tuples(max_side: int, max_cells: int) -> Iterator[tuple[int, int, int, int]]:
     """Canonical (r, c, s, v): r <= c <= s <= max_side and v <= max_cells.
 
     Nested ranges give (r, c, s) in lexicographic order without copying
@@ -192,11 +172,38 @@ def sizes_tuples(
                     yield r, c, s, v
 
 
+def sweep(form: str, *bounds: int) -> SweepResult:
+    """Compare a form's predicate with the oracle over the canonical cases of a range.
+
+    ``bounds`` are the form's range bounds, in the order ``FORMS`` names them.
+    """
+    row = FORMS[form]
+    # A bound below 1 would make an empty range, and so a vacuous clean.
+    for name, value in zip(row.bounds, bounds):
+        positive_int(name, value)
+    # Every case pins each dimension, so the budget only decides which
+    # cases the oracle refuses: its caps are the range's own, never below
+    # the defaults.
+    budget = Budget(*map(max, Budget(), row.caps(*bounds)))
+    predicate = globals()[row.predicate]
+    mismatches = []
+    checked = 0
+    for case in globals()[row.cases](*bounds):
+        checked += 1
+        predicted = predicate(*case).feasible
+        actual, _ = exists_full(**dict(zip(row.fields, case)), budget=budget)
+        if predicted != actual:
+            mismatches.append((*case, predicted, actual))
+    return SweepResult(checked, tuple(mismatches))
+
+
+def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> SweepResult:
+    return sweep("theorem", max_side, max_entry, max_cells)
+
+
+def sweep_row_params(max_side: int = 3, max_entry: int = 3, max_symbols: int = 3) -> SweepResult:
+    return sweep("rows", max_side, max_entry, max_symbols)
+
+
 def sweep_sizes(max_side: int = 3, max_cells: int = 9) -> SweepResult:
-    _check_bounds(max_side=max_side, max_cells=max_cells)
-    return _sweep(
-        sizes_tuples(max_side, max_cells),
-        check_sizes,
-        ("r", "c", "s", "v"),
-        (max_cells, max_side, max_side, max_side),
-    )
+    return sweep("sizes", max_side, max_cells)

@@ -35,6 +35,11 @@ def squares(draw, max_rows: int = 4, max_cols: int = 4, max_symbols: int = 4,
     return validate(chosen)
 
 
+def is_normalized(pls: PartialLatinSquare) -> bool:
+    """Whether the occupied rows, columns and symbols are exactly 1..r, 1..c and 1..s."""
+    return all(set(labels) == set(range(1, len(set(labels)) + 1)) for labels in zip(*pls.triples))
+
+
 @st.composite
 def cell_sets(draw, max_rows: int = 6, max_cols: int = 6) -> frozenset[tuple[int, int]]:
     """A random nonempty frozenset of (row, col) cells on a small board."""

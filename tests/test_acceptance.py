@@ -22,7 +22,6 @@ from plskit import (
     exists_full,
     fill_symbols,
     merge_matchings,
-    normalize,
     parameters_of,
     realize_degree_matrix,
     saturating_matching,
@@ -39,6 +38,7 @@ from plskit.sweep import (
 
 from conftest import (
     adjacency,
+    is_normalized,
     line_counts,
     ordered_row_params_tuples,
     ordered_sizes_tuples,
@@ -138,7 +138,7 @@ def soundness_failures(theorem_cases, rows_cases, sizes_cases):
             and profile.s == s
         ):
             failures.append(("theorem", n, m, s))
-        elif normalize(pls) != pls:
+        elif not is_normalized(pls):
             failures.append(("theorem", n, m, s, "not normalized"))
     for n, c, s in rows_cases:
         if not check_row_params(n, c, s).feasible:
@@ -148,7 +148,7 @@ def soundness_failures(theorem_cases, rows_cases, sizes_cases):
         profile = parameters_of(pls)
         if not (profile.row_params == tuple(n) and profile.c == c and profile.s == s):
             failures.append(("rows", n, c, s))
-        elif normalize(pls) != pls:
+        elif not is_normalized(pls):
             failures.append(("rows", n, c, s, "not normalized"))
     for r, c, s, v in sizes_cases:
         if not check_sizes(r, c, s, v).feasible:
@@ -158,7 +158,7 @@ def soundness_failures(theorem_cases, rows_cases, sizes_cases):
         profile = parameters_of(pls)
         if (profile.r, profile.c, profile.s, profile.volume) != (r, c, s, v):
             failures.append(("sizes", r, c, s, v))
-        elif normalize(pls) != pls:
+        elif not is_normalized(pls):
             failures.append(("sizes", r, c, s, v, "not normalized"))
     return built, failures
 

@@ -5,8 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plskit.cli
 from plskit import parameters_of, validate
@@ -378,6 +381,17 @@ class TestOracle:
         assert out.strip() == "21"
 
 
+RANGE_FLAGS = [
+    ("theorem", ["--max-side", "2", "--max-entry", "2", "--max-cells", "4"],
+     plskit.sweep_theorem, (2, 2, 4)),
+    ("theorem", ["--max-cells", "5"], plskit.sweep_theorem, (3, 3, 5)),
+    ("rows", ["--max-symbols", "4"], plskit.sweep_row_params, (3, 3, 4)),
+    ("rows", ["--max-entry", "2", "--max-side", "2"], plskit.sweep_row_params, (2, 2, 3)),
+    ("sizes", ["--max-side", "2"], plskit.sweep_sizes, (2, 9)),
+    ("sizes", ["--max-cells", "4"], plskit.sweep_sizes, (3, 4)),
+]
+
+
 class TestSweep:
     def test_small_sizes_sweep_is_clean(self):
         code, out, _ = invoke(["sweep", "sizes", "--max-side", "2", "--max-cells", "4"])
@@ -390,6 +404,37 @@ class TestSweep:
         )
         assert code == 0
         assert "no mismatches" in out
+
+    @pytest.mark.parametrize("form, checked", [("theorem", 102), ("rows", 114), ("sizes", 90)])
+    def test_no_range_flags_sweep_the_library_defaults(self, form, checked):
+        assert invoke(["sweep", form]) == (0, f"checked {checked} prescriptions: no mismatches\n", "")
+
+    @pytest.mark.parametrize(
+        "form, flags, sweep, bounds",
+        RANGE_FLAGS,
+        ids=[" ".join([form, *flags]) for form, flags, _, _ in RANGE_FLAGS],
+    )
+    def test_range_flags_set_only_their_own_bounds(self, form, flags, sweep, bounds):
+        expected = f"checked {sweep(*bounds).checked} prescriptions: no mismatches\n"
+        assert invoke(["sweep", form, *flags]) == (0, expected, "")
+
+    def test_a_mismatch_exits_one_and_is_listed(self, monkeypatch):
+        # r = c = s = 1 holds one cell, so the flipped predicate says yes
+        # where the oracle says no.
+        flipped = (1, 1, 1, 2)
+        real_predicate = plskit.sweep.check_sizes
+
+        def predicate(*case):
+            report = real_predicate(*case)
+            return SimpleNamespace(feasible=not report.feasible) if case == flipped else report
+
+        monkeypatch.setattr(plskit.sweep, "check_sizes", predicate)
+        code, out, err = invoke(["sweep", "sizes", "--max-side", "2", "--max-cells", "4"])
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "checked 16 prescriptions: 1 mismatches",
+            "  mismatch: (1, 1, 1, 2, True, False)",
+        ]
 
 
 class TestUsage:
@@ -492,6 +537,33 @@ def test_nonpositive_count_is_rejected_by_the_library(argv):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
 
+
+COUNTS = st.sampled_from((1, 2, 7, 10**8, 10**11, 10**30))
+
+
+@st.composite
+def check_and_build_commands(draw):
+    """A check or build command line from the CLI's own form flags, sometimes with --grid."""
+    command = draw(st.sampled_from(("check", "build")))
+    form = draw(st.sampled_from(sorted(plskit.cli._FORMS)))
+    argv = [command, form]
+    for flag, kind, _ in plskit.cli._FORMS[form][1]:
+        if kind is int:
+            value = str(draw(COUNTS))
+        else:
+            value = ",".join(map(str, draw(st.lists(COUNTS, min_size=1, max_size=3))))
+        argv += ["--" + flag, value]
+    if draw(st.booleans()):
+        argv.append("--grid")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(check_and_build_commands())
+def test_check_and_build_end_in_a_verdict_or_a_typed_error(argv):
+    code, _, err = invoke(argv)
+    assert 0 <= code <= 3, err
+    assert "internal error" not in err
 
 
 def huge_count_command(n, mix):

@@ -1,4 +1,4 @@
-"""Domain model: triples, validation, profiles, conjugation, normalization."""
+"""Domain model: triples, validation, profiles, and conjugation."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from plskit import (
     Triple,
     TriplePairError,
     conjugate,
-    normalize,
     parameters_of,
     validate,
 )
@@ -405,31 +404,3 @@ class TestConjugate:
         assert after.row_params == by_axis[perm[0]]
         assert after.col_params == by_axis[perm[1]]
         assert after.sym_params == by_axis[perm[2]]
-
-
-class TestNormalize:
-    def test_single_far_cell(self):
-        assert normalize(validate([(5, 7, 9)])) == validate([(1, 1, 1)])
-
-    def test_order_preserving_relabel(self):
-        assert normalize(validate([(2, 1, 3), (4, 1, 1)])) == validate(
-            [(1, 1, 2), (2, 1, 1)]
-        )
-
-    @given(squares())
-    def test_idempotent(self, pls):
-        once = normalize(pls)
-        assert normalize(once) == once
-
-    @given(squares())
-    def test_labels_become_prefixes(self, pls):
-        norm = normalize(pls)
-        profile = parameters_of(norm)
-        rows, cols, syms = (set(labels) for labels in zip(*norm.triples))
-        assert rows == set(range(1, profile.r + 1))
-        assert cols == set(range(1, profile.c + 1))
-        assert syms == set(range(1, profile.s + 1))
-
-    @given(squares())
-    def test_profile_is_preserved(self, pls):
-        assert parameters_of(normalize(pls)) == parameters_of(pls)

@@ -197,7 +197,7 @@ def test_the_public_names():
         "TriplePairError", "build_corollary", "build_proposition", "build_theorem",
         "check_construction", "check_row_params", "check_sizes", "conjugate",
         "distribute_rows", "enumerate_pls", "exists_full", "fill_symbols",
-        "merge_matchings", "normalize", "parameters_of", "realize_degree_matrix",
+        "merge_matchings", "parameters_of", "realize_degree_matrix",
         "render_grid", "saturating_matching", "split_symbols", "sweep_row_params",
         "sweep_sizes", "sweep_theorem", "validate",
     ]
