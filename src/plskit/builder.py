@@ -39,11 +39,14 @@ degree matrix realization, the symbol fill, and the symbol split into
 complete constructions for the three kinds of prescription.  The
 realization hands the fill its row and column maps as it built them,
 already sorted, so a build never regroups cells; fill_symbols groups its
-own cells into the same maps.  The fill hands the split its layers as
-{symbol: [(row, col), ...]}, and the split moves single cells out of a
-donor's list into lists of their own.  No stage re-checks the cells it
-is given: the one cell check of a build is validate, when the finished
-layers become one triple list and then a PartialLatinSquare.  Its
+own cells into the same maps.  The fill keeps each layer as the
+{row: col} matching dict it peeled, so the split gets its layers as
+{symbol: {row: col}}.  The split pops single cells out of a donor's
+dict and writes each straight to the square's triple list under its
+fresh symbol; the layers' remaining cells join that list last.  No
+stage keeps a tuple per cell before that list, and none re-checks the
+cells it is given: the one cell check of a build is validate, when the
+triple list becomes a PartialLatinSquare.  Its
 output is normalized without a relabeling pass: the realization fills
 every row 1..r and column 1..c, every peel layer is nonempty so the fill
 uses every symbol 1..max, and the split adds symbols max+1, max+2, ...
@@ -71,7 +74,8 @@ from .feasibility import (
 from .matching import LEFT, RIGHT, merge_matchings, saturating_matching
 from .realization import Lines, distribute_rows, realize_lines
 
-Layers = dict[int, list[tuple[int, int]]]  # symbol -> its (row, col) cells
+Layers = dict[int, dict[int, int]]  # symbol -> {row: col} for each of its cells
+Triples = list[tuple[int, int, int]]
 
 MAX_CELLS = 10**6  # the largest volume a builder constructs
 
@@ -105,16 +109,15 @@ def _fill(rows: Lines, cols: Lines) -> Layers:
         _admit(x1, rows_waiting, rows, p)
         _admit(y1, cols_waiting, cols, p)
         # Both calls below take the targets in any order, so sets will do.
-        m = saturating_matching(rows, LEFT, x1)
-        if set(m.values()).issuperset(y1):
-            # The merge would start from M and walk from no Y1 vertex.
-            layer = m.items()
-        else:
+        # M is the layer when it covers Y1: the merge would start from M
+        # and walk from no Y1 vertex.
+        layer = saturating_matching(rows, LEFT, x1)
+        if not set(layer.values()).issuperset(y1):
             n = saturating_matching(cols, RIGHT, y1)
-            layer = merge_matchings(m, n, x1, y1)
-        layers[p] = cells = list(layer)
-        assert cells, f"no cell peeled at count {p}"
-        for i, j in cells:
+            layer = dict(merge_matchings(layer, n, x1, y1))
+        layers[p] = layer
+        assert layer, f"no cell peeled at count {p}"
+        for i, j in layer.items():
             row, col = rows[i], cols[j]
             row.remove(j)
             col.remove(i)
@@ -124,9 +127,10 @@ def _fill(rows: Lines, cols: Lines) -> Layers:
     return layers
 
 
-def _square(layers: Layers) -> PartialLatinSquare:
-    # Consumes the layers: their cells are freed before the check runs.
-    triples = [(i, j, sym) for sym, cells in layers.items() for i, j in cells]
+def _square(layers: Layers, triples: Triples) -> PartialLatinSquare:
+    # Adds the layers' cells to ``triples`` and consumes the layers: their
+    # cells are freed before the check runs.
+    triples += [(i, j, sym) for sym, cells in layers.items() for i, j in cells.items()]
     layers.clear()
     return validate(triples)
 
@@ -160,29 +164,33 @@ def fill_symbols(cells: Iterable[tuple[int, int]]) -> PartialLatinSquare:
         cols.setdefault(j, []).append(i)
     for line in (*rows.values(), *cols.values()):
         line.sort()
-    return _square(_fill(rows, cols))
+    return _square(_fill(rows, cols), [])
 
 
-def _split(layers: Layers, s: int) -> None:
-    # Move single cells to fresh symbols in place until s symbols are in
-    # use.  The donor is the symbol with the most cells, ties to the
-    # smallest label: the top of a heap of (-count, symbol), which the
-    # donor re-enters one cell down.  It gives its lowest (row, col)
-    # first, so its list is sorted, last cell lowest, on its first
-    # donation and never again.
+def _split(layers: Layers, s: int) -> Triples:
+    # Move single cells out of the layers to fresh symbols until s symbols
+    # are in use, and return them as triples.  The donor is the symbol
+    # with the most cells, ties to the smallest label: the top of a heap
+    # of (-count, symbol), which the donor re-enters one cell down.  It
+    # gives its lowest row first, which is its lowest (row, col) since a
+    # symbol holds each row at most once; its rows are sorted, last row
+    # lowest, on its first donation and never again.
     heap = [(-len(cells), sym) for sym, cells in layers.items()]
     heapq.heapify(heap)
-    donors: set[int] = set()
+    donor_rows: dict[int, list[int]] = {}
     fresh = max(layers)
+    triples: Triples = []
     for _ in range(s - len(layers)):
         count, donor = heap[0]
         heapq.heapreplace(heap, (count + 1, donor))
         cells = layers[donor]
-        if donor not in donors:
-            donors.add(donor)
-            cells.sort(reverse=True)
+        rows = donor_rows.get(donor)
+        if rows is None:
+            rows = donor_rows[donor] = sorted(cells, reverse=True)
+        row = rows.pop()
         fresh += 1
-        layers[fresh] = [cells.pop()]
+        triples.append((row, cells.pop(row), fresh))
+    return triples
 
 
 def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:
@@ -197,13 +205,12 @@ def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:
     positive_int("s", s)
     layers: Layers = {}
     for i, j, k in pls.triples:
-        layers.setdefault(k, []).append((i, j))
+        layers.setdefault(k, {})[i] = j
     if not (len(layers) <= s <= pls.volume):
         raise PreconditionViolated(
             f"target symbol count {s} outside [{len(layers)}, {pls.volume}]"
         )
-    _split(layers, s)
-    return _square(layers)
+    return _square(layers, _split(layers, s))
 
 
 def _require_feasible(report: FeasibilityReport) -> None:
@@ -219,8 +226,7 @@ def _require_volume(v: int) -> None:
 
 def _build(n: tuple[int, ...], m: tuple[int, ...], s: int) -> PartialLatinSquare:
     layers = _fill(*realize_lines(n, m))
-    _split(layers, s)
-    return _square(layers)
+    return _square(layers, _split(layers, s))
 
 
 def build_theorem(n: Sequence[int], m: Sequence[int], s: int) -> PartialLatinSquare:

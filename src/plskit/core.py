@@ -118,11 +118,15 @@ def _check_triples(triples: Iterable) -> frozenset[Triple]:
         axes = zip(*checked)
     else:
         checked = frozenset(map(tuple.__new__, repeat(Triple), triples))
+    # Each pair is keyed as the one int a * base + b: base exceeds every
+    # column and symbol label, so the key is exact for any int size, and
+    # the sets hold no tuple for the cyclic collector to scan.
     rows, cols, syms = axes
+    base = max(cols + syms) + 1
     if not (
-        len(set(zip(rows, cols)))
-        == len(set(zip(rows, syms)))
-        == len(set(zip(cols, syms)))
+        len({i * base + j for i, j in zip(rows, cols)})
+        == len({i * base + k for i, k in zip(rows, syms)})
+        == len({j * base + k for j, k in zip(cols, syms)})
         == len(checked)
     ):
         _raise_first_clash(checked)

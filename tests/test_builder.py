@@ -239,6 +239,38 @@ class TestSplitSymbols:
             assert symbols <= {t.sym for t in out.triples}
 
 
+def reference_split(pls, s):
+    """The plain split: scan every symbol for the donor at each step.
+
+    The donor has the most cells, ties to the smallest label; it gives
+    its lowest (row, col) cell to the next fresh label and stays in the
+    pool one cell down.
+    """
+    cells = {}
+    for i, j, k in sorted(pls.triples):
+        cells.setdefault(k, []).append((i, j))
+    for _ in range(s - len(cells)):
+        donor = min(cells, key=lambda k: (-len(cells[k]), k))
+        cells[max(cells) + 1] = [cells[donor].pop(0)]
+    return validate([(i, j, k) for k, line in cells.items() for i, j in line])
+
+
+class TestReferenceSplit:
+    # The split takes donors off a heap and writes each moved cell
+    # straight to a triple; it must move the cells the plain rule moves.
+    @settings(max_examples=300)
+    @given(squares(max_rows=5, max_cols=5, max_symbols=5, max_cells=12))
+    def test_small_squares(self, pls):
+        for s in range(len({t.sym for t in pls.triples}), pls.volume + 1):
+            assert split_symbols(pls, s) == reference_split(pls, s)
+
+    def test_built_latin_square(self):
+        # Every symbol ties at the start, and the ties change as it splits.
+        pls = build_theorem((6,) * 6, (6,) * 6, 6)
+        for s in range(6, 37):
+            assert split_symbols(pls, s) == reference_split(pls, s)
+
+
 class TestBuildTheorem:
     def test_profile_is_sequence_exact(self):
         pls = build_theorem((2, 1), (2, 1), 2)

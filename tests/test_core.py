@@ -323,6 +323,71 @@ class TestValidateMatchesThePerTripleCheck:
         assert got == any_outcome(per_triple_reference, make)
 
 
+class TestHugeLabels:
+    # The clash check keys each projection as one int.  Labels past float
+    # precision must neither merge two distinct pairs nor hide a clash, on
+    # the bulk path (plain ints) and the per-triple path (an int subclass).
+    @pytest.mark.parametrize("label", [int, Label], ids=["bulk", "per-triple"])
+    def test_rows_apart_only_past_float_precision(self, label):
+        assert float(2**53) == float(2**53 + 1)
+        pls = validate([(label(2**53), 1, 1), (label(2**53 + 1), 1, 2)])
+        assert pls.triples == {(2**53, 1, 1), (2**53 + 1, 1, 2)}
+
+    @pytest.mark.parametrize("label", [int, Label], ids=["bulk", "per-triple"])
+    @pytest.mark.parametrize(
+        "offsets, clash, first, second",
+        [
+            (
+                [(0, 1, 0), (0, 1, 2)],
+                "two triples occupy the same cell",
+                (0, 1, 0),
+                (0, 1, 2),
+            ),
+            (
+                [(0, 1, 2), (0, 0, 2)],
+                "two triples repeat a symbol within a row",
+                (0, 0, 2),
+                (0, 1, 2),
+            ),
+            (
+                [(1, 0, 0), (0, 0, 0)],
+                "two triples repeat a symbol within a column",
+                (0, 0, 0),
+                (1, 0, 0),
+            ),
+        ],
+        ids=["cell", "row", "column"],
+    )
+    def test_each_clash_near_10_to_the_30(self, label, offsets, clash, first, second):
+        big = 10**30
+        first, second = (Triple(*(big + d for d in t)) for t in (first, second))
+        with pytest.raises(TriplePairError) as exc:
+            validate([tuple(label(big + d) for d in t) for t in offsets])
+        assert (exc.value.first, exc.value.second) == (first, second)
+        assert str(exc.value) == f"{clash}: {first} and {second}"
+
+    @pytest.mark.parametrize(
+        "triples",
+        [[(1, 4, 1), (2, 1, 2)], [(1, 1, 4), (2, 2, 1)]],
+        ids=["column-above-symbols", "symbol-above-columns"],
+    )
+    def test_the_key_base_exceeds_every_column_and_symbol(self, triples):
+        # A base of one above the symbols alone, or the columns alone,
+        # would give these two pairs the same key.
+        assert validate(triples).volume == 2
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from([1, 2, 2**53, 2**53 + 1, 10**30, 10**30 + 1])] * 3),
+            max_size=8,
+        )
+    )
+    def test_same_square_or_same_clash_as_the_sorted_scan(self, triples):
+        expected = outcome(sorted_scan, triples)
+        assert outcome(lambda ts: validate(ts).triples, triples) == expected
+
+
 class TestParametersOf:
     def test_single_cell(self):
         profile = parameters_of(validate([(1, 1, 1)]))

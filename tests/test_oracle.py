@@ -478,6 +478,58 @@ class TestOracleAgreesWithEnumeration:
         assert checked > 100
 
 
+def _profile_key(pls):
+    profile = parameters_of(pls)
+    families = (profile.row_params, profile.col_params, profile.sym_params)
+    return (*(tuple(sorted(f)) for f in families), profile.volume)
+
+
+def _meets(key, mix, v):
+    # Each axis of the mix is free (None), a count or a sorted family.
+    *families, volume = key
+    return (v is None or v == volume) and all(
+        want is None or want == (len(got) if isinstance(want, int) else got)
+        for want, got in zip(mix, families)
+    )
+
+
+class TestOracleMeetsTheEnumeratedSpec:
+    # Every consistent mix over caps (3, 3, 3, 9): each axis free, a count
+    # from 1 to 3 or an enumerated family, and the volume free or 1-9.
+    # Under a budget equal to the caps the oracle must find a square
+    # exactly when an enumerated one meets the mix, return a witness that
+    # meets it, and raise BudgetExceeded only where none does.
+    def test_every_consistent_mix(self):
+        keys = {_profile_key(pls) for pls in enumerate_pls(3, 3, 3, 9)}
+        families = sorted({family for key in keys for family in key[:3]})
+        forms = [None, 1, 2, 3, *families]
+        budget = Budget(9, 3, 3, 3)
+        checked = 0
+        for mix in product(forms, repeat=3):
+            # Consistent: every given family and the volume share one total.
+            totals = {sum(f) for f in mix if isinstance(f, tuple)}
+            if len(totals) > 1:
+                continue
+            for v in [None, *totals] if totals else [None, *range(1, 10)]:
+                if v is None and mix == (None, None, None):
+                    continue
+                kwargs = {"v": v, "budget": budget}
+                for want, family, count in zip(mix, ("rows", "cols", "symbols"), "rcs"):
+                    if want is not None:
+                        kwargs[family if isinstance(want, tuple) else count] = want
+                expected = any(_meets(key, mix, v) for key in keys)
+                try:
+                    found, witness = exists_full(**kwargs)
+                except BudgetExceeded:
+                    assert not expected, (mix, v)
+                else:
+                    assert found == expected, (mix, v)
+                    if found:
+                        assert _meets(_profile_key(witness), mix, v), (mix, v)
+                checked += 1
+        assert checked == 3845
+
+
 def _compositions(total, length):
     if length == 1:
         yield (total,)
