@@ -12,12 +12,13 @@ The peel works on one row and one column adjacency map for the whole
 run, each line's partners in increasing order, removes each layer's
 cells from them in place, and reads every line count off the list
 lengths.  The maps are the adjacency dicts that the public
-saturating_matching takes, so each layer is a row-side
-saturating_matching M, the same API any other caller uses.  When M
-already covers every column at the peak count, M is the layer:
-merge_matchings would start from M and walk from no column, so the
-column-side matching and the merge run only when M leaves part of that
-set uncovered.  This is every layer of a Latin or other regular profile.
+saturating_matching takes, so each layer starts as M =
+saturating_matching(rows, X1) for the tight rows X1, the same call any
+other caller makes.  When M already covers the tight columns Y1, M is
+the layer: merge_matchings would start from M and walk from no column,
+so N = saturating_matching(cols, Y1) and merge_matchings(M, N), which
+reads X1 and Y1 off their keys, run only when M leaves part of Y1
+uncovered.  M alone is every layer of a Latin or other regular profile.
 
 The peel never scans all lines for the peak.  A line at count p is
 tight; the layer takes exactly one cell from each tight line and at
@@ -71,7 +72,7 @@ from .feasibility import (
     check_row_params,
     check_sizes,
 )
-from .matching import LEFT, RIGHT, merge_matchings, saturating_matching
+from .matching import merge_matchings, saturating_matching
 from .realization import Lines, distribute_rows, realize_lines
 
 Layers = dict[int, dict[int, int]]  # symbol -> {row: col} for each of its cells
@@ -111,10 +112,9 @@ def _fill(rows: Lines, cols: Lines) -> Layers:
         # Both calls below take the targets in any order, so sets will do.
         # M is the layer when it covers Y1: the merge would start from M
         # and walk from no Y1 vertex.
-        layer = saturating_matching(rows, LEFT, x1)
+        layer = saturating_matching(rows, x1)
         if not set(layer.values()).issuperset(y1):
-            n = saturating_matching(cols, RIGHT, y1)
-            layer = dict(merge_matchings(layer, n, x1, y1))
+            layer = merge_matchings(layer, saturating_matching(cols, y1))
         layers[p] = layer
         assert layer, f"no cell peeled at count {p}"
         for i, j in layer.items():

@@ -25,17 +25,16 @@ class TriplePairError(PlsError):
 class NoSaturation(PlsError):
     """Hall's condition fails: no matching covers the requested targets."""
 
-    def __init__(self, side: str, witness: frozenset[int]) -> None:
-        self.side = side
+    def __init__(self, witness: frozenset[int]) -> None:
         self.witness = witness
         members = ", ".join(str(z) for z in sorted(witness))
         super().__init__(
-            f"no matching saturates the {side}-side targets; "
+            "no matching saturates the targets; "
             f"set {{{members}}} has more members than neighbors"
         )
 
     def __reduce__(self):
-        return type(self), (self.side, self.witness), self.__dict__
+        return type(self), (self.witness,), self.__dict__
 
 
 class PreconditionViolated(PlsError, ValueError):

@@ -3,18 +3,22 @@
 The key fact used by the symbol filler: in a bipartite graph with maximum
 degree at most n, there is a matching covering every vertex of degree
 exactly n.  The constructive route implemented here builds one matching M
-saturating the left-side degree-n vertices X1, another matching N
-saturating the right-side degree-n vertices Y1, and merges them into a
-single matching covering X1 and Y1 (Mendelsohn and Dulmage, 1958).
+saturating the degree-n left vertices X1, another matching N saturating
+the degree-n right vertices Y1, and merges them into a single matching
+covering X1 and Y1 (Mendelsohn and Dulmage, 1958).  saturating_matching
+matches whichever vertices its adjacency map is keyed by: M is its call
+on the left map, N its call on the right one.  Each is keyed by exactly
+its targets, so the merge reads X1 off M's keys and Y1 off N's.
 
 The merge keeps M intersect N and splits M xor N into alternating paths
-and cycles; either side covers a cycle and a path's interior.  Every M
-edge has its left end in X1 and every N edge its right end in Y1, so a
+and cycles; either matching covers a cycle and a path's interior.  Every
+M edge has its left end in X1 and every N edge its right end in Y1, so a
 path end must keep its one edge exactly when it is a left end on an M
 edge or a right end on an N edge.  By parity exactly one end is of that
-kind: ends on one side carry one M and one N edge, ends on opposite
-sides two edges of one matching.  So a path keeps N exactly when that
-end is a Y1 vertex M leaves uncovered; other paths and all cycles keep M.
+kind: ends both left or both right carry one M and one N edge, a left
+and a right end two edges of one matching.  So a path keeps N exactly
+when that end is a Y1 vertex M leaves uncovered; other paths and all
+cycles keep M.
 
 Both functions work on plain ints and dicts, and the builder's peeling
 engine calls them like any other caller.  In the peel most targets have
@@ -29,37 +33,28 @@ call remembers such vertices and no later path rescans them.
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NoSaturation, PreconditionViolated
 
-Edge = tuple[int, int]
 
-LEFT = "left"
-RIGHT = "right"
+def saturating_matching(adj: Mapping[int, Sequence[int]], targets: Iterable[int]) -> dict[int, int]:
+    """Match every target vertex to one of its neighbors.
 
-
-def saturating_matching(
-    adj: Mapping[int, Sequence[int]], side: Literal["left", "right"], targets: Iterable[int]
-) -> dict[int, int]:
-    """Match every target vertex on ``side`` to one of its neighbors.
-
-    ``adj`` maps each vertex on ``side`` to its neighbors in increasing
-    order; a vertex without an entry has none.  Targets are matched in
-    increasing index order: a target takes its first free neighbor in
-    ``adj`` order; failing that, an augmenting path is grown from it,
-    rerouting matched neighbors in increasing index order.  The result
-    maps each target to its partner.  If some target cannot be reached,
-    Hall's condition fails and NoSaturation reports a target-side witness
-    set with more members than neighbors.
+    ``adj`` maps each vertex to its neighbors across the graph, in
+    increasing order; a vertex without an entry has none.  Targets are
+    matched in increasing index order: a target takes its first free
+    neighbor in ``adj`` order; failing that, an augmenting path is grown
+    from it, rerouting matched neighbors in increasing index order.  The
+    result maps each target to its partner.  If some target cannot be
+    reached, Hall's condition fails and NoSaturation reports a witness
+    set of targets with more members than neighbors.
 
     A vertex whose free scan finds every neighbor owned is remembered for
     the rest of the call and later paths skip its scan: augmenting
     reassigns owners but never frees a vertex, so the scan would fail
     again.  The memo changes no result, only the work.
     """
-    if side not in (LEFT, RIGHT):
-        raise PreconditionViolated(f"side must be 'left' or 'right', got {side!r}")
     match: dict[int, int] = {}
     owner: dict[int, int] = {}
     saturated: set[int] = set()
@@ -70,13 +65,12 @@ def saturating_matching(
                 owner[v] = root
                 break
         else:
-            _augment(adj, side, match, owner, saturated, root)
+            _augment(adj, match, owner, saturated, root)
     return match
 
 
 def _augment(
     adj: Mapping[int, Sequence[int]],
-    side: str,
     match: dict[int, int],
     owner: dict[int, int],
     saturated: set[int],
@@ -122,7 +116,7 @@ def _augment(
             saturated.add(u)
         stack.append([u, neighbors, 0])
     witness = frozenset({root} | {owner[v] for v in visited})
-    raise NoSaturation(side=side, witness=witness)
+    raise NoSaturation(witness)
 
 
 def _require(condition: bool, detail: str) -> None:
@@ -130,31 +124,23 @@ def _require(condition: bool, detail: str) -> None:
         raise PreconditionViolated(f"matching merge invariant failed: {detail}")
 
 
-def merge_matchings(
-    m: Mapping[int, int], n: Mapping[int, int], x1: Iterable[int], y1: Iterable[int]
-) -> list[Edge]:
+def merge_matchings(m: Mapping[int, int], n: Mapping[int, int]) -> dict[int, int]:
     """Merge two saturating matchings into one covering X1 and Y1.
 
-    ``m`` maps left to right vertices and covers the left set X1 with
-    exactly |X1| edges; ``n`` maps right to left vertices and covers the
-    right set Y1 with exactly |Y1| edges: the two dicts saturating_matching
-    returns for the two sides.  The result K, as (left, right) edges,
-    satisfies K subset of (M union N), is a matching, and covers X1 union
-    Y1, which is checked before it is returned.  K starts as M; from each
-    Y1 vertex that M leaves uncovered, in increasing order, the walk along
-    its path swaps M edges for N edges (see the module docstring for why).
-    The order of the returned list is not part of the contract.
+    ``m`` maps left to right vertices and ``n`` right to left vertices:
+    the two dicts saturating_matching returns for the left targets X1
+    and the right targets Y1, which are their keys.  The result K maps
+    left to right vertices, satisfies K subset of (M union N), is a
+    matching, and covers X1 union Y1, which is checked before it is
+    returned.  K starts as M; from each Y1 vertex that M leaves
+    uncovered, in increasing order, the walk along its path swaps M
+    edges for N edges (see the module docstring for why).  The order of
+    the returned dict is not part of the contract.
     """
-    x1 = frozenset(x1)
-    y1 = frozenset(y1)
     if len(set(m.values())) != len(m) or len(set(n.values())) != len(n):
         raise PreconditionViolated("M and N must be matchings, but a partner repeats")
-    if len(m) != len(x1) or not x1 <= m.keys():
-        raise PreconditionViolated("M must cover X1 with exactly |X1| edges")
-    if len(n) != len(y1) or not y1 <= n.keys():
-        raise PreconditionViolated("N must cover Y1 with exactly |Y1| edges")
     kept = dict(m)
-    for v in sorted(y1 - set(m.values())):
+    for v in sorted(n.keys() - m.values()):
         # Take v's N edge (u, v) and free u's kept partner; the path goes
         # on from that partner's N edge and ends where there is none.
         while v in n:
@@ -163,10 +149,10 @@ def merge_matchings(
 
     rights = set(kept.values())
     _require(len(rights) == len(kept), "merged edges share a right endpoint")
-    _require(x1 <= kept.keys(), "merged matching misses part of X1")
-    _require(y1 <= rights, "merged matching misses part of Y1")
+    _require(m.keys() <= kept.keys(), "merged matching misses part of X1")
+    _require(n.keys() <= rights, "merged matching misses part of Y1")
     _require(
         all(m.get(l) == r or n.get(r) == l for l, r in kept.items()),
         "merged matching left M union N",
     )
-    return list(kept.items())
+    return kept

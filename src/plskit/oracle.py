@@ -49,22 +49,30 @@ Its fill caps (the volume cap, line targets, and without a row family the
 row above's count) make rows end on their targets and the volume settle
 any column family.  One room rule covers rows, columns, symbols and the
 volume, checked where a step can break it: before the search, the
-largest entry of each family against both other dimensions and the
-volume against the board, which also bounds each pinned dimension by the
-budget's cell cap; at a cell before its symbol loop, as only a placement
-uses up the volume that pinned lines and symbols still need; and at the
-one leave-empty step, which moves to the next cell, or past the first
-unused column to the next row.
+largest entry of each family against both other dimensions, the volume
+against each pair of dimensions (a row holds at most one cell per column
+and one per symbol, a column one per symbol), and each pinned dimension
+against the volume cap, so also against the budget's cell cap; at a
+cell before its symbol loop, as only a placement uses up the volume
+that pinned lines and symbols still need; and at the one leave-empty
+step, which moves to the next cell, or past the first unused column to
+the next row.
 
 Soundness over the budget: when a dimension left unconstrained by the
 caller had to be capped by the budget, a fruitless search proves nothing,
 so BudgetExceeded is raised instead of returning a false negative.  A
 search or enumeration deeper than the interpreter's stack also raises
-BudgetExceeded.
+BudgetExceeded.  exists_full refuses a pinned volume of at least the
+recursion limit that passes the room rule this way before it builds any
+table: a witness would need a frame per cell, more than the stack holds.
+Such a search could at most refute the volume; the room rule, checked
+first, still refutes the plainest of these, such as 2000 cells in one
+row with one symbol.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, Sequence
 
 from .core import PartialLatinSquare, checked_namedtuple, positive_int, positive_ints, validate
@@ -136,6 +144,10 @@ def check_prescription(
     return rm, cm, sm, r_eff, c_eff, s_eff, (volumes.pop() if volumes else None)
 
 
+def _too_deep(v_hi: int) -> str:
+    return f"search placing up to {v_hi} cells needs more stack depth than the interpreter allows"
+
+
 def exists_full(
     rows: Sequence[int] | None = None,
     cols: Sequence[int] | None = None,
@@ -203,16 +215,19 @@ def exists_full(
             )
         return False, None
 
-    # Room on the empty board: the volume fits it, each family's largest
-    # entry both other dimensions; past it no dimension passes the cell cap.
+    # Room on the empty board: the volume fits each pair of dimensions,
+    # each family's largest entry both other dimensions; past it no
+    # dimension passes the cell cap.
     if (
-        n_rows * n_cols < v_lo
+        v_lo > min(n_rows * n_cols, n_rows * n_syms, n_cols * n_syms)
         or max(r_eff or 0, c_eff or 0, s_eff or 0) > v_hi
         or (row_target is not None and row_target[0] > min(n_cols, n_syms))
         or (col_target is not None and col_target[0] > min(n_rows, n_syms))
         or (sym_desc is not None and sym_desc[0] > min(n_rows, n_cols))
     ):
         return no_square()
+    if v_lo >= sys.getrecursionlimit():
+        raise BudgetExceeded(_too_deep(v_hi))
 
     # One bitmask per line, bit k set when symbol k is in it, so a line's
     # cell count is its mask's bit count; sym_cnt[k] counts symbol k's
@@ -312,10 +327,7 @@ def exists_full(
     except RecursionError:
         # One stack frame per placed cell: a volume cap this large cannot
         # be searched, which is a budget verdict, not a negative answer.
-        raise BudgetExceeded(
-            f"search placing up to {v_hi} cells needs more stack depth "
-            "than the interpreter allows"
-        ) from None
+        raise BudgetExceeded(_too_deep(v_hi)) from None
     if not found:
         return no_square()
     # A successful search leaves its placements in chosen, already

@@ -227,9 +227,9 @@ def test_criterion_5_matching_merge_property_suite():
     failures = 0
     for _ in range(10_000):
         edges, x1, y1 = random_bounded_graph(rng)
-        m = saturating_matching(adjacency(edges, "left"), "left", x1)
-        n = saturating_matching(adjacency(edges, "right"), "right", y1)
-        k = set(merge_matchings(m, n, x1, y1))
+        m = saturating_matching(adjacency(edges, "left"), x1)
+        n = saturating_matching(adjacency(edges, "right"), y1)
+        k = set(merge_matchings(m, n).items())
         m_edges = set(m.items())
         n_edges = {(l, r) for r, l in n.items()}
         if not (

@@ -92,9 +92,9 @@ def reference_layers(cs):
         p = max(max(map(len, rows.values())), max(map(len, cols.values())))
         x1 = sorted(i for i, line in rows.items() if len(line) == p)
         y1 = sorted(j for j, line in cols.items() if len(line) == p)
-        m = saturating_matching(rows, "left", x1)
-        n = saturating_matching(cols, "right", y1)
-        layer = frozenset(merge_matchings(m, n, x1, y1))
+        m = saturating_matching(rows, x1)
+        n = saturating_matching(cols, y1)
+        layer = frozenset(merge_matchings(m, n).items())
         yield p, layer
         remaining -= layer
 

@@ -32,7 +32,7 @@ def is_matching(edges):
     return len(set(lefts)) == len(lefts) and len(set(rights)) == len(rights)
 
 
-def reference_matching(adj, side, targets):
+def reference_matching(adj, targets):
     """The plain matching rule, one depth-first search per target.
 
     Targets in increasing order; each search takes the entered vertex's
@@ -69,16 +69,16 @@ def reference_matching(adj, side, targets):
                 if via:
                     via.pop()
             if u is None:
-                raise NoSaturation(side=side, witness=frozenset({root} | {owner[v] for v in visited}))
+                raise NoSaturation(frozenset({root} | {owner[v] for v in visited}))
     return match
 
 
-def outcome(function, adj, side, targets):
-    """The result dict in insertion order, or the failure's side and witness."""
+def outcome(function, adj, targets):
+    """The result dict in insertion order, or the failure's witness."""
     try:
-        return list(function(adj, side, targets).items())
+        return list(function(adj, targets).items())
     except NoSaturation as exc:
-        return exc.side, exc.witness
+        return exc.witness
 
 
 class CountingList(list):
@@ -95,45 +95,39 @@ class TestSaturatingMatching:
     def test_complete_2x2_both_targets(self):
         # Pinned scan order: a free neighbor is taken before rerouting,
         # so vertex 2 pairs with column 2 instead of displacing (1, 1).
-        m = saturating_matching(adjacency(COMPLETE_2x2, "left"), "left", (1, 2))
+        m = saturating_matching(adjacency(COMPLETE_2x2, "left"), (1, 2))
         assert m == {1: 1, 2: 2}
 
     def test_empty_targets_give_empty_matching(self):
-        assert saturating_matching(adjacency(COMPLETE_2x2, "left"), "left", ()) == {}
+        assert saturating_matching(adjacency(COMPLETE_2x2, "left"), ()) == {}
 
     def test_right_side(self):
-        m = saturating_matching(adjacency(COMPLETE_2x2, "right"), "right", (1, 2))
+        m = saturating_matching(adjacency(COMPLETE_2x2, "right"), (1, 2))
         assert m == {1: 1, 2: 2}
 
     def test_hall_violation_witness(self):
         adj = adjacency({(1, 1), (2, 1)}, "left")
         with pytest.raises(NoSaturation) as exc:
-            saturating_matching(adj, "left", (1, 2))
-        assert exc.value.side == "left"
+            saturating_matching(adj, (1, 2))
         assert exc.value.witness == frozenset({1, 2})
 
     def test_right_side_failure_reports_right(self):
+        # Right 1 and 2 share their one neighbor: the witness is both.
         adj = adjacency({(1, 1), (1, 2)}, "right")
         with pytest.raises(NoSaturation) as exc:
-            saturating_matching(adj, "right", (1, 2))
-        assert exc.value.side == "right"
+            saturating_matching(adj, (1, 2))
         assert exc.value.witness == frozenset({1, 2})
 
     def test_augmenting_reroutes_when_needed(self):
         # Vertex 2 only likes column 1, so vertex 1 must move to column 2.
         adj = adjacency({(1, 1), (1, 2), (2, 1)}, "left")
-        assert saturating_matching(adj, "left", (1, 2)) == {1: 2, 2: 1}
-
-    def test_rejects_bad_side(self):
-        with pytest.raises(PreconditionViolated):
-            saturating_matching(adjacency(COMPLETE_2x2, "left"), "top", (1,))
+        assert saturating_matching(adj, (1, 2)) == {1: 2, 2: 1}
 
     def test_rejects_out_of_range_target(self):
         # A target without an adjacency entry has no neighbors: a Hall
         # violation on its own.
         with pytest.raises(NoSaturation) as exc:
-            saturating_matching(adjacency(COMPLETE_2x2, "left"), "left", (3,))
-        assert exc.value.side == "left"
+            saturating_matching(adjacency(COMPLETE_2x2, "left"), (3,))
         assert exc.value.witness == frozenset({3})
 
     def test_deep_augmenting_chain_saturates(self):
@@ -142,7 +136,7 @@ class TestSaturatingMatching:
         size = 3000
         edges = {(u, u) for u in range(1, size)} | {(u, u + 1) for u in range(1, size)}
         edges.add((size, 1))
-        m = saturating_matching(adjacency(edges, "left"), "left", range(1, size + 1))
+        m = saturating_matching(adjacency(edges, "left"), range(1, size + 1))
         assert len(m) == size
         assert as_edges(m, "left") <= edges
         assert is_matching(as_edges(m, "left"))
@@ -153,7 +147,7 @@ class TestSaturatingMatching:
         # matching exists, has one edge per target, and stays in the graph.
         x1, y1 = max_degree_targets(edges)
         for side, targets in (("left", x1), ("right", y1)):
-            m = saturating_matching(adjacency(edges, side), side, targets)
+            m = saturating_matching(adjacency(edges, side), targets)
             assert m.keys() == targets
             assert as_edges(m, side) <= edges
             assert is_matching(as_edges(m, side))
@@ -163,12 +157,12 @@ class TestSaturatingMatching:
     def test_agrees_with_the_reference_rule(self, edges, data):
         # Arbitrary target lists, repeats and vertices without an
         # adjacency entry included: the same dict in the same order, or
-        # the same failure side and witness.
+        # the same failure witness.
         side = data.draw(st.sampled_from(("left", "right")))
         adj = adjacency(edges, side)
         targets = data.draw(st.lists(st.integers(1, max(adj) + 2), max_size=10))
-        assert outcome(saturating_matching, adj, side, targets) == outcome(
-            reference_matching, adj, side, targets
+        assert outcome(saturating_matching, adj, targets) == outcome(
+            reference_matching, adj, targets
         )
 
     def test_later_search_skips_vertices_it_found_saturated(self):
@@ -178,13 +172,13 @@ class TestSaturatingMatching:
         # all owned, and skips their free scans before a frees 8.
         adj = {1: [4, 8], 2: [1, 2, 4], 3: [2, 7], 4: [1, 2], 5: [1]}
         expected = {1: 8, 2: 4, 3: 7, 4: 2, 5: 1}
-        assert saturating_matching(adj, "left", range(1, 6)) == expected
-        assert reference_matching(adj, "left", range(1, 6)) == expected
+        assert saturating_matching(adj, range(1, 6)) == expected
+        assert reference_matching(adj, range(1, 6)) == expected
         # The plain rule scans a, b, c; d, b, c; e, d, b, a: ten scans.
         # The memo drops the second scans of d and b.
         CountingList.scans = 0
         counted = {u: CountingList(vs) for u, vs in adj.items()}
-        assert saturating_matching(counted, "left", range(1, 6)) == expected
+        assert saturating_matching(counted, range(1, 6)) == expected
         assert CountingList.scans == 8
 
     @given(graphs(max_side=5, max_degree=3))
@@ -195,7 +189,7 @@ class TestSaturatingMatching:
         adj = adjacency(edges, "left")
         targets = tuple(range(1, max(adj) + 1))
         try:
-            m = saturating_matching(adj, "left", targets)
+            m = saturating_matching(adj, targets)
         except NoSaturation as exc:
             neighborhood = set()
             for u in exc.witness:
@@ -208,10 +202,10 @@ class TestSaturatingMatching:
 
 @st.composite
 def matching_pairs(draw, max_side: int = 7):
-    """(M, N, X1, Y1) meeting the merge's preconditions, otherwise arbitrary.
+    """(M, N) meeting the merge's preconditions, otherwise arbitrary.
 
-    M maps left to right and is keyed exactly by X1; N maps right to left
-    and is keyed exactly by Y1.
+    M maps left to right and N right to left, each injectively; their
+    keys are X1 and Y1.
     """
     left = draw(st.integers(1, max_side))
     right = draw(st.integers(1, max_side))
@@ -223,94 +217,91 @@ def matching_pairs(draw, max_side: int = 7):
 
     m = partial_injection(range(1, left + 1), range(1, right + 1))
     n = partial_injection(range(1, right + 1), range(1, left + 1))
-    return m, n, frozenset(m), frozenset(n)
+    return m, n
 
 
 @st.composite
 def covering_pairs(draw, max_side: int = 7):
-    """(M, N, X1, Y1) meeting the merge's preconditions, with M covering Y1."""
-    m, _, x1, _ = draw(matching_pairs(max_side))
+    """(M, N) meeting the merge's preconditions, with M covering N's keys Y1."""
+    m, _ = draw(matching_pairs(max_side))
     y1 = draw(st.sets(st.sampled_from(sorted(m.values())))) if m else set()
     lefts = draw(st.lists(st.integers(1, max_side), unique=True, min_size=len(y1), max_size=len(y1)))
-    return m, dict(zip(sorted(y1), lefts)), x1, frozenset(y1)
+    return m, dict(zip(sorted(y1), lefts))
 
 
 class TestMergeMatchings:
     def test_disjoint_union(self):
-        k = merge_matchings({1: 1}, {2: 2}, x1=(1,), y1=(2,))
-        assert set(k) == {(1, 1), (2, 2)}
+        assert merge_matchings({1: 1}, {2: 2}) == {1: 1, 2: 2}
 
     def test_two_edge_path_takes_the_m_side(self):
         # Proof case: path starts at x1 with an M edge whose right end is
         # in Y1, so the M edge alone covers both.
-        k = merge_matchings({1: 1}, {1: 2}, x1=(1,), y1=(1,))
-        assert k == [(1, 1)]
+        assert merge_matchings({1: 1}, {1: 2}) == {1: 1}
 
     def test_equal_matchings_pass_through(self):
         m = {1: 1, 2: 2}
-        k = merge_matchings(m, m, x1=(1, 2), y1=(1, 2))
-        assert set(k) == {(1, 1), (2, 2)}
-
-    def test_rejects_uncovered_x1(self):
-        with pytest.raises(PreconditionViolated):
-            merge_matchings({1: 1}, {2: 2}, x1=(2,), y1=(2,))
-
-    def test_rejects_oversized_m(self):
-        with pytest.raises(PreconditionViolated):
-            merge_matchings({1: 1, 2: 2}, {2: 2}, x1=(1,), y1=(2,))
+        assert merge_matchings(m, m) == {1: 1, 2: 2}
 
     def test_rejects_repeated_partner(self):
         # Two targets sharing a partner is no matching; the merge must say
         # so rather than fail inside the component walk.
         with pytest.raises(PreconditionViolated):
-            merge_matchings({1: 1, 2: 1}, {1: 1}, x1=(1, 2), y1=(1,))
+            merge_matchings({1: 1, 2: 1}, {1: 1})
         with pytest.raises(PreconditionViolated):
-            merge_matchings({1: 1}, {1: 1, 2: 1}, x1=(1,), y1=(1, 2))
+            merge_matchings({1: 1}, {1: 1, 2: 1})
 
     @pytest.mark.parametrize(
-        "m, n, x1, y1, expected",
+        "m, n, expected",
         [
             # An alternating 4-cycle: either side covers it, M is kept.
-            ({1: 1, 2: 2}, {2: 1, 1: 2}, (1, 2), (1, 2), {(1, 1), (2, 2)}),
+            ({1: 1, 2: 2}, {2: 1, 1: 2}, {1: 1, 2: 2}),
             # A path ending at a Y1 vertex that M leaves uncovered takes N.
-            ({1: 1}, {2: 1}, (1,), (2,), {(1, 2)}),
+            ({1: 1}, {2: 1}, {1: 2}),
             # Two paths: the one from uncovered right 4 swaps to N, the
             # one pinned by left 2's M edge keeps M.
-            ({1: 1, 2: 2, 3: 3}, {2: 1, 4: 3}, (1, 2, 3), (2, 4), {(1, 1), (2, 2), (3, 4)}),
+            ({1: 1, 2: 2, 3: 3}, {2: 1, 4: 3}, {1: 1, 2: 2, 3: 4}),
         ],
     )
-    def test_kept_edges(self, m, n, x1, y1, expected):
-        assert set(merge_matchings(m, n, x1, y1)) == expected
+    def test_kept_edges(self, m, n, expected):
+        assert merge_matchings(m, n) == expected
+
+    def test_leaves_its_inputs_untouched(self):
+        # The walk swaps right 4's path over to N; the result is a new
+        # dict and neither input changes.
+        m = {1: 1, 2: 2, 3: 3}
+        n = {2: 1, 4: 3}
+        k = merge_matchings(m, n)
+        assert k == {1: 1, 2: 2, 3: 4}
+        assert k is not m
+        assert m == {1: 1, 2: 2, 3: 3} and n == {2: 1, 4: 3}
 
     @settings(max_examples=300)
     @given(matching_pairs())
     def test_arbitrary_pair_merges(self, pair):
-        m, n, x1, y1 = pair
+        m, n = pair
         m_edges = set(m.items())
         n_edges = as_edges(n, "right")
-        k = merge_matchings(m, n, x1, y1)
-        assert len(k) == len(set(k))
-        k = set(k)
+        k = set(merge_matchings(m, n).items())
         assert k <= m_edges | n_edges
         assert m_edges & n_edges <= k
         assert is_matching(k)
-        assert x1 <= {u for u, _ in k}
-        assert y1 <= {v for _, v in k}
+        assert m.keys() <= {u for u, _ in k}
+        assert n.keys() <= {v for _, v in k}
 
     @settings(max_examples=300)
     @given(covering_pairs())
     def test_m_covering_y1_is_returned_as_is(self, pair):
         # The peel takes M as the layer without calling the merge in this case.
-        m, n, x1, y1 = pair
-        assert sorted(merge_matchings(m, n, x1, y1)) == sorted(m.items())
+        m, n = pair
+        assert merge_matchings(m, n) == m
 
     @settings(max_examples=300)
     @given(graphs())
     def test_pipeline_covers_both_target_sets(self, edges):
         x1, y1 = max_degree_targets(edges)
-        m = saturating_matching(adjacency(edges, "left"), "left", x1)
-        n = saturating_matching(adjacency(edges, "right"), "right", y1)
-        k = set(merge_matchings(m, n, x1, y1))
+        m = saturating_matching(adjacency(edges, "left"), x1)
+        n = saturating_matching(adjacency(edges, "right"), y1)
+        k = set(merge_matchings(m, n).items())
         assert k <= as_edges(m, "left") | as_edges(n, "right")
         assert is_matching(k)
         assert x1 <= {u for u, _ in k}

@@ -75,7 +75,7 @@ def key_of(pls):
 
 
 def recurse_frames(**kwargs):
-    """exists_full(**kwargs) and the number of search frames it opened."""
+    """exists_full(**kwargs) or the BudgetExceeded it raised, and the search frames it opened."""
     frames = 0
 
     def count(frame, event, arg):
@@ -86,6 +86,8 @@ def recurse_frames(**kwargs):
     sys.setprofile(count)
     try:
         got = exists_full(**kwargs)
+    except BudgetExceeded as exc:
+        got = exc
     finally:
         sys.setprofile(None)
     return got, frames
@@ -198,16 +200,18 @@ class TestExistsFull:
         assert peak < 1_000_000
 
     def test_search_keeps_no_line_by_symbol_table(self):
-        # One row of 2000 cells over 2000 pinned columns and symbols runs
-        # out of stack.  Each line holds its used symbols as one int, where
-        # a flag per column and symbol would take ~32 MB here.  Symbol
-        # counts grow as symbols open: 10**6 pinned symbols, where a count
-        # per pinned symbol would take ~8 MB, run out of stack the same way.
+        # One row of up to 2000 cells over 2000 pinned columns and symbols
+        # runs out of stack; the volume is free, as a pinned one this deep
+        # is refused before the search.  Each line holds its used symbols
+        # as one int, where a flag per column and symbol would take ~32 MB
+        # here.  Symbol counts grow as symbols open: 10**6 pinned symbols,
+        # where a count per pinned symbol would take ~8 MB, run out of
+        # stack the same way.
         n = 2000
         big = 10**6
         for kwargs in (
-            dict(r=1, c=n, s=n, v=n, budget=Budget(n, 1, n, n)),
-            dict(s=big, v=big, budget=Budget(big, big, big, big)),
+            dict(r=1, c=n, s=n, budget=Budget(n, 1, n, n)),
+            dict(s=big, budget=Budget(big, big, big, big)),
         ):
             tracemalloc.start()
             try:
@@ -238,11 +242,22 @@ class TestExistsFull:
     def test_free_columns_open_in_order(self):
         # Without a column family a row opens only the first unused
         # column; leaving it empty skips the rest of the row, so this
-        # refutation opens 49 frames where trying every fresh column of
-        # each row would open 1,575.
+        # refutation opens 15 frames where trying every fresh column of
+        # each row would open 271.
+        got, frames = recurse_frames(r=2, c=5, s=2, budget=Budget(12, 6, 6, 6))
+        assert got == (False, None)
+        assert frames == 15
+
+    def test_volume_beyond_rows_times_symbols_opens_no_frame(self):
+        # 3 rows of at most 2 symbols each hold 6 cells, so 7 cells are
+        # refuted before the search, though the 3 x 5 board holds 15.
         got, frames = recurse_frames(r=3, c=5, s=2, v=7, budget=Budget(12, 6, 6, 6))
         assert got == (False, None)
-        assert frames == 49
+        assert frames == 0
+        # Likewise 3 columns of 2 symbols each, over 7 free rows.
+        got, frames = recurse_frames(c=3, s=2, v=7, budget=Budget(12, 7, 6, 6))
+        assert got == (False, None)
+        assert frames == 0
 
     def test_line_tables_follow_the_lines_the_search_touches(self):
         # A 10**5-column budget over 3 rows finds an 18-cell witness, and
@@ -275,6 +290,16 @@ class TestExistsFull:
     def test_volume_too_deep_to_search_is_a_budget_error(self):
         with pytest.raises(BudgetExceeded, match="placing up to 1100 cells"):
             exists_full(v=1100, budget=Budget(1100, 1, 1100, 1100))
+
+    def test_volume_too_deep_to_search_is_refused_before_the_search(self):
+        # 2000 cells, one per line: a witness needs 2001 frames, so the
+        # call is refused before the search, not after scanning ~10**6
+        # cells on its way down the stack.
+        n = 2000
+        got, frames = recurse_frames(rows=(1,) * n, cols=(1,) * n, s=n, budget=Budget(n, n, n, n))
+        assert isinstance(got, BudgetExceeded)
+        assert "placing up to 2000 cells" in str(got)
+        assert frames == 0
 
     def test_volume_too_deep_to_search_may_still_be_refuted(self):
         # One row and one symbol hold at most one cell, so 2000 pinned

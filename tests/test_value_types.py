@@ -126,7 +126,7 @@ ERRORS = {
     TriplePairError: lambda: TriplePairError(
         "two triples occupy the same cell", Triple(1, 1, 1), Triple(1, 1, 2)
     ),
-    NoSaturation: lambda: NoSaturation("left", frozenset({2, 3})),
+    NoSaturation: lambda: NoSaturation(frozenset({2, 3})),
     PreconditionViolated: lambda: PreconditionViolated("s must be a positive integer"),
     Infeasible: lambda: Infeasible("no such square", report=check_sizes(1, 1, 1, 2), witness=(1, 2)),
     BudgetExceeded: lambda: BudgetExceeded("volume 9 above the budget cap 8"),
