@@ -25,6 +25,7 @@ from typing import Iterable, NoReturn, Sequence
 from .errors import PreconditionViolated, TriplePairError
 
 AXES = ("row", "col", "sym")
+_INTS = frozenset((int,))
 
 
 def is_positive_int(value) -> bool:
@@ -44,8 +45,13 @@ def positive_int(name: str, value: int) -> int:
 
 def positive_ints(name: str, values: Sequence[int]) -> tuple[int, ...]:
     """Return ``values`` as a tuple if it is a nonempty run of positive integers."""
+    # A run of plain ints is settled by two C-level passes; anything else
+    # takes the full rule element by element, so exactly the same values pass.
     values = tuple(values)
-    if not values or not all(type(k) is int and k > 0 or is_positive_int(k) for k in values):
+    if not values or not (
+        _INTS.issuperset(map(type, values)) and min(values) > 0
+        or all(map(is_positive_int, values))
+    ):
         raise PreconditionViolated(f"{name} must be a nonempty sequence of positive integers")
     return values
 
@@ -142,7 +148,7 @@ def _plain_axes(triples: Iterable) -> tuple[tuple[int, ...], ...] | None:
     except ValueError:
         return None
     labels = rows + cols + syms
-    if not ({int}.issuperset(map(type, labels)) and min(labels) > 0):
+    if not (_INTS.issuperset(map(type, labels)) and min(labels) > 0):
         return None
     return rows, cols, syms
 

@@ -21,7 +21,7 @@ for realize_degree_matrix, which names the same pair when it fails.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
+from operator import itemgetter
 from typing import Sequence
 
 from .core import checked_namedtuple, positive_int, positive_ints
@@ -31,6 +31,17 @@ class Condition(namedtuple("Condition", ("id", "satisfied", "witness"), defaults
     """One checked condition: a stable id, its verdict, and a witness."""
 
     __slots__ = ()
+
+
+# Every condition that holds, shared: only a broken one carries a witness.
+_HELD = {
+    name: Condition(name, True)
+    for name in (
+        "equal-sums", "dominance", "symbol-bounds", "volume-bounds", "row-caps",
+        "lower-bound", "upper-bound",
+    )
+}
+_SATISFIED = itemgetter(1)
 
 
 class FeasibilityReport(checked_namedtuple("FeasibilityReport", ("feasible", "conditions"))):
@@ -50,7 +61,7 @@ class FeasibilityReport(checked_namedtuple("FeasibilityReport", ("feasible", "co
     def from_conditions(cls, conditions: Sequence[Condition]) -> "FeasibilityReport":
         # The verdict is computed here, so there is nothing for __new__ to check.
         conditions = tuple(conditions)
-        return tuple.__new__(cls, (all(c.satisfied for c in conditions), conditions))
+        return tuple.__new__(cls, (all(map(_SATISFIED, conditions)), conditions))
 
     def violated(self) -> tuple[Condition, ...]:
         return tuple(c for c in self.conditions if not c.satisfied)
@@ -63,17 +74,22 @@ def _worst_pair(n_desc: list[int], m_desc: list[int], v: int) -> tuple[int, int]
     # grows with l exactly while the next column count exceeds k, so the
     # worst l is #{j : m[j] > k} and one pointer walking down m_desc finds
     # it for every k.  k = 0 is skipped: its worst l takes every column,
-    # for an excess of exactly 0.
-    m_prefix = [0, *accumulate(m_desc)]
+    # for an excess of exactly 0.  Once l reaches 0 the scan stops: every
+    # later excess is a prefix sum of n minus v, at most 0.  m_sum is the
+    # sum of the top l column counts, all v while l takes every column.
     worst_excess = 0
     worst_pair = None
     n_sum = 0
+    m_sum = v
     l = len(m_desc)
     for k, count in enumerate(n_desc, 1):
         n_sum += count
         while l and m_desc[l - 1] <= k:
             l -= 1
-        excess = n_sum + m_prefix[l] - v - k * l
+            m_sum -= m_desc[l]
+        if not l:
+            break
+        excess = n_sum + m_sum - v - k * l
         if excess > worst_excess:
             worst_excess = excess
             worst_pair = (k, l)
@@ -103,7 +119,7 @@ def check_construction(n: Sequence[int], m: Sequence[int], s: int) -> Feasibilit
     m_desc = sorted(m, reverse=True)
     worst = _worst_pair(n_desc, m_desc, v)
     if worst is None:
-        dominance = Condition("dominance", True)
+        dominance = _HELD["dominance"]
     else:
         k, l = worst
         lhs = sum(n_desc[:k]) + sum(m_desc[:l])
@@ -117,8 +133,8 @@ def check_construction(n: Sequence[int], m: Sequence[int], s: int) -> Feasibilit
     elif s > v:
         bounds = Condition("symbol-bounds", False, f"s = {s} > v = {v}")
     else:
-        bounds = Condition("symbol-bounds", True)
-    return FeasibilityReport.from_conditions([Condition("equal-sums", True), dominance, bounds])
+        bounds = _HELD["symbol-bounds"]
+    return FeasibilityReport.from_conditions((_HELD["equal-sums"], dominance, bounds))
 
 
 def check_row_params(n: Sequence[int], c: int, s: int) -> FeasibilityReport:
@@ -137,16 +153,15 @@ def check_row_params(n: Sequence[int], c: int, s: int) -> FeasibilityReport:
     elif v > c * s:
         volume = Condition("volume-bounds", False, f"v = {v} > c * s = {c * s}")
     else:
-        volume = Condition("volume-bounds", True)
+        volume = _HELD["volume-bounds"]
 
     cap = min(c, s)
-    offenders = [(i, k) for i, k in enumerate(n) if k > cap]
-    if offenders:
-        i, k = offenders[0]
-        caps = Condition("row-caps", False, f"n[{i + 1}] = {k} > min(c, s) = {cap}")
+    if max(n) > cap:
+        i, k = next((i, k) for i, k in enumerate(n, 1) if k > cap)
+        caps = Condition("row-caps", False, f"n[{i}] = {k} > min(c, s) = {cap}")
     else:
-        caps = Condition("row-caps", True)
-    return FeasibilityReport.from_conditions([volume, caps])
+        caps = _HELD["row-caps"]
+    return FeasibilityReport.from_conditions((volume, caps))
 
 
 def check_sizes(r: int, c: int, s: int, v: int) -> FeasibilityReport:
@@ -162,13 +177,14 @@ def check_sizes(r: int, c: int, s: int, v: int) -> FeasibilityReport:
     if v < max(r, c, s):
         lower = Condition("lower-bound", False, f"v = {v} < max(r, c, s) = {max(r, c, s)}")
     else:
-        lower = Condition("lower-bound", True)
+        lower = _HELD["lower-bound"]
 
-    products = [("r*c", r * c), ("c*s", c * s), ("r*s", r * s)]
-    broken = [(label, value) for label, value in products if v > value]
-    if broken:
-        label, value = min(broken, key=lambda item: item[1])
+    products = (r * c, c * s, r * s)
+    value = min(products)
+    if v > value:
+        # The witness names the first of the smallest products.
+        label = ("r*c", "c*s", "r*s")[products.index(value)]
         upper = Condition("upper-bound", False, f"v = {v} > {label} = {value}")
     else:
-        upper = Condition("upper-bound", True)
-    return FeasibilityReport.from_conditions([lower, upper])
+        upper = _HELD["upper-bound"]
+    return FeasibilityReport.from_conditions((lower, upper))

@@ -91,10 +91,6 @@ class Budget(checked_namedtuple("Budget", "max_cells max_rows max_cols max_symbo
         return budget
 
 
-def _family(name: str, params: Sequence[int] | None) -> tuple[int, ...] | None:
-    return None if params is None else positive_ints(name, params)
-
-
 def _merge_scalar(name: str, scalar: int | None, family: tuple[int, ...] | None) -> int | None:
     if scalar is not None:
         positive_int(name, scalar)
@@ -125,27 +121,38 @@ def check_prescription(
     tuples and every scalar or volume the others imply filled in; raises
     PreconditionViolated otherwise.
     """
-    rm = _family("rows", rows)
-    cm = _family("cols", cols)
-    sm = _family("symbols", symbols)
+    rm = None if rows is None else positive_ints("rows", rows)
+    cm = None if cols is None else positive_ints("cols", cols)
+    sm = None if symbols is None else positive_ints("symbols", symbols)
     r_eff = _merge_scalar("r", r, rm)
     c_eff = _merge_scalar("c", c, cm)
     s_eff = _merge_scalar("s", s, sm)
     if v is not None:
         positive_int("v", v)
-    if all(x is None for x in (rm, cm, sm, r_eff, c_eff, s_eff, v)):
+    elif r_eff is None and c_eff is None and s_eff is None:
+        # A family fills in its scalar, so without v the three scalars
+        # show whether any constraint was given.
         raise PreconditionViolated("at least one constraint is required")
 
-    volumes = {sum(fam) for fam in (rm, cm, sm) if fam is not None}
+    volumes = [sum(fam) for fam in (rm, cm, sm) if fam is not None]
     if v is not None:
-        volumes.add(v)
-    if len(volumes) > 1:
-        raise PreconditionViolated(f"implied volumes disagree: {sorted(volumes)}")
-    return rm, cm, sm, r_eff, c_eff, s_eff, (volumes.pop() if volumes else None)
+        volumes.append(v)
+    if len(set(volumes)) > 1:
+        raise PreconditionViolated(f"implied volumes disagree: {sorted(set(volumes))}")
+    return rm, cm, sm, r_eff, c_eff, s_eff, (volumes[0] if volumes else None)
 
 
 def _too_deep(v_hi: int) -> str:
     return f"search placing up to {v_hi} cells needs more stack depth than the interpreter allows"
+
+
+def _no_witness(truncated: bool) -> tuple[bool, None]:
+    if truncated:
+        raise BudgetExceeded(
+            "search space was truncated by the budget; no witness found, "
+            "but larger unconstrained dimensions were not explored"
+        )
+    return False, None
 
 
 def exists_full(
@@ -202,18 +209,10 @@ def exists_full(
     # sorted targets when rows is given), column counts weakly decreasing
     # when cols is given and columns first used in order when not, and
     # symbols first used in increasing order.
-    row_target = tuple(sorted(rm, reverse=True)) if rm is not None else None
-    col_target = tuple(sorted(cm, reverse=True)) if cm is not None else None
-    sym_desc = tuple(sorted(sm, reverse=True)) if sm is not None else None
+    row_target = sorted(rm, reverse=True) if rm is not None else None
+    col_target = sorted(cm, reverse=True) if cm is not None else None
+    sym_desc = sorted(sm, reverse=True) if sm is not None else None
     sym_cap = sym_desc[0] if sym_desc is not None else v_hi
-
-    def no_square() -> tuple[bool, None]:
-        if truncated:
-            raise BudgetExceeded(
-                "search space was truncated by the budget; no witness found, "
-                "but larger unconstrained dimensions were not explored"
-            )
-        return False, None
 
     # Room on the empty board: the volume fits each pair of dimensions,
     # each family's largest entry both other dimensions; past it no
@@ -225,7 +224,7 @@ def exists_full(
         or (col_target is not None and col_target[0] > min(n_rows, n_syms))
         or (sym_desc is not None and sym_desc[0] > min(n_rows, n_cols))
     ):
-        return no_square()
+        return _no_witness(truncated)
     if v_lo >= sys.getrecursionlimit():
         raise BudgetExceeded(_too_deep(v_hi))
 
@@ -238,14 +237,20 @@ def exists_full(
     col_used: list[int] = []
     chosen: list[tuple[int, int, int]] = []
     empty_cols = n_cols
+    n_cells = n_rows * n_cols
+    rows_pinned = r_eff is not None
+    cols_pinned = c_eff is not None
+    # sym_goal - len(sym_cnt) counts the pinned symbols not yet open;
+    # with s free it is never positive.
+    sym_goal = s_eff + 1 if s_eff is not None else 0
 
     def accept() -> bool:
         # Placement never passes v_hi or a column or row target, so once
         # v_lo cells are placed the volume and any column family hold.
-        if len(chosen) < v_lo or (c_eff is not None and empty_cols):
+        if len(chosen) < v_lo or (cols_pinned and empty_cols):
             return False
         if sym_desc is not None:
-            return tuple(sorted(sym_cnt[1:], reverse=True)) == sym_desc
+            return sorted(sym_cnt[1:], reverse=True) == sym_desc
         return s_eff is None or len(sym_cnt) - 1 == s_eff
 
     def recurse(idx: int) -> bool:
@@ -255,7 +260,7 @@ def exists_full(
             if j == 0:
                 if i and row_target is None and not row_used[i - 1]:
                     # Rows stay weakly decreasing: the rest stay empty.
-                    return r_eff is None and accept()
+                    return not rows_pinned and accept()
                 if i == n_rows:
                     return accept()
                 if i == len(row_used):
@@ -263,8 +268,10 @@ def exists_full(
             if j == len(col_used):
                 col_used.append(0)
 
-            in_row = row_used[i].bit_count()
-            in_col = col_used[j].bit_count()
+            row_bits = row_used[i]
+            col_bits = col_used[j]
+            in_row = row_bits.bit_count()
+            in_col = col_bits.bit_count()
             # A row fills up to its target, or without a row family up to
             # the count of the row above; a column up to its target.
             row_cap = (
@@ -275,48 +282,54 @@ def exists_full(
             # below, pinned columns still empty and pinned symbols still
             # unused; only a new symbol lowers the last.
             fresh_col = not in_col
-            room = v_hi - len(chosen) - 1
-            syms_left = s_eff + 1 - len(sym_cnt) if s_eff is not None else 0
+            placed = len(chosen)
+            room = v_hi - placed - 1
+            opened = len(sym_cnt)
+            syms_left = sym_goal - opened
             if (
                 in_row < row_cap
                 and (col_target is None or in_col < col_target[j])
-                and max(
-                    n_rows - 1 - i if r_eff is not None else 0,
-                    empty_cols - fresh_col if c_eff is not None else 0,
-                    syms_left - 1,
-                )
-                <= room
+                and room >= (n_rows - 1 - i if rows_pinned else 0)
+                and room >= (empty_cols - fresh_col if cols_pinned else 0)
+                and room >= syms_left - 1
             ):
-                k_lo = 1 if syms_left <= room else len(sym_cnt)
-                used = row_used[i] | col_used[j]
-                for k in range(k_lo, min(n_syms, len(sym_cnt)) + 1):
+                used = row_bits | col_bits
+                # The open symbols, unless the room left must go to pinned
+                # symbols not yet open, then the next one if n_syms allows.
+                for k in range(
+                    1 if syms_left <= room else opened,
+                    opened + 1 if opened <= n_syms else opened,
+                ):
                     bit = 1 << k
-                    if k == len(sym_cnt):
+                    if k == opened:
                         # A symbol not yet open is in no line, under any cap.
-                        sym_cnt.append(0)
+                        sym_cnt.append(1)
                     elif used & bit or sym_cnt[k] >= sym_cap:
                         continue
-                    row_used[i] |= bit
-                    col_used[j] |= bit
-                    sym_cnt[k] += 1
+                    else:
+                        sym_cnt[k] += 1
+                    row_used[i] = row_bits | bit
+                    col_used[j] = col_bits | bit
                     empty_cols -= fresh_col
                     chosen.append((i + 1, j + 1, k))
                     if recurse(idx + 1):
                         return True
                     chosen.pop()
                     empty_cols += fresh_col
-                    sym_cnt[k] -= 1
-                    if not sym_cnt[k]:
+                    row_used[i] = row_bits
+                    col_used[j] = col_bits
+                    if k == opened:
                         sym_cnt.pop()
-                    row_used[i] ^= bit
-                    col_used[j] ^= bit
+                    else:
+                        sym_cnt[k] -= 1
             # Leaving the cell empty moves on to nxt: the next cell, or the
             # next row when it is the first unused column, as columns open
             # in order.  What is left must hold the volume, row and column.
-            nxt = (i + 1) * n_cols if fresh_col and col_target is None else idx + 1
+            row_end = idx - j + n_cols
+            nxt = row_end if fresh_col and col_target is None else idx + 1
             if (
-                len(chosen) + n_rows * n_cols - nxt < v_lo
-                or (row_target is not None and row_target[i] - in_row > (i + 1) * n_cols - nxt)
+                placed + n_cells - nxt < v_lo
+                or (row_target is not None and row_target[i] - in_row > row_end - nxt)
                 or (col_target is not None and col_target[j] - in_col > n_rows - i - 1)
             ):
                 return False
@@ -328,8 +341,13 @@ def exists_full(
         # One stack frame per placed cell: a volume cap this large cannot
         # be searched, which is a budget verdict, not a negative answer.
         raise BudgetExceeded(_too_deep(v_hi)) from None
+    finally:
+        # recurse reaches itself through its closure; emptying that cell
+        # frees the search's tables now instead of leaving a cycle for
+        # the garbage collector.
+        del recurse
     if not found:
-        return no_square()
+        return _no_witness(truncated)
     # A successful search leaves its placements in chosen, already
     # normalized (see the module docstring).
     return True, validate(chosen)

@@ -586,6 +586,20 @@ LIMITED_MAIN = (
 )
 
 
+def limited_child(argv, timeout):
+    """Run the command line in a child capped at 1 GiB; None when it outlives timeout."""
+    src = os.path.dirname(os.path.dirname(plskit.cli.__file__))
+    paths = (src, os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", LIMITED_MAIN, *argv],
+            capture_output=True, text=True, env=env, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -598,12 +612,36 @@ def test_huge_counts_under_a_huge_budget_are_budget_errors(argv):
     # Each search runs out of stack after about a thousand cells (exit 3).
     # Its tables grow with the lines and symbols it touches, so a count or
     # budget past memory, or past an index, never ends in exit 4.
-    src = os.path.dirname(os.path.dirname(plskit.cli.__file__))
-    paths = (src, os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run(
-        [sys.executable, "-c", LIMITED_MAIN, *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    done = limited_child(argv, timeout=30)
+    assert done is not None, "no verdict within 30 s"
     assert done.returncode == 3, done.stderr
     assert "internal error" not in done.stderr
+
+
+@st.composite
+def oracle_exists_commands(draw):
+    """An oracle exists command line from the CLI's own constraint and budget flags."""
+    argv = ["oracle", "exists"]
+    for flag, kind, _ in plskit.cli._CONSTRAINTS:
+        if draw(st.booleans()):
+            if kind is int:
+                value = str(draw(COUNTS))
+            else:
+                value = ",".join(map(str, draw(st.lists(COUNTS, min_size=1, max_size=3))))
+            argv += ["--" + flag, value]
+    for flag in BUDGET_FLAGS:
+        if draw(st.booleans()):
+            argv += [flag, str(draw(COUNTS))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_exists_commands())
+def test_oracle_exists_ends_in_a_verdict_or_a_typed_error(argv):
+    # Any mix of counts, huge ones included, under any budget: an answer,
+    # a usage error or a budget error, never a crash.  A child that is
+    # still searching when its time is up is slow, not wrong.
+    done = limited_child(argv, timeout=3)
+    if done is not None:
+        assert 0 <= done.returncode <= 3, done.stderr
+        assert "internal error" not in done.stderr

@@ -1,5 +1,7 @@
 """Domain model: triples, validation, profiles, and conjugation."""
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,13 @@ from plskit import (
     PreconditionViolated,
     Triple,
     TriplePairError,
+    check_construction,
+    check_row_params,
     conjugate,
     parameters_of,
     validate,
 )
+from plskit.oracle import check_prescription
 
 from conftest import squares
 
@@ -469,3 +474,87 @@ class TestConjugate:
         assert after.row_params == by_axis[perm[0]]
         assert after.col_params == by_axis[perm[1]]
         assert after.sym_params == by_axis[perm[2]]
+
+
+class Two(IntEnum):
+    TWO = 2
+
+
+def one_shot(*items):
+    return (item for item in items)
+
+
+# A fresh value each, and whether the positivity rule accepts it as a count or label.
+POSITIVITY_VALUES = [
+    pytest.param(lambda: True, False, id="True"),
+    pytest.param(lambda: False, False, id="False"),
+    pytest.param(lambda: 1.0, False, id="1.0"),
+    pytest.param(lambda: 0, False, id="0"),
+    pytest.param(lambda: -1, False, id="-1"),
+    pytest.param(lambda: "1", False, id="'1'"),
+    pytest.param(lambda: None, False, id="None"),
+    pytest.param(lambda: Two.TWO, True, id="IntEnum-2"),
+    pytest.param(lambda: 10**30, True, id="10**30"),
+    pytest.param(tuple, False, id="()"),
+    pytest.param(lambda: one_shot(1), False, id="generator"),
+]
+
+FAMILY = "must be a nonempty sequence of positive integers"
+# Each call reads one count or label: the error type and message of a
+# refusal, and whether it reads None as a count left unset.
+POSITIVITY_ROUTES = [
+    pytest.param(lambda x: check_construction((1,), (1,), x),
+                 PreconditionViolated, "s must be a positive integer", False, id="construction-s"),
+    pytest.param(lambda x: check_construction((x,), (1,), 1),
+                 PreconditionViolated, f"n {FAMILY}", False, id="construction-n"),
+    pytest.param(lambda x: check_construction((2,), (1, x), 2),
+                 PreconditionViolated, f"m {FAMILY}", False, id="construction-m"),
+    pytest.param(lambda x: check_row_params((1,), x, 1),
+                 PreconditionViolated, "c must be a positive integer", False, id="row-params-c"),
+    pytest.param(lambda x: check_row_params((1, x), 1, 1),
+                 PreconditionViolated, f"n {FAMILY}", False, id="row-params-n"),
+    pytest.param(lambda x: check_prescription(rows=(2, x)),
+                 PreconditionViolated, f"rows {FAMILY}", False, id="prescription-rows"),
+    pytest.param(lambda x: check_prescription(r=1, v=x),
+                 PreconditionViolated, "v must be a positive integer", True, id="prescription-v"),
+    pytest.param(lambda x: validate([(1, 1, 1), (2, 2, x)]), ValueError,
+                 "sym label must be a positive integer, got {x!r}", False, id="validate"),
+]
+
+
+@pytest.mark.parametrize("call, error, message, none_is_unset", POSITIVITY_ROUTES)
+@pytest.mark.parametrize("make, accepted", POSITIVITY_VALUES)
+def test_every_count_and_label_meets_one_positivity_rule(
+    make, accepted, call, error, message, none_is_unset
+):
+    # The plain-int fast paths must accept and refuse exactly what the
+    # full rule does, and refuse with the same error.
+    value = make()
+    if accepted or (value is None and none_is_unset):
+        call(value)
+    else:
+        with pytest.raises(error) as refused:
+            call(value)
+        assert str(refused.value) == message.format(x=value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda seq: check_construction(seq, (1,), 1), f"n {FAMILY}"),
+        (lambda seq: check_row_params(seq, 1, 1), f"n {FAMILY}"),
+        (lambda seq: check_prescription(rows=seq), f"rows {FAMILY}"),
+    ],
+    ids=["construction", "row-params", "prescription"],
+)
+def test_a_family_is_any_nonempty_iterable_read_once(call, message):
+    call(one_shot(1))
+    with pytest.raises(PreconditionViolated) as refused:
+        call(())
+    assert str(refused.value) == message
+
+
+def test_a_square_is_any_nonempty_iterable_read_once():
+    assert validate(one_shot((1, 1, 1), (2, 2, 1))).volume == 2
+    with pytest.raises(PreconditionViolated, match="^a partial Latin square must be nonempty$"):
+        validate(())

@@ -151,6 +151,20 @@ class TestExistsFull:
         with pytest.raises(BudgetExceeded):
             exists_full(v=13)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({"r": 7, "c": 7, "s": 7}, "row count 7 above the budget cap 6"),
+            ({"r": 6, "c": 7, "s": 7}, "column count 7 above the budget cap 6"),
+            ({"r": 6, "c": 6, "s": 7}, "symbol count 7 above the budget cap 6"),
+            ({"r": 6, "c": 6, "s": 6, "v": 13}, "volume 13 above the budget cap 12"),
+        ],
+    )
+    def test_budget_caps_are_met_rows_columns_symbols_then_volume(self, counts, message):
+        # Several pinned counts above their caps: the first in this order names the error.
+        with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+            exists_full(**counts, budget=Budget(12, 6, 6, 6))
+
     def test_truncated_fruitless_search_raises(self):
         # Five distinct symbols cannot fit on the 2x2 board the budget
         # allows, and a bigger board might hold them: inconclusive.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import plskit.oracle
 import plskit.sweep
 from plskit import (
     Budget,
@@ -130,6 +131,37 @@ def test_mismatch_is_reported_on_a_canonical_case(monkeypatch):
     searched = [(call["rows"], call["cols"], call["s"]) for call in calls]
     assert len(searched) == result.checked
     assert searched.count(flipped_case) == 1
+
+
+@pytest.mark.parametrize(
+    "sweep, bounds",
+    [(sweep_theorem, (2, 2, 4)), (sweep_row_params, ()), (sweep_sizes, ())],
+    ids=["theorem-2-2-4", "rows", "sizes"],
+)
+def test_every_true_verdict_carries_a_validated_witness(monkeypatch, sweep, bounds):
+    # The oracle's True is only as sound as its witness: each one it
+    # returns has passed validate, once, and is the square validate built.
+    real_validate = plskit.oracle.validate
+    validated = []
+
+    def counting_validate(triples):
+        validated.append(real_validate(triples))
+        return validated[-1]
+
+    monkeypatch.setattr(plskit.oracle, "validate", counting_validate)
+    verdicts = []
+
+    def recorded(**kwargs):
+        verdicts.append(exists_full(**kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(plskit.sweep, "exists_full", recorded)
+    result = sweep(*bounds)
+    witnesses = [witness for found, witness in verdicts if found]
+    assert len(verdicts) == result.checked
+    assert witnesses
+    assert len(validated) == len(witnesses)
+    assert all(square is witness for square, witness in zip(validated, witnesses))
 
 
 @pytest.mark.parametrize("form, checked", [("theorem", 102), ("rows", 114), ("sizes", 90)])
