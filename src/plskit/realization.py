@@ -9,9 +9,13 @@ theorem: each row, taken in decreasing count order, goes to the columns
 with the most demand left.  A bucket queue of columns keyed by remaining
 demand replaces a sort of every column per row, so beyond one sort of
 the rows the cost is proportional to the cells placed and the demand
-levels visited.  A row's columns come from a few levels, each already
-in index order, so sorting the row merges a few runs; the columns' rows
-come out sorted by reading the rows in index order.  A row that finds
+levels visited.  The sorted list of demand levels is rebuilt only after
+a row empties a level or opens a new one; a row that takes part of one
+level and lands on an existing one leaves it as it was.  A row's
+columns come from a few levels, each already in index order, so a row
+that takes from one level keeps that order and a row that takes from
+several merges a few runs with one sort; the columns' rows come out
+sorted by reading the rows in index order.  A row that finds
 too few columns names its witness with the dominance scan
 check_construction runs, so both report the same prefix pair.
 distribute_rows splits a volume into near equal line counts.  That split
@@ -82,24 +86,31 @@ def realize_lines(n: Sequence[int], m: Sequence[int]) -> tuple[Lines, Lines]:
             need -= len(columns)
         # Move only after every take, so no column is taken twice.
         line = lines[i]
+        emptied = top < len(demands) - 1
+        appeared = False
         for demand, columns in moves:
             line += columns
             if demand:
                 below = levels.get(demand)
                 if below is None:
                     levels[demand] = columns
+                    appeared = True
                 else:
                     # At most n[i] columns move in one row, so inserting
                     # them one by one beats re-sorting a long level.
                     for j in columns:
                         insort(below, j)
-        line.sort()
-        # Only levels from demands[top - 1] up can have appeared, vanished
-        # or merged: the moves land at most one level below the last one
-        # taken from, which is demands[top] or demands[top + 1].
-        low = max(top - 1, 0)
-        landed = {demand for demand, _ in moves if demand}
-        demands[low:] = sorted(landed.union(demands[low : top + 1]))
+        # One level's columns are already in index order.
+        if len(moves) > 1:
+            line.sort()
+        if emptied or appeared:
+            # Only levels from demands[top - 1] up can have appeared,
+            # vanished or merged: the moves land at most one level below
+            # the last one taken from, which is demands[top] or
+            # demands[top + 1].
+            low = max(top - 1, 0)
+            landed = {demand for demand, _ in moves if demand}
+            demands[low:] = sorted(landed.union(demands[low : top + 1]))
     cols: Lines = {j: [] for j in range(1, len(m) + 1)}
     for i, line in enumerate(lines, start=1):
         for j in line:
@@ -122,7 +133,11 @@ def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> frozenset[tuple
     index first within a level, and then moves every taken column down
     one level.  Beyond the one sort of the rows, the cost is proportional
     to the cells placed and the levels visited, and the structure is
-    sized by the number of columns, never by a demand value.
+    sized by the number of columns, never by a demand value.  The sorted
+    demand list is rebuilt only when a row empties a level or opens one,
+    and a row's columns are sorted only when they come from more than one
+    level, so a short row that takes part of one level costs one slice
+    of that level and one insertion per cell into the level below.
 
     By Gale-Ryser this greedy fills every row exactly when the dominance
     condition holds, so the dominance scan runs only once a row finds too

@@ -619,15 +619,35 @@ def test_huge_counts_under_a_huge_budget_are_budget_errors(argv):
 
 
 @st.composite
+def splits(draw, v):
+    """One to three positive ints that sum to v."""
+    cuts = draw(st.sets(st.integers(1, v - 1), max_size=min(2, v - 1))) if v > 1 else ()
+    bounds = [0, *sorted(cuts), v]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
 def oracle_exists_commands(draw):
-    """An oracle exists command line from the CLI's own constraint and budget flags."""
+    """An oracle exists command line from the CLI's own constraint and budget flags.
+
+    Every drawn family splits one drawn volume, and a scalar drawn beside
+    its family is often that family's length, so most command lines agree
+    with themselves and reach the search or the budget.
+    """
+    v = draw(COUNTS)
+    lengths = {}  # scalar flag -> the length of its drawn family
     argv = ["oracle", "exists"]
     for flag, kind, _ in plskit.cli._CONSTRAINTS:
         if draw(st.booleans()):
-            if kind is int:
-                value = str(draw(COUNTS))
+            if flag == "v":
+                value = str(v)
+            elif kind is int:
+                own = st.just(lengths[flag]) if flag in lengths else st.nothing()
+                value = str(draw(own | COUNTS))
             else:
-                value = ",".join(map(str, draw(st.lists(COUNTS, min_size=1, max_size=3))))
+                family = draw(splits(v))
+                lengths[flag[0]] = len(family)
+                value = ",".join(map(str, family))
             argv += ["--" + flag, value]
     for flag in BUDGET_FLAGS:
         if draw(st.booleans()):

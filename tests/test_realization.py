@@ -37,6 +37,16 @@ def reference_realization(n, m):
     return frozenset(cells)
 
 
+def reference_lines(n, m):
+    """reference_realization's cells as realize_lines' (rows, cols) maps."""
+    rows = {i: [] for i in range(1, len(n) + 1)}
+    cols = {j: [] for j in range(1, len(m) + 1)}
+    for i, j in sorted(reference_realization(n, m)):
+        rows[i].append(j)
+        cols[j].append(i)
+    return rows, cols
+
+
 def random_feasible_pair(rng, max_side=6):
     """Line sums of a random 0-1 matrix; feasible by construction."""
     while True:
@@ -93,6 +103,7 @@ class TestRealizeDegreeMatrix:
             n, m = random_feasible_pair(rng)
             out = realize_degree_matrix(n, m)
             assert line_counts(out, len(n), len(m)) == (n, m)
+            assert out == reference_realization(n, m), (n, m)
             assert realize_degree_matrix(n, m) == out
 
     def test_greedy_fails_exactly_when_dominance_fails(self):
@@ -159,6 +170,31 @@ class TestRealizeDegreeMatrix:
         assert sum(map(len, rows.values())) == sum(map(len, cols.values())) == len(cells)
         assert {(i, j) for i, line in rows.items() for j in line} == cells
         assert {(i, j) for j, line in cols.items() for i in line} == cells
+
+    @settings(max_examples=300)
+    @given(cell_sets(max_rows=10, max_cols=10))
+    def test_lines_match_the_reference(self, cs):
+        n, m = nonzero_line_counts(cs)
+        assert plskit.realization.realize_lines(n, m) == reference_lines(n, m)
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            # The first row takes a whole level that lands where no level was.
+            ((2, 2, 2, 1), (3, 3, 1)),
+            # The first row takes part of a level and lands on the next one.
+            ((1,) * 6, (2, 2, 1, 1)),
+            # The first row takes part of a level and opens the one below
+            # it, from which the second row takes after emptying the first.
+            ((2,) * 5, (3, 3, 3, 1)),
+            # The first row takes from two levels whose columns interleave.
+            ((2, 1, 1), (1, 2, 1)),
+            # Two-level rows, partial takes and a last row that empties the board.
+            ((3, 2, 2, 1, 1, 1), (1, 3, 2, 1, 2, 1)),
+        ],
+    )
+    def test_level_changes_match_the_reference(self, n, m):
+        assert plskit.realization.realize_lines(n, m) == reference_lines(n, m)
 
     def test_feasible_pair_skips_dominance_check(self, monkeypatch):
         calls = []
