@@ -8,7 +8,7 @@ as a negative answer.
 
 The forms of check, build and sweep are the rows of ``plskit.sweep.FORMS``,
 which names each form's predicate, builder, sweep and range bounds; this
-module adds only their help text and flags.
+module adds only their help text and flags, named as oracle.Prescription's fields.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .feasibility import FeasibilityReport, check_construction, check_row_params, check_sizes
 from .formats import PlsDocument, prescription_from_json, render_grid
-from .oracle import Budget, enumerate_pls, exists_full
+from .oracle import FAMILIES, Budget, Prescription, enumerate_pls, exists_full
 from .sweep import FORMS, sweep_row_params, sweep_sizes, sweep_theorem
 
 EXIT_OK = 0
@@ -50,30 +50,29 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 # The command line only parses text; the library checks every value.
-# Each form of check and build: help text, and the flags (name, type,
-# metavar) of its predicate and builder in argument order.  The functions
-# are named in FORMS and looked up here when called, so a wrapper set on
-# this module sees the call.
+# Each Prescription field's flag (name, type, metavar): a family takes a
+# comma separated list, a count one int.
+_METAVARS = ("N1,N2,...", "M1,M2,...", "S1,S2,...")
+_FLAGS = {field: (field, int, None) for field in Prescription._fields}
+_FLAGS.update((field, (field, _int_list, metavar)) for field, metavar in zip(FAMILIES, _METAVARS))
+
+# Each form of check and build: help text, and the flags of its predicate
+# and builder, one per FORMS field in argument order; the theorem's count s
+# keeps its flag --symbols.  The functions are named in FORMS and looked up
+# here when called, so a wrapper set on this module sees the call.
 _FORMS = {
     "theorem": (
         "row and column parameters, symbol count",
-        (("rows", _int_list, "N1,N2,..."), ("cols", _int_list, "M1,M2,..."), ("symbols", int, "S")),
+        (*map(_FLAGS.get, FORMS["theorem"].fields[:2]), ("symbols", int, "S")),
     ),
     "rows": (
         "row parameters, column count, symbol count",
-        (("rows", _int_list, "N1,N2,..."), ("c", int, None), ("s", int, None)),
+        tuple(map(_FLAGS.get, FORMS["rows"].fields)),
     ),
-    "sizes": ("row, column, symbol, and cell counts", tuple((name, int, None) for name in "rcsv")),
+    "sizes": ("row, column, symbol, and cell counts", tuple(map(_FLAGS.get, FORMS["sizes"].fields))),
 }
 
-# exists_full's constraints (name, type, metavar), enumerate_pls's caps
-# and one flag per Budget field (name, default).
-_CONSTRAINTS = (
-    ("rows", _int_list, "N1,N2,..."),
-    ("cols", _int_list, "M1,M2,..."),
-    ("symbols", _int_list, "S1,S2,..."),
-    *((name, int, None) for name in "rcsv"),
-)
+# enumerate_pls's caps and one flag per Budget field (name, default).
 _CAPS = (("max_rows", 2), ("max_cols", 2), ("max_symbols", 2), ("max_cells", 4))
 _BUDGET = tuple(zip((field.replace("max_", "budget_") for field in Budget._fields), Budget()))
 
@@ -144,14 +143,13 @@ def _cmd_verify(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
     profile = parameters_of(pls)
     print("valid", file=out)
     print(f"volume: {profile.volume}", file=out)
-    print(f"rows ({profile.r}): {','.join(map(str, profile.row_params))}", file=out)
-    print(f"cols ({profile.c}): {','.join(map(str, profile.col_params))}", file=out)
-    print(f"symbols ({profile.s}): {','.join(map(str, profile.sym_params))}", file=out)
+    for family, params in zip(FAMILIES, profile[:3]):
+        print(f"{family} ({len(params)}): {','.join(map(str, params))}", file=out)
     return EXIT_OK
 
 
 def _cmd_oracle_exists(args: argparse.Namespace, out: IO[str], fin: IO[str]) -> int:
-    constraints = {flag: getattr(args, flag) for flag, _, _ in _CONSTRAINTS}
+    constraints = {field: getattr(args, field) for field in Prescription._fields}
     if args.file is not None:
         if any(value is not None for value in constraints.values()):
             raise PreconditionViolated("give either --file or constraint flags, not both")
@@ -213,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exhaustive search, independent of the predicates")
     oracle_sub = oracle.add_subparsers(dest="mode", required=True)
     exists = oracle_sub.add_parser("exists")
-    for flag, kind, metavar in _CONSTRAINTS:
+    for flag, kind, metavar in _FLAGS.values():
         exists.add_argument("--" + flag, type=kind, default=None, metavar=metavar)
     exists.add_argument("--file", default=None, help="prescription document, '-' for stdin")
     _add_counts(exists, _BUDGET)

@@ -3,7 +3,8 @@
 Both documents are JSON objects carrying an explicit schema version so
 future revisions can stay backward compatible.  Reading a document checks
 only its JSON shape; its numbers are checked once, by the library: a
-square's labels by validate, a prescription's counts by check_prescription.
+square's labels by validate, a prescription's counts, under the names of
+oracle.Prescription's fields, by check_prescription.
 The grid rendering is a display aid only; nothing parses it.
 """
 
@@ -16,6 +17,7 @@ from typing import Any
 from . import builder
 from .core import PartialLatinSquare, validate
 from .errors import BudgetExceeded, DocumentError
+from .oracle import FAMILIES, Prescription
 
 SCHEMA_VERSION = "1"
 
@@ -74,22 +76,18 @@ class PlsDocument(namedtuple("PlsDocument", ("triples",))):
         )
 
 
-_FAMILIES = ("rows", "cols", "symbols")
-
-
 def prescription_from_json(text: str) -> dict[str, Any]:
     """A prescription document's constraints, as exists_full keyword arguments.
 
-    The document may give any of the lists rows, cols and symbols and the
-    counts r, c, s and v; an absent field is None.  Only the JSON shape is
-    checked here; exists_full's check_prescription checks the numbers,
-    under the same names.
+    The document may give any Prescription field, FAMILIES as lists and the
+    rest as counts, each None when absent.  Only its JSON shape is checked
+    here; check_prescription checks its numbers, under the same names.
     """
     data = _load_object(text)
-    for name in _FAMILIES:
+    for name in FAMILIES:
         if not isinstance(data.get(name), (list, type(None))):
             raise DocumentError(f"{name} must be an array")
-    return {name: data.get(name) for name in (*_FAMILIES, "r", "c", "s", "v")}
+    return {name: data.get(name) for name in Prescription._fields}
 
 
 def render_grid(pls: PartialLatinSquare) -> str:

@@ -6,8 +6,9 @@ line or volume counts matched exactly.  enumerate_pls streams every
 normalized square within given caps.  Neither function consults the
 feasibility predicates, so the two routes can be compared against each
 other in tests.  check_prescription is the one check of a mix of
-constraints, run by exists_full on every call; its messages name each
-constraint as the CLI flags and prescription documents spell it.
+constraints, run by exists_full on every call.  It returns a Prescription,
+whose fields name each constraint for its messages, the CLI flags and the
+prescription document alike; FAMILIES names the three list-valued ones.
 
 The witness exists_full returns is normalized as found and validated
 once.  Any square can be relabeled into the form the search walks, by
@@ -73,6 +74,7 @@ row with one symbol.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 from .core import PartialLatinSquare, checked_namedtuple, positive_int, positive_ints, validate
@@ -89,6 +91,11 @@ class Budget(checked_namedtuple("Budget", "max_cells max_rows max_cols max_symbo
         for name, value in zip(cls._fields, budget):
             positive_int(name, value)
         return budget
+
+
+# A mix of constraints as check_prescription checks and fills it in.
+Prescription = namedtuple("Prescription", ("rows", "cols", "symbols", "r", "c", "s", "v"))
+FAMILIES = Prescription._fields[:3]
 
 
 def _merge_scalar(name: str, scalar: int | None, family: tuple[int, ...] | None) -> int | None:
@@ -111,15 +118,14 @@ def check_prescription(
     c: int | None = None,
     s: int | None = None,
     v: int | None = None,
-) -> tuple:
+) -> Prescription:
     """Check that a mix of constraints is well formed and consistent.
 
     Every given family and scalar must be positive, at least one
     constraint must be given, each scalar must equal the length of its
-    family, and every implied volume (family totals and v) must agree.
-    Returns (rows, cols, symbols, r, c, s, v) with the families as
-    tuples and every scalar or volume the others imply filled in; raises
-    PreconditionViolated otherwise.
+    family, and every implied volume (family totals and v) must agree, or
+    PreconditionViolated is raised.  Returns the Prescription with the
+    families as tuples and every implied scalar and volume filled in.
     """
     rm = None if rows is None else positive_ints("rows", rows)
     cm = None if cols is None else positive_ints("cols", cols)
@@ -127,19 +133,17 @@ def check_prescription(
     r_eff = _merge_scalar("r", r, rm)
     c_eff = _merge_scalar("c", c, cm)
     s_eff = _merge_scalar("s", s, sm)
-    if v is not None:
-        positive_int("v", v)
-    elif r_eff is None and c_eff is None and s_eff is None:
-        # A family fills in its scalar, so without v the three scalars
-        # show whether any constraint was given.
-        raise PreconditionViolated("at least one constraint is required")
-
     volumes = [sum(fam) for fam in (rm, cm, sm) if fam is not None]
     if v is not None:
+        positive_int("v", v)
         volumes.append(v)
+    elif volumes:
+        v = volumes[0]  # the volume the families imply
+    elif r is None and c is None and s is None:
+        raise PreconditionViolated("at least one constraint is required")
     if len(set(volumes)) > 1:
         raise PreconditionViolated(f"implied volumes disagree: {sorted(set(volumes))}")
-    return rm, cm, sm, r_eff, c_eff, s_eff, (volumes[0] if volumes else None)
+    return tuple.__new__(Prescription, (rm, cm, sm, r_eff, c_eff, s_eff, v))
 
 
 def _too_deep(v_hi: int) -> str:

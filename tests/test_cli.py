@@ -1,5 +1,7 @@
 """Command line behavior: output, exit codes, stream handling."""
 
+import argparse
+import inspect
 import io
 import json
 import os
@@ -12,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plskit.cli
-from plskit import parameters_of, validate
+from plskit import exists_full, parameters_of, validate
 from plskit.cli import run
+from plskit.formats import prescription_from_json
+from plskit.oracle import Prescription
+from plskit.sweep import FORMS
 
 
 FAMILY_RULE = "must be a nonempty sequence of positive integers"
@@ -265,6 +270,22 @@ class TestOracle:
         code, out, _ = invoke(argv, stdin_text=document)
         assert (code, out.splitlines()[0]) == (0, "exists")
         assert len(calls) == 1
+
+    def test_flags_keywords_document_and_forms_share_one_vocabulary(self):
+        fields = Prescription._fields
+        assert tuple(inspect.signature(exists_full).parameters)[:7] == fields
+        parser = plskit.cli._build_parser()
+        for name in ("oracle", "exists"):
+            (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            parser = commands.choices[name]
+        constraint_flags = [
+            action.dest for action in parser._actions
+            if action.dest not in ("help", "file") and not action.dest.startswith("budget_")
+        ]
+        assert tuple(constraint_flags) == fields
+        assert tuple(prescription_from_json('{"schema": "1"}')) == fields
+        for form in FORMS.values():
+            assert set(form.fields) <= set(fields)
 
     def test_a_bad_family_flag_names_the_flag(self):
         for flag in ("--rows", "--cols", "--symbols"):
@@ -637,7 +658,7 @@ def oracle_exists_commands(draw):
     v = draw(COUNTS)
     lengths = {}  # scalar flag -> the length of its drawn family
     argv = ["oracle", "exists"]
-    for flag, kind, _ in plskit.cli._CONSTRAINTS:
+    for flag, kind, _ in plskit.cli._FLAGS.values():
         if draw(st.booleans()):
             if flag == "v":
                 value = str(v)

@@ -17,7 +17,7 @@ from plskit import (
     parameters_of,
     validate,
 )
-from plskit.oracle import check_prescription
+from plskit.oracle import Prescription, check_prescription
 
 from conftest import squares
 
@@ -500,6 +500,17 @@ POSITIVITY_VALUES = [
 ]
 
 FAMILY = "must be a nonempty sequence of positive integers"
+
+
+def prescribed(expect, **given):
+    """check_prescription(**given): a Prescription equal to the plain
+    seven-tuple expect() reads, and the same by field name."""
+    result = check_prescription(**given)
+    expected = expect()
+    assert type(result) is Prescription and result == expected
+    assert tuple(getattr(result, field) for field in Prescription._fields) == expected
+    return result
+
 # Each call reads one count or label: the error type and message of a
 # refusal, and whether it reads None as a count left unset.
 POSITIVITY_ROUTES = [
@@ -513,9 +524,11 @@ POSITIVITY_ROUTES = [
                  PreconditionViolated, "c must be a positive integer", False, id="row-params-c"),
     pytest.param(lambda x: check_row_params((1, x), 1, 1),
                  PreconditionViolated, f"n {FAMILY}", False, id="row-params-n"),
-    pytest.param(lambda x: check_prescription(rows=(2, x)),
-                 PreconditionViolated, f"rows {FAMILY}", False, id="prescription-rows"),
-    pytest.param(lambda x: check_prescription(r=1, v=x),
+    pytest.param(
+        lambda x: prescribed(lambda: ((2, x), None, None, 2, None, None, 2 + x), rows=(2, x)),
+        PreconditionViolated, f"rows {FAMILY}", False, id="prescription-rows",
+    ),
+    pytest.param(lambda x: prescribed(lambda: (None, None, None, 1, None, None, x), r=1, v=x),
                  PreconditionViolated, "v must be a positive integer", True, id="prescription-v"),
     pytest.param(lambda x: validate([(1, 1, 1), (2, 2, x)]), ValueError,
                  "sym label must be a positive integer, got {x!r}", False, id="validate"),
@@ -543,7 +556,10 @@ def test_every_count_and_label_meets_one_positivity_rule(
     [
         (lambda seq: check_construction(seq, (1,), 1), f"n {FAMILY}"),
         (lambda seq: check_row_params(seq, 1, 1), f"n {FAMILY}"),
-        (lambda seq: check_prescription(rows=seq), f"rows {FAMILY}"),
+        (
+            lambda seq: prescribed(lambda: ((1,), None, None, 1, None, None, 1), rows=seq),
+            f"rows {FAMILY}",
+        ),
     ],
     ids=["construction", "row-params", "prescription"],
 )

@@ -27,6 +27,7 @@ from plskit import (
     validate,
 )
 import plskit
+from plskit.oracle import Prescription, check_prescription
 
 
 def square():
@@ -40,6 +41,7 @@ INSTANCES = {
     Budget: lambda: Budget(max_rows=3),
     SweepResult: lambda: SweepResult(4, ((1, 2, True, False),)),
     PlsDocument: lambda: PlsDocument(((1, 1, 1),)),
+    Prescription: lambda: check_prescription(rows=(2, 1), s=2),
 }
 each_class = pytest.mark.parametrize("cls", INSTANCES, ids=lambda cls: cls.__name__)
 
