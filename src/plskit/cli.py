@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from typing import IO, Iterable
 
 from .builder import build_corollary, build_proposition, build_theorem
@@ -190,49 +191,94 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str], _fin: IO[str]) -> int:
     return EXIT_NEGATIVE
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="plskit",
-        description="Decide and construct partial Latin squares with prescribed parameters.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """A parser that adds its flags and subcommands when a parse first reaches it.
 
-    for name, handler, with_grid in (("check", _cmd_check, False), ("build", _cmd_build, True)):
-        command = sub.add_parser(name)
-        forms = command.add_subparsers(dest="form", required=True)
-        for form_name, (help_text, flags) in _FORMS.items():
-            form = forms.add_parser(form_name, help=help_text)
-            for flag, kind, metavar in flags:
-                form.add_argument("--" + flag, type=kind, required=True, metavar=metavar)
-            if with_grid:
-                form.add_argument("--grid", action="store_true", help="print a board view")
-            form.set_defaults(handler=handler)
+    A command runs one path down the tree, so only the parsers on that
+    path get their flags; the others keep just the name and help text
+    that their parent lists.
+    """
 
-    oracle = sub.add_parser("oracle", help="exhaustive search, independent of the predicates")
+    def __init__(self, *args, populate=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._populate = populate
+
+    def parse_known_args(self, args=None, namespace=None):
+        populate, self._populate = self._populate, None
+        if populate is not None:
+            populate(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _populate_form(form: argparse.ArgumentParser, flags: tuple, handler, with_grid: bool) -> None:
+    for flag, kind, metavar in flags:
+        form.add_argument("--" + flag, type=kind, required=True, metavar=metavar)
+    if with_grid:
+        form.add_argument("--grid", action="store_true", help="print a board view")
+    form.set_defaults(handler=handler)
+
+
+def _populate_forms(command: argparse.ArgumentParser, handler, with_grid: bool) -> None:
+    forms = command.add_subparsers(dest="form", required=True)
+    for form_name, (help_text, flags) in _FORMS.items():
+        populate = partial(_populate_form, flags=flags, handler=handler, with_grid=with_grid)
+        forms.add_parser(form_name, help=help_text, populate=populate)
+
+
+def _populate_oracle(oracle: argparse.ArgumentParser) -> None:
     oracle_sub = oracle.add_subparsers(dest="mode", required=True)
-    exists = oracle_sub.add_parser("exists")
+    oracle_sub.add_parser("exists", populate=_populate_exists)
+    oracle_sub.add_parser("enumerate", populate=_populate_enumerate)
+
+
+def _populate_exists(exists: argparse.ArgumentParser) -> None:
     for flag, kind, metavar in _FLAGS.values():
         exists.add_argument("--" + flag, type=kind, default=None, metavar=metavar)
     exists.add_argument("--file", default=None, help="prescription document, '-' for stdin")
     _add_counts(exists, _BUDGET)
     exists.set_defaults(handler=_cmd_oracle_exists)
-    stream = oracle_sub.add_parser("enumerate")
+
+
+def _populate_enumerate(stream: argparse.ArgumentParser) -> None:
     _add_counts(stream, _CAPS)
     stream.add_argument("--count-only", action="store_true")
     _add_counts(stream, _BUDGET)
     stream.set_defaults(handler=_cmd_oracle_enumerate)
 
-    verify = sub.add_parser("verify", help="validate a square document and report its profile")
+
+def _populate_verify(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("path", help="document path, '-' for stdin")
     verify.set_defaults(handler=_cmd_verify)
 
-    sweep = sub.add_parser("sweep", help="compare predicate and oracle over a bounded range")
+
+def _populate_sweep(sweep: argparse.ArgumentParser) -> None:
     sweep_sub = sweep.add_subparsers(dest="form", required=True)
     for form_name, row in FORMS.items():
-        form = sweep_sub.add_parser(form_name)
-        _add_counts(form, ((name, argparse.SUPPRESS) for name in row.bounds))
-        form.set_defaults(handler=_cmd_sweep)
+        sweep_sub.add_parser(form_name, populate=partial(_populate_sweep_form, bounds=row.bounds))
 
+
+def _populate_sweep_form(form: argparse.ArgumentParser, bounds: tuple) -> None:
+    _add_counts(form, ((name, argparse.SUPPRESS) for name in bounds))
+    form.set_defaults(handler=_cmd_sweep)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The command tree: each parser is named, with its help text, by its
+    parent, and gets its own flags and subcommands when a parse reaches it."""
+    parser = _Parser(
+        prog="plskit",
+        description="Decide and construct partial Latin squares with prescribed parameters.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, handler, with_grid in (("check", _cmd_check, False), ("build", _cmd_build, True)):
+        populate = partial(_populate_forms, handler=handler, with_grid=with_grid)
+        sub.add_parser(name, populate=populate)
+    for name, help_text, populate in (
+        ("oracle", "exhaustive search, independent of the predicates", _populate_oracle),
+        ("verify", "validate a square document and report its profile", _populate_verify),
+        ("sweep", "compare predicate and oracle over a bounded range", _populate_sweep),
+    ):
+        sub.add_parser(name, help=help_text, populate=populate)
     return parser
 
 

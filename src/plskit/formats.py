@@ -2,15 +2,14 @@
 
 Both documents are JSON objects carrying an explicit schema version so
 future revisions can stay backward compatible.  Reading a document checks
-only its JSON shape; its numbers are checked once, by the library: a
-square's labels by validate, a prescription's counts, under the names of
-oracle.Prescription's fields, by check_prescription.
+only its JSON shape and its keys; its numbers are checked once, by the
+library: a square's labels by validate, a prescription's counts, under the
+names of oracle.Prescription's fields, by check_prescription.
 The grid rendering is a display aid only; nothing parses it.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from typing import Any
 
@@ -23,6 +22,10 @@ SCHEMA_VERSION = "1"
 
 
 def _load_object(text: str) -> dict:
+    # json loads here, not at import: a command that reads no document
+    # never pays for it.
+    import json
+
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -71,6 +74,8 @@ class PlsDocument(namedtuple("PlsDocument", ("triples",))):
             raise DocumentError(str(exc)) from None
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {"schema": SCHEMA_VERSION, "triples": [list(t) for t in sorted(self.triples)]}
         )
@@ -80,10 +85,18 @@ def prescription_from_json(text: str) -> dict[str, Any]:
     """A prescription document's constraints, as exists_full keyword arguments.
 
     The document may give any Prescription field, FAMILIES as lists and the
-    rest as counts, each None when absent.  Only its JSON shape is checked
-    here; check_prescription checks its numbers, under the same names.
+    rest as counts, each None when absent, and no other key.  Only its JSON
+    shape is checked here; check_prescription checks its numbers, under the
+    same names.
     """
     data = _load_object(text)
+    unknown = data.keys() - {"schema", *Prescription._fields}
+    if unknown:
+        noun = "key" if len(unknown) == 1 else "keys"
+        raise DocumentError(
+            f"unknown {noun} {', '.join(map(repr, sorted(unknown)))}; "
+            f"a prescription takes {', '.join(Prescription._fields)}"
+        )
     for name in FAMILIES:
         if not isinstance(data.get(name), (list, type(None))):
             raise DocumentError(f"{name} must be an array")

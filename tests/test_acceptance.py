@@ -5,12 +5,14 @@ they appear; without -s pytest shows them for failing tests only.
 """
 
 import io
+import itertools
 import json
 import random
 import time
 
 import pytest
 
+import plskit
 from plskit import (
     Budget,
     build_corollary,
@@ -19,6 +21,7 @@ from plskit import (
     check_construction,
     check_row_params,
     check_sizes,
+    conjugate,
     exists_full,
     fill_symbols,
     merge_matchings,
@@ -27,7 +30,9 @@ from plskit import (
     saturating_matching,
     validate,
 )
+from plskit.oracle import FAMILIES
 from plskit.sweep import (
+    FORMS,
     row_params_tuples,
     sizes_tuples,
     sweep_row_params,
@@ -193,6 +198,65 @@ def test_criterion_4_constructive_soundness_on_the_grown_ranges():
         not failures and built == 4240,
         f"{built} builds, {len(failures)} failures, {elapsed:.1f}s",
     )
+
+
+def seeded_square(seed: int):
+    """A random square with sides 3-55, never from the builder.
+
+    An even seed inserts random cells greedily, skipping each that clashes;
+    an odd one keeps a random subset of a cyclic Latin square with its
+    rows, columns and symbols relabelled at random.
+    """
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        rows, cols, syms = (rng.randint(3, 55) for _ in range(3))
+        chosen, occupied, row_sym, col_sym = [], set(), set(), set()
+        for _ in range(rng.randint(1, 2 * rows * cols)):
+            i, j, k = rng.randint(1, rows), rng.randint(1, cols), rng.randint(1, syms)
+            if (i, j) in occupied or (i, k) in row_sym or (j, k) in col_sym:
+                continue
+            chosen.append((i, j, k))
+            occupied.add((i, j))
+            row_sym.add((i, k))
+            col_sym.add((j, k))
+        return validate(chosen)
+    side = rng.randint(3, 55)
+    row_label, col_label, sym_label = (rng.sample(range(1, side + 1), side) for _ in range(3))
+    density = rng.random()
+    cells = [
+        (row_label[i], col_label[j], sym_label[(i + j) % side])
+        for i in range(side)
+        for j in range(side)
+        if rng.random() < density
+    ]
+    return validate(cells or [(row_label[0], col_label[0], sym_label[0])])
+
+
+def field_values(pls) -> dict:
+    """The square's value of every prescription field a form may name."""
+    profile = parameters_of(pls)
+    values = dict(zip(FAMILIES, profile[:3]), v=profile.volume)
+    values.update(zip("rcs", map(len, profile[:3])))
+    return values
+
+
+PERMS = list(itertools.permutations(("row", "col", "sym")))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_every_squares_own_prescription_passes_every_form(seed):
+    # A square's values of a form's fields are feasible by definition, and
+    # so are those of each of its six conjugates: the predicate must accept
+    # them, and the builder must meet them exactly.
+    pls = seeded_square(seed)
+    for perm in PERMS:
+        values = field_values(conjugate(pls, perm))
+        for name, form in FORMS.items():
+            case = [values[field] for field in form.fields]
+            verdict = getattr(plskit, form.predicate)(*case)
+            assert verdict.feasible, (name, perm, verdict)
+            built = field_values(getattr(plskit, form.builder)(*case))
+            assert [built[field] for field in form.fields] == case, (name, perm)
 
 
 def random_bounded_graph(rng: random.Random, max_side: int = 8, max_degree: int = 4):

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -275,6 +276,8 @@ class TestOracle:
         fields = Prescription._fields
         assert tuple(inspect.signature(exists_full).parameters)[:7] == fields
         parser = plskit.cli._build_parser()
+        # A parser gets its flags when a parse reaches it.
+        parser.parse_known_args(["oracle", "exists"])
         for name in ("oracle", "exists"):
             (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
             parser = commands.choices[name]
@@ -291,6 +294,14 @@ class TestOracle:
         for flag in ("--rows", "--cols", "--symbols"):
             message = f"error: {flag[2:]} {FAMILY_RULE}\n"
             assert invoke(["oracle", "exists", flag, "2,0"]) == (2, "", message)
+
+    def test_a_misspelt_document_key_is_a_usage_error(self):
+        code, out, err = invoke(
+            ["oracle", "exists", "--file", "-"], stdin_text='{"schema":"1","row":[2,1],"c":2}'
+        )
+        fields = "rows, cols, symbols, r, c, s, v"
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown key 'row'; a prescription takes {fields}\n"
 
     def test_file_and_flags_conflict(self):
         code, _, err = invoke(
@@ -514,6 +525,26 @@ class TestUsage:
         code, _, err = invoke(["--help"])
         assert code == 0
 
+
+# Captured stdout, stderr and exit code of command lines under COLUMNS=80:
+# -h on every parser, usage errors, flag prefixes, "--" and a run of every
+# command, so that how the parser is built can change but not its text.
+GOLDEN = json.loads(
+    pathlib.Path(__file__).with_name("cli_golden.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != GOLDEN["python"],
+    reason=f"argparse's wording differs between versions; captured under {GOLDEN['python']}",
+)
+@pytest.mark.parametrize(
+    "case", GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]) or "(no arguments)"
+)
+def test_command_line_text_matches_the_golden_capture(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (case["code"], case["stdout"], case["stderr"])
+    assert invoke(case["argv"], stdin_text=case["stdin"]) == expected
 
 FORM_FLAGS = {
     "theorem": ["--rows", "2,1", "--cols", "2,1", "--symbols", "2"],

@@ -104,13 +104,23 @@ class TestPrescriptionDocument:
                 exists_full(**prescription_from_json(payload))
 
     def test_full_document(self):
-        text = '{"schema": "1", "rows": [2, 1], "cols": [2, 1], "s": 2, "v": 3, "note": "x"}'
+        text = '{"schema": "1", "rows": [2, 1], "cols": [2, 1], "s": 2, "v": 3}'
         assert prescription_from_json(text) == {
             "rows": [2, 1], "cols": [2, 1], "symbols": None,
             "r": None, "c": None, "s": 2, "v": 3,
         }
         found, _ = exists_full(**prescription_from_json(text))
         assert found
+
+    def test_unknown_keys_are_refused_by_name(self):
+        # A misspelt constraint must not drop out and change the question.
+        fields = "a prescription takes rows, cols, symbols, r, c, s, v"
+        for payload, message in (
+            ('{"schema": "1", "row": [2, 1], "c": 2}', f"unknown key 'row'; {fields}"),
+            ('{"schema": "1", "r": 2, "x": 1, "note": "x"}', f"unknown keys 'note', 'x'; {fields}"),
+        ):
+            with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+                prescription_from_json(payload)
 
 
 class TestRenderGrid:

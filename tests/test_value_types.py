@@ -206,12 +206,13 @@ def test_the_public_names():
     assert all(hasattr(plskit, name) for name in plskit.__all__)
 
 
-def test_importing_the_package_and_cli_loads_no_dataclasses_or_inspect():
-    # A fresh interpreter that finds this same copy of the package.
+def test_importing_the_package_and_cli_loads_no_dataclasses_inspect_or_json():
+    # A fresh interpreter that finds this same copy of the package; json
+    # loads only when a document is read or written.
     code = (
         "import sys; import plskit, plskit.cli; "
         "print(plskit.__file__); "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     )
     src = os.path.dirname(os.path.dirname(plskit.__file__))
     paths = (src, os.environ.get("PYTHONPATH"))
