@@ -40,7 +40,6 @@ from .feasibility import (
 from .formats import PlsDocument, render_grid
 from .matching import merge_matchings, saturating_matching
 from .oracle import Budget, enumerate_pls, exists_full
-from .realization import distribute_rows, realize_degree_matrix
 from .sweep import (
     SweepResult,
     sweep_row_params,
@@ -71,13 +70,11 @@ __all__ = [
     "check_row_params",
     "check_sizes",
     "conjugate",
-    "distribute_rows",
     "enumerate_pls",
     "exists_full",
     "fill_symbols",
     "merge_matchings",
     "parameters_of",
-    "realize_degree_matrix",
     "render_grid",
     "saturating_matching",
     "split_symbols",

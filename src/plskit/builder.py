@@ -53,9 +53,9 @@ every row 1..r and column 1..c, every peel layer is nonempty so the fill
 uses every symbol 1..max, and the split adds symbols max+1, max+2, ...
 
 Each build_* validates its input in its own predicate and hands the
-checked or derived counts to realize_lines, whose own count check is
-one linear pass beside the build.  Once the predicate passes, a build
-whose volume exceeds MAX_CELLS raises BudgetExceeded before it
+checked or derived counts to realize_lines, which checks them no
+further than asserting that they realize.  Once the predicate passes,
+a build whose volume exceeds MAX_CELLS raises BudgetExceeded before it
 allocates anything proportional to the volume.
 """
 

@@ -44,13 +44,11 @@ class PreconditionViolated(PlsError, ValueError):
 class Infeasible(PlsError):
     """No object with the requested parameters exists.
 
-    Carries the feasibility report (for builder entry points) or a short
-    witness of the violated inequality (for lower level constructions).
+    The builders raise it with the feasibility report that refused them.
     """
 
-    def __init__(self, message: str, report=None, witness=None) -> None:
+    def __init__(self, message: str, report=None) -> None:
         self.report = report
-        self.witness = witness
         super().__init__(message)
 
 

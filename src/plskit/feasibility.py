@@ -14,8 +14,7 @@ The dominance condition is the Gale-Ryser style inequality
 (k, l) of the sorted parameter lists; prefixes of the sorted lists
 suffice because both sides are monotone in the chosen subsets.  One
 kernel, _worst_pair, scans it on already sorted lists for
-check_construction, which reuses those lists for its witness text, and
-for realize_degree_matrix, which names the same pair when it fails.
+check_construction, which reuses those lists for its witness text.
 """
 
 from __future__ import annotations

@@ -68,12 +68,17 @@ recursion limit that passes the room rule this way before it builds any
 table: a witness would need a frame per cell, more than the stack holds.
 Such a search could at most refute the volume; the room rule, checked
 first, still refutes the plainest of these, such as 2000 cells in one
-row with one symbol.
+row with one symbol.  A search whose volume cap reaches half the
+recursion limit runs in a fresh daemon thread, whose stack starts
+empty, and the caller waits for it; so its verdict is the same from any
+caller less than half the limit deep.  A smaller search runs inline,
+as a thread start would cost more than most such searches.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from collections import namedtuple
 from typing import Iterator, Sequence
 
@@ -148,6 +153,27 @@ def check_prescription(
 
 def _too_deep(v_hi: int) -> str:
     return f"search placing up to {v_hi} cells needs more stack depth than the interpreter allows"
+
+
+def _on_fresh_stack(call, *args):
+    # A new thread starts at stack depth 0, so call(*args) has the whole
+    # recursion limit whoever asks.  Its value is returned and its
+    # exception raised here, in the caller's thread.
+    outcome = []
+
+    def run() -> None:
+        try:
+            outcome.append((True, call(*args)))
+        except BaseException as exc:
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join()
+    ok, value = outcome.pop()
+    if not ok:
+        raise value
+    return value
 
 
 def _no_witness(truncated: bool) -> tuple[bool, None]:
@@ -229,7 +255,8 @@ def exists_full(
         or (sym_desc is not None and sym_desc[0] > min(n_rows, n_cols))
     ):
         return _no_witness(truncated)
-    if v_lo >= sys.getrecursionlimit():
+    limit = sys.getrecursionlimit()
+    if v_lo >= limit:
         raise BudgetExceeded(_too_deep(v_hi))
 
     # One bitmask per line, bit k set when symbol k is in it, so a line's
@@ -340,7 +367,9 @@ def exists_full(
             idx = nxt
 
     try:
-        found = recurse(0)
+        # A search that may go deeper than half the stack runs on a fresh
+        # one, so its verdict does not depend on the caller's depth.
+        found = recurse(0) if v_hi < limit // 2 else _on_fresh_stack(recurse, 0)
     except RecursionError:
         # One stack frame per placed cell: a volume cap this large cannot
         # be searched, which is a budget verdict, not a negative answer.

@@ -2,22 +2,23 @@
 
 realize_lines builds a 0-1 matrix with given row and column sums as the
 two adjacency maps the builders' peel works on: each row's columns and
-each column's rows, in increasing order.  realize_degree_matrix is the
-public view of the same matrix, the plain frozenset of its (row, col)
-cells.  Both follow the classical greedy argument behind the Gale-Ryser
-theorem: each row, taken in decreasing count order, goes to the columns
-with the most demand left.  A bucket queue of columns keyed by remaining
-demand replaces a sort of every column per row, so beyond one sort of
-the rows the cost is proportional to the cells placed and the demand
-levels visited.  The sorted list of demand levels is rebuilt only after
-a row empties a level or opens a new one; a row that takes part of one
-level and lands on an existing one leaves it as it was.  A row's
-columns come from a few levels, each already in index order, so a row
-that takes from one level keeps that order and a row that takes from
-several merges a few runs with one sort; the columns' rows come out
-sorted by reading the rows in index order.  A row that finds
-too few columns names its witness with the dominance scan
-check_construction runs, so both report the same prefix pair.
+each column's rows, in increasing order.  It is a build stage, run only
+on counts a build's predicate has accepted or that distribute_rows
+derived, so it only asserts what a builder bug could break: equal
+totals, and a row that finds enough columns.  It follows the classical
+greedy argument behind the Gale-Ryser theorem: each row, taken in
+decreasing count order, goes to the columns with the most demand left.
+A bucket queue of columns keyed by remaining demand, sized by the
+number of columns and never by a demand value, replaces a sort of every
+column per row, so beyond one sort of the rows the cost is
+proportional to the cells placed and the demand levels visited.  The
+sorted list of demand levels is rebuilt only after a row empties a
+level or opens a new one; a row that takes part of one level and lands
+on an existing one leaves it as it was.  A row's columns come from a
+few levels, each already in index order, so a row that takes from one
+level keeps that order and a row that takes from several merges a few
+runs with one sort; the columns' rows come out sorted by reading the
+rows in index order.
 distribute_rows splits a volume into near equal line counts.  That split
 is minimal in the majorization order, so by Gale-Ryser it is realizable
 as column sums against any row sums of the same total whose entries do
@@ -30,29 +31,28 @@ from __future__ import annotations
 from bisect import insort
 from typing import Sequence
 
-from .core import positive_int, positive_ints
-from .errors import Infeasible, PreconditionViolated
-from .feasibility import _worst_pair
+from .core import positive_int
+from .errors import PreconditionViolated
 
 
 Lines = dict[int, list[int]]  # line -> its partners, increasing
 
 
 def realize_lines(n: Sequence[int], m: Sequence[int]) -> tuple[Lines, Lines]:
-    """The cells realize_degree_matrix returns, as (rows, cols) adjacency maps.
+    """Place sum(n) cells so row i holds n[i] of them and column j holds m[j].
 
-    ``rows`` maps each row 1..len(n) to its columns and ``cols`` each
-    column 1..len(m) to its rows, both in increasing order: the form
-    saturating_matching takes.  Same checks, same cells and the same
-    Infeasible witnesses as realize_degree_matrix.
+    Returns (rows, cols): ``rows`` maps each row 1..len(n) to its columns
+    and ``cols`` each column 1..len(m) to its rows, both in increasing
+    order, the form saturating_matching takes.  Rows are processed in
+    decreasing count order, ties by index, and each row's cells go to
+    the columns with the most remaining demand, lowest index first, so
+    the construction is deterministic.
+
+    The counts must be positive ints with equal totals that pass the
+    dominance condition; by Gale-Ryser the greedy then fills every row.
+    A caller that breaks this fails an assertion, as a builder bug would.
     """
-    n = positive_ints("n", n)
-    m = positive_ints("m", m)
-    if sum(n) != sum(m):
-        raise Infeasible(
-            f"row total {sum(n)} differs from column total {sum(m)}",
-            witness=(sum(n), sum(m)),
-        )
+    assert sum(n) == sum(m), f"row total {sum(n)} differs from column total {sum(m)}"
     levels: dict[int, list[int]] = {}  # remaining demand -> columns, increasing
     for j, demand in enumerate(m, start=1):
         levels.setdefault(demand, []).append(j)
@@ -64,15 +64,7 @@ def realize_lines(n: Sequence[int], m: Sequence[int]) -> tuple[Lines, Lines]:
         moves = []  # (new level, columns taken from the level above it)
         top = len(demands) - 1
         while need:
-            if top < 0:
-                witness = _worst_pair(sorted(n, reverse=True), sorted(m, reverse=True), sum(n))
-                assert witness, "greedy realization failed although dominance holds"
-                k, l = witness
-                raise Infeasible(
-                    f"degree matrix infeasible: top {k} rows and top {l} columns "
-                    f"demand more cells than the board admits",
-                    witness=witness,
-                )
+            assert top >= 0, f"row {i + 1} finds too few columns with demand left"
             demand = demands[top]
             columns = levels[demand]
             if len(columns) <= need:
@@ -116,38 +108,6 @@ def realize_lines(n: Sequence[int], m: Sequence[int]) -> tuple[Lines, Lines]:
         for j in line:
             cols[j].append(i)
     return dict(enumerate(lines, start=1)), cols
-
-
-def realize_degree_matrix(n: Sequence[int], m: Sequence[int]) -> frozenset[tuple[int, int]]:
-    """Place sum(n) cells so row i holds n[i] of them and column j holds m[j].
-
-    Returns the frozenset of (row, col) cells, rows numbered 1..len(n) and
-    columns 1..len(m).
-
-    Rows are processed in decreasing count order (ties by index) and each
-    row's cells go to the columns with the largest remaining demand (ties
-    by index), so the construction is deterministic.  The columns sit in
-    a bucket queue: one list per distinct remaining demand, each in
-    increasing index order, with the demands kept in a sorted list.  A
-    row of count k takes columns from the highest level down, lowest
-    index first within a level, and then moves every taken column down
-    one level.  Beyond the one sort of the rows, the cost is proportional
-    to the cells placed and the levels visited, and the structure is
-    sized by the number of columns, never by a demand value.  The sorted
-    demand list is rebuilt only when a row empties a level or opens one,
-    and a row's columns are sorted only when they come from more than one
-    level, so a short row that takes part of one level costs one slice
-    of that level and one insertion per cell into the level below.
-
-    By Gale-Ryser this greedy fills every row exactly when the dominance
-    condition holds, so the dominance scan runs only once a row finds too
-    few columns with demand left, to name the witness.  Raises Infeasible
-    when the totals differ, with witness (sum(n), sum(m)), or when the
-    dominance condition fails, with the violating prefix pair (k, l) that
-    check_construction reports.
-    """
-    rows, _ = realize_lines(n, m)
-    return frozenset((i, j) for i, line in rows.items() for j in line)
 
 
 def distribute_rows(v: int, r: int, cap: int) -> tuple[int, ...]:

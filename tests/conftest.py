@@ -72,7 +72,7 @@ def line_counts(cells, rows: int, cols: int) -> tuple[tuple[int, ...], tuple[int
 def nonzero_line_counts(cells) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The nonzero row and column counts of a nonempty cell set, in index order.
 
-    They are the line sums of a 0-1 matrix, so realize_degree_matrix and
+    They are the line sums of a 0-1 matrix, so realize_lines and
     build_theorem accept them.
     """
     n, m = line_counts(cells, max(i for i, _ in cells), max(j for _, j in cells))

@@ -26,11 +26,11 @@ from plskit import (
     fill_symbols,
     merge_matchings,
     parameters_of,
-    realize_degree_matrix,
     saturating_matching,
     validate,
 )
 from plskit.oracle import FAMILIES
+from plskit.realization import realize_lines
 from plskit.sweep import (
     FORMS,
     row_params_tuples,
@@ -200,6 +200,25 @@ def test_criterion_4_constructive_soundness_on_the_grown_ranges():
     )
 
 
+def greedy_cells(rng: random.Random, rows: int, cols: int, syms: int, attempts: int, size: int = 0):
+    """Random triples inserted greedily, each that clashes skipped.
+
+    Stops after ``attempts`` draws, or once it holds ``size`` triples.
+    """
+    chosen, occupied, row_sym, col_sym = [], set(), set(), set()
+    for _ in range(attempts):
+        i, j, k = rng.randint(1, rows), rng.randint(1, cols), rng.randint(1, syms)
+        if (i, j) in occupied or (i, k) in row_sym or (j, k) in col_sym:
+            continue
+        chosen.append((i, j, k))
+        occupied.add((i, j))
+        row_sym.add((i, k))
+        col_sym.add((j, k))
+        if len(chosen) == size:
+            break
+    return chosen
+
+
 def seeded_square(seed: int):
     """A random square with sides 3-55, never from the builder.
 
@@ -210,16 +229,7 @@ def seeded_square(seed: int):
     rng = random.Random(seed)
     if seed % 2 == 0:
         rows, cols, syms = (rng.randint(3, 55) for _ in range(3))
-        chosen, occupied, row_sym, col_sym = [], set(), set(), set()
-        for _ in range(rng.randint(1, 2 * rows * cols)):
-            i, j, k = rng.randint(1, rows), rng.randint(1, cols), rng.randint(1, syms)
-            if (i, j) in occupied or (i, k) in row_sym or (j, k) in col_sym:
-                continue
-            chosen.append((i, j, k))
-            occupied.add((i, j))
-            row_sym.add((i, k))
-            col_sym.add((j, k))
-        return validate(chosen)
+        return validate(greedy_cells(rng, rows, cols, syms, rng.randint(1, 2 * rows * cols)))
     side = rng.randint(3, 55)
     row_label, col_label, sym_label = (rng.sample(range(1, side + 1), side) for _ in range(3))
     density = rng.random()
@@ -257,6 +267,34 @@ def test_every_squares_own_prescription_passes_every_form(seed):
             assert verdict.feasible, (name, perm, verdict)
             built = field_values(getattr(plskit, form.builder)(*case))
             assert [built[field] for field in form.fields] == case, (name, perm)
+
+
+def small_seeded_square(seed: int):
+    """A random square of 6-12 cells with sides 2-6, by greedy insertion, never from the builder."""
+    rng = random.Random(seed)
+    while True:
+        rows, cols, syms = (rng.randint(2, 6) for _ in range(3))
+        size = rng.randint(6, 12)
+        cells = greedy_cells(rng, rows, cols, syms, 200, size)
+        if len(cells) == size:
+            return validate(cells)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_the_oracle_meets_every_small_squares_full_prescription(seed):
+    # The oracle's own enumeration never drew these squares.  Each of the
+    # six conjugates, with every field pinned, must exist, and the witness
+    # must have the same families up to order.
+    pls = small_seeded_square(seed)
+    for perm in PERMS:
+        values = field_values(conjugate(pls, perm))
+        side = max(6, values["r"], values["c"], values["s"])
+        budget = Budget(max(12, values["v"]), side, side, side)
+        found, witness = exists_full(**values, budget=budget)
+        assert found, (perm, values)
+        assert [sorted(family) for family in parameters_of(witness)[:3]] == [
+            sorted(values[name]) for name in FAMILIES
+        ], perm
 
 
 def random_bounded_graph(rng: random.Random, max_side: int = 8, max_degree: int = 4):
@@ -382,9 +420,9 @@ def test_criterion_8_degree_matrix_realization():
         if not n:
             continue
         produced += 1
-        first = realize_degree_matrix(n, m)
-        second = realize_degree_matrix(n, m)
-        if line_counts(first, len(n), len(m)) != (n, m) or second != first:
+        first = realize_lines(n, m)
+        cells = [(i, j) for i, line in first[0].items() for j in line]
+        if line_counts(cells, len(n), len(m)) != (n, m) or realize_lines(n, m) != first:
             failures += 1
     report(
         "criterion 8: Gale-Ryser realization on 1,000 feasible pairs",

@@ -22,11 +22,11 @@ from plskit import (
     fill_symbols,
     merge_matchings,
     parameters_of,
-    realize_degree_matrix,
     saturating_matching,
     split_symbols,
     validate,
 )
+from plskit.realization import realize_lines
 
 from conftest import adjacency, cell_sets, is_normalized, line_counts, nonzero_line_counts, squares
 
@@ -186,7 +186,9 @@ class TestFillSymbols:
         # fill_symbols regroups raw cells into lines; a build hands the
         # realization's own lines to the same peel.  Both give one square.
         n, m = nonzero_line_counts(cs)
-        assert fill_symbols(realize_degree_matrix(n, m)) == build_theorem(n, m, max(n + m))
+        rows, _ = realize_lines(n, m)
+        cells = ((i, j) for i, line in rows.items() for j in line)
+        assert fill_symbols(cells) == build_theorem(n, m, max(n + m))
 
 
 class TestSplitSymbols:
@@ -299,6 +301,24 @@ class TestBuildTheorem:
     def test_symbol_bound_failure_raises(self):
         with pytest.raises(Infeasible):
             build_theorem((2, 2), (2, 2), 1)
+
+    @pytest.mark.parametrize(
+        "n, m, pair",
+        [((10**9,), (10**9,), "(k = 1, l = 1)"), ((5 * 10**8, 5 * 10**8), (10**9,), "(k = 2, l = 1)")],
+    )
+    def test_huge_demand_allocates_nothing_proportional(self, n, m, pair):
+        # Counts of 10**9 fail dominance: the refusal is the predicate's
+        # report, reached without building anything sized by a count.
+        tracemalloc.start()
+        try:
+            with pytest.raises(Infeasible) as exc:
+                build_theorem(n, m, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (violated,) = exc.value.report.violated()
+        assert violated.id == "dominance" and pair in violated.witness
+        assert peak < 1 << 20
 
 
 class TestBuildProposition:

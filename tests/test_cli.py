@@ -507,6 +507,15 @@ class TestUsage:
         assert out == ""
         assert err == "error: internal error: RuntimeError: boom\n"
 
+    def test_counts_that_do_not_realize_are_an_internal_error(self, monkeypatch):
+        # The realization trusts the counts a build hands it; a builder bug
+        # that breaks them fails an assertion, reported as exit 4.
+        monkeypatch.setattr(plskit.builder, "distribute_rows", lambda v, r, cap: (1,) * r)
+        code, out, err = invoke(["build", "sizes", "--r", "2", "--c", "3", "--s", "3", "--v", "6"])
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal error: AssertionError: row total 2 differs from column total 3\n"
+
     def test_forms_call_the_functions_this_module_holds_now(self, monkeypatch):
         # The form table names its functions, so a wrapper set on the
         # module, as the benchmark's tracer sets one, sees each call.

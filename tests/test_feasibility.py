@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -10,12 +11,10 @@ from hypothesis import strategies as st
 from plskit import (
     Condition,
     FeasibilityReport,
-    Infeasible,
     PreconditionViolated,
     check_construction,
     check_row_params,
     check_sizes,
-    realize_degree_matrix,
 )
 
 from conftest import dominance_double_loop, ordered_theorem_tuples
@@ -34,19 +33,21 @@ def dominance_brute_force(n, m):
     return True
 
 
-def dominance_holds(n, m):
-    """check_construction's dominance verdict, with s clear of its bounds."""
+def dominance_verdict(n, m):
+    """(True, None) when dominance holds, else (False, (k, l)): the pair check_construction names.
+
+    n and m have equal totals, and s = max(n + m) is clear of its bounds.
+    """
     report = check_construction(n, m, max(n + m))
-    return next(c for c in report.conditions if c.id == "dominance").satisfied
+    dominance = next(c for c in report.conditions if c.id == "dominance")
+    if dominance.satisfied:
+        return (True, None)
+    pair = re.match(r"prefix pair \(k = (\d+), l = (\d+)\)", dominance.witness).groups()
+    return (False, tuple(map(int, pair)))
 
 
-def realization_verdict(n, m):
-    """(True, None) when the degree matrix is realized, else (False, witness)."""
-    try:
-        realize_degree_matrix(n, m)
-    except Infeasible as exc:
-        return (False, exc.witness)
-    return (True, None)
+def dominance_holds(n, m):
+    return dominance_verdict(n, m)[0]
 
 
 def random_composition(rng, total, max_parts):
@@ -85,19 +86,19 @@ def reference_check_construction(n, m, s):
 
 
 class TestDominanceCheck:
-    # The condition as check_construction reports it, and the witness a
-    # failed realization names; both come from one scan.
+    # The condition as check_construction reports it, and the prefix pair
+    # its witness names.
     def test_full_board_is_realizable(self):
         assert dominance_holds((2, 2), (2, 2))
-        assert realization_verdict((2, 2), (2, 2)) == (True, None)
+        assert dominance_verdict((2, 2), (2, 2)) == (True, None)
 
     def test_tall_column_witness(self):
         assert not dominance_holds((2, 2), (4,))
-        assert realization_verdict((2, 2), (4,)) == (False, (2, 1))
+        assert dominance_verdict((2, 2), (4,)) == (False, (2, 1))
 
     def test_three_by_two_witness(self):
         # Top 3 rows and top 2 columns: 9 + 8 = 17 > 10 + 6 = 16.
-        assert realization_verdict((3, 3, 3, 1), (4, 4, 1, 1)) == (False, (3, 2))
+        assert dominance_verdict((3, 3, 3, 1), (4, 4, 1, 1)) == (False, (3, 2))
         report = check_construction((3, 3, 3, 1), (4, 4, 1, 1), 4)
         (violated,) = report.violated()
         assert violated.witness == "prefix pair (k = 3, l = 2): 17 > 16"
@@ -120,7 +121,7 @@ class TestDominanceCheck:
                 assert holds == dominance_brute_force(n, m), (n, m)
                 # The witness is what `plskit check` prints, so pin it to
                 # the plain scan over every prefix pair.
-                verdict = realization_verdict(n, m)
+                verdict = dominance_verdict(n, m)
                 assert verdict == dominance_double_loop(n, m), (n, m)
                 checked += 1
                 if not holds:

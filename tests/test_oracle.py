@@ -1,6 +1,7 @@
 """Exhaustive search: existence queries and the enumeration stream."""
 
 import sys
+import threading
 import tracemalloc
 from itertools import combinations, product
 
@@ -75,7 +76,10 @@ def key_of(pls):
 
 
 def recurse_frames(**kwargs):
-    """exists_full(**kwargs) or the BudgetExceeded it raised, and the search frames it opened."""
+    """exists_full(**kwargs) or the BudgetExceeded it raised, and the search frames it opened.
+
+    The profiler is set for new threads too, as a deep search runs in one.
+    """
     frames = 0
 
     def count(frame, event, arg):
@@ -84,11 +88,13 @@ def recurse_frames(**kwargs):
             frames += 1
 
     sys.setprofile(count)
+    threading.setprofile(count)
     try:
         got = exists_full(**kwargs)
     except BudgetExceeded as exc:
         got = exc
     finally:
+        threading.setprofile(None)
         sys.setprofile(None)
     return got, frames
 
@@ -249,6 +255,28 @@ class TestExistsFull:
         # symbol, when a placement there would leave too little volume for
         # the pinned lines and symbols: no frame is opened only to fail.
         n = 40
+        (found, _), frames = recurse_frames(r=n, c=n, s=n, v=n, budget=Budget(n, n, n, n))
+        assert found
+        assert frames == n + 1
+
+    def test_deep_search_verdict_does_not_depend_on_the_callers_depth(self):
+        # 985 cells take 986 search frames.  On the caller's stack they
+        # fit under the default recursion limit of 1000 only from a script's
+        # top level; the search runs on a fresh stack, so a caller 60
+        # frames deeper gets the same verdict.
+        n = 985
+
+        def at_depth(k):
+            return at_depth(k - 1) if k else exists_full(r=n, c=n, s=n, v=n, budget=Budget(n, n, n, n))
+
+        for depth in (0, 60):
+            found, witness = at_depth(depth)
+            assert found, depth
+            assert parameters_of(witness) == ParameterProfile((1,) * n, (1,) * n, (1,) * n, n)
+
+    def test_deep_search_opens_its_frames_on_a_fresh_stack(self):
+        # Counted across threads: one frame per placed cell, as inline.
+        n = 600
         (found, _), frames = recurse_frames(r=n, c=n, s=n, v=n, budget=Budget(n, n, n, n))
         assert found
         assert frames == n + 1

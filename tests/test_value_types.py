@@ -130,7 +130,7 @@ ERRORS = {
     ),
     NoSaturation: lambda: NoSaturation(frozenset({2, 3})),
     PreconditionViolated: lambda: PreconditionViolated("s must be a positive integer"),
-    Infeasible: lambda: Infeasible("no such square", report=check_sizes(1, 1, 1, 2), witness=(1, 2)),
+    Infeasible: lambda: Infeasible("no such square", report=check_sizes(1, 1, 1, 2)),
     BudgetExceeded: lambda: BudgetExceeded("volume 9 above the budget cap 8"),
     DocumentError: lambda: DocumentError("triples must be a nonempty array"),
 }
@@ -198,9 +198,8 @@ def test_the_public_names():
         "PreconditionViolated", "SweepResult", "Triple",
         "TriplePairError", "build_corollary", "build_proposition", "build_theorem",
         "check_construction", "check_row_params", "check_sizes", "conjugate",
-        "distribute_rows", "enumerate_pls", "exists_full", "fill_symbols",
-        "merge_matchings", "parameters_of", "realize_degree_matrix",
-        "render_grid", "saturating_matching", "split_symbols", "sweep_row_params",
+        "enumerate_pls", "exists_full", "fill_symbols", "merge_matchings",
+        "parameters_of", "render_grid", "saturating_matching", "split_symbols", "sweep_row_params",
         "sweep_sizes", "sweep_theorem", "validate",
     ]
     assert all(hasattr(plskit, name) for name in plskit.__all__)
