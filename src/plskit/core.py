@@ -8,12 +8,16 @@ upper bound; occupied rows, columns, and symbols need not form contiguous
 ranges.  The builders in this package always emit normalized labels, i.e.
 occupied rows are exactly 1..r, columns 1..c, and symbols 1..s.
 
-A Triple is a tuple ``(row, col, sym)`` whose labels were checked on
-construction; it compares and hashes equal to the plain tuple, and tuple
-order is the row-major order used throughout.  A set of cells is a plain
-frozenset of ``(row, col)`` tuples with no type of its own: the builders
-hand one from stage to stage, and a build checks its labels once, when
-validate checks the finished square.
+A value is checked once, where a caller hands it in, and a refused value
+raises PreconditionViolated.  A Triple is a tuple ``(row, col, sym)``
+whose labels are checked on construction, ``_make`` and ``_replace``; it
+compares and hashes equal to the plain tuple, and tuple order is the
+row-major order used throughout.  A ParameterProfile is a plain named
+tuple: parameters_of reads it off a square that is already valid, so it
+has nothing left to check.  A set of cells is a plain frozenset of
+``(row, col)`` tuples with no type of its own: the builders hand one
+from stage to stage, and a build checks its labels once, when validate
+checks the finished square.
 """
 
 from __future__ import annotations
@@ -84,7 +88,9 @@ class Triple(checked_namedtuple("Triple", AXES)):
         if not (type(row) is type(col) is type(sym) is int and row > 0 and col > 0 and sym > 0):
             for axis, value in zip(AXES, (row, col, sym)):
                 if not is_positive_int(value):
-                    raise ValueError(f"{axis} label must be a positive integer, got {value!r}")
+                    raise PreconditionViolated(
+                        f"{axis} label must be a positive integer, got {value!r}"
+                    )
         return tuple.__new__(cls, (row, col, sym))
 
     def __str__(self) -> str:
@@ -227,16 +233,16 @@ def validate(triples: Iterable) -> PartialLatinSquare:
     """Check a set of triples and wrap it as a PartialLatinSquare.
 
     Accepts Triple instances or plain (row, col, sym) tuples.  Raises
-    PreconditionViolated on no triples, ValueError on a bad label, or
-    TriplePairError naming the clash and its two offending triples.
+    PreconditionViolated on no triples or a bad label, or TriplePairError
+    naming the clash and its two offending triples.
     """
     return PartialLatinSquare(triples)
 
 
 class ParameterProfile(
-    checked_namedtuple("ParameterProfile", ("row_params", "col_params", "sym_params", "volume"))
+    namedtuple("ParameterProfile", ("row_params", "col_params", "sym_params", "volume"))
 ):
-    """Line parameters of a partial Latin square.
+    """Line parameters of a partial Latin square, as parameters_of reads them.
 
     ``row_params[i]`` is the number of cells in the (i+1)-th occupied row,
     occupied rows taken in increasing label order; likewise for columns
@@ -244,20 +250,6 @@ class ParameterProfile(
     """
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "ParameterProfile":
-        # namedtuple binds the fields; the one check then makes each
-        # family a tuple.
-        *families, volume = super().__new__(cls, *args, **kwargs)
-        if not is_positive_int(volume):
-            raise ValueError("volume must be a positive integer")
-        for index, name in enumerate(cls._fields[:3]):
-            family = families[index] = tuple(families[index])
-            if not family or not all(is_positive_int(k) for k in family):
-                raise ValueError(f"{name} must be nonempty with positive entries")
-            if sum(family) != volume:
-                raise ValueError(f"{name} must sum to the volume {volume}")
-        return tuple.__new__(cls, (*families, volume))
 
     @property
     def r(self) -> int:
@@ -272,14 +264,12 @@ class ParameterProfile(
         return len(self.sym_params)
 
 
-def _axis_params(pls: PartialLatinSquare, axis: str) -> tuple[int, ...]:
-    counts = Counter(getattr(t, axis) for t in pls.triples)
-    return tuple(counts[k] for k in sorted(counts))
-
-
 def parameters_of(pls: PartialLatinSquare) -> ParameterProfile:
     """Read off the row, column, and symbol parameters of ``pls``."""
-    return ParameterProfile(*(_axis_params(pls, axis) for axis in AXES), pls.volume)
+    # The square is valid, so its counts need no check: one pass counts
+    # each axis, and each family is read in increasing label order.
+    axes = map(Counter, zip(*pls.triples))
+    return ParameterProfile(*(tuple(map(n.__getitem__, sorted(n))) for n in axes), pls.volume)
 
 
 def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquare:
@@ -291,7 +281,9 @@ def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquar
     Conjugation permutes the three parameter families the same way.
     """
     perm = tuple(perm)
-    if sorted(perm) != sorted(AXES):
-        raise ValueError(f"perm must be a permutation of {AXES}, got {perm!r}")
+    # Membership compares by equality, so a label of any type is refused
+    # here rather than failing a sort or a hash.
+    if not (len(perm) == 3 and all(axis in perm for axis in AXES)):
+        raise PreconditionViolated(f"perm must be a permutation of {AXES}, got {perm!r}")
     a, b, c = (AXES.index(axis) for axis in perm)
     return PartialLatinSquare(frozenset((t[a], t[b], t[c]) for t in pls.triples))

@@ -4,10 +4,12 @@ Each predicate returns a FeasibilityReport listing the individual
 conditions it checked.  Infeasibility is a normal result, never an
 exception; exceptions are reserved for malformed inputs.
 
-Conditions and reports are tuples, so they are cheap to build and
-compare equal to the plain tuples (id, satisfied, witness) and
-(feasible, conditions).  A report still checks on construction that its
-verdict is the conjunction of its conditions.
+Conditions and reports are plain named tuples, so they are cheap to
+build and compare equal to the plain tuples (id, satisfied, witness) and
+(feasible, conditions).  The predicates check their inputs, the one
+value a caller hands in, and raise PreconditionViolated on a bad one; a
+report is only ever built by from_conditions, which computes its verdict
+as the conjunction of its conditions, so it has nothing left to check.
 
 The dominance condition is the Gale-Ryser style inequality
 ``sum(top k of n) + sum(top l of m) <= v + k * l`` for every prefix pair
@@ -23,7 +25,7 @@ from collections import namedtuple
 from operator import itemgetter
 from typing import Sequence
 
-from .core import checked_namedtuple, positive_int, positive_ints
+from .core import positive_int, positive_ints
 
 
 class Condition(namedtuple("Condition", ("id", "satisfied", "witness"), defaults=(None,))):
@@ -43,22 +45,14 @@ _HELD = {
 _SATISFIED = itemgetter(1)
 
 
-class FeasibilityReport(checked_namedtuple("FeasibilityReport", ("feasible", "conditions"))):
+class FeasibilityReport(namedtuple("FeasibilityReport", ("feasible", "conditions"))):
     """Verdict plus per-condition breakdown; feasible iff all conditions hold."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, feasible: bool, conditions: Sequence[Condition] = ()
-    ) -> "FeasibilityReport":
-        conditions = tuple(conditions)
-        if feasible != all(c.satisfied for c in conditions):
-            raise ValueError("feasible must equal the conjunction of the conditions")
-        return tuple.__new__(cls, (feasible, conditions))
-
     @classmethod
     def from_conditions(cls, conditions: Sequence[Condition]) -> "FeasibilityReport":
-        # The verdict is computed here, so there is nothing for __new__ to check.
+        # The one way a report is built: the verdict is computed here.
         conditions = tuple(conditions)
         return tuple.__new__(cls, (all(map(_SATISFIED, conditions)), conditions))
 

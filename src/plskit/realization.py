@@ -23,16 +23,17 @@ distribute_rows splits a volume into near equal line counts.  That split
 is minimal in the majorization order, so by Gale-Ryser it is realizable
 as column sums against any row sums of the same total whose entries do
 not exceed the number of columns; the builders use it in place of any
-search for column counts.
+search for column counts.  It is a build stage too, run only on a volume
+and line counts a build's predicate has accepted, so it asserts the
+volume's range rather than checking it again.  Neither stage takes a
+value from a caller, so this module checks none and imports nothing
+from the package.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from typing import Sequence
-
-from .core import positive_int
-from .errors import PreconditionViolated
 
 
 Lines = dict[int, list[int]]  # line -> its partners, increasing
@@ -114,12 +115,9 @@ def distribute_rows(v: int, r: int, cap: int) -> tuple[int, ...]:
     """Split a volume of v cells over r rows, each holding 1..cap cells.
 
     The split is as even as possible (largest and smallest counts differ
-    by at most one) with the larger counts first.
+    by at most one) with the larger counts first.  A volume outside
+    [r, r * cap] fails an assertion, as a builder bug would.
     """
-    positive_int("volume", v)
-    positive_int("row count", r)
-    positive_int("cap", cap)
-    if not (r <= v <= r * cap):
-        raise PreconditionViolated(f"volume {v} outside [{r}, {r * cap}] for {r} rows with cap {cap}")
+    assert 1 <= r <= v <= r * cap, f"volume {v} outside [{r}, {r * cap}] for {r} rows with cap {cap}"
     base, extra = divmod(v, r)
     return (base + 1,) * extra + (base,) * (r - extra)

@@ -182,9 +182,8 @@ def sweep(form: str, *bounds: int) -> SweepResult:
     for name, value in zip(row.bounds, bounds):
         positive_int(name, value)
     # Every case pins each dimension, so the budget only decides which
-    # cases the oracle refuses: its caps are the range's own, never below
-    # the defaults.
-    budget = Budget(*map(max, Budget(), row.caps(*bounds)))
+    # cases the oracle refuses: its caps are the range's own.
+    budget = Budget(*row.caps(*bounds))
     predicate = globals()[row.predicate]
     mismatches = []
     checked = 0

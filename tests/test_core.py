@@ -39,7 +39,7 @@ class TestTriple:
 
     @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -1, 1), (1, 1, 0), (True, 1, 1)])
     def test_labels_must_be_positive(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated):
             Triple(*bad)
 
     def test_ordering_is_row_major(self):
@@ -57,7 +57,7 @@ class TestTriple:
         "bad", [(True, 1, 1), (1, True, 1), (1, 1, True), (False, 1, 1), (1.0, 1, 1), (1, 1, 1.0)]
     )
     def test_bool_and_float_labels_are_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated):
             Triple(*bad)
 
     def test_int_subclass_and_huge_labels_are_accepted(self):
@@ -69,7 +69,7 @@ class TestTriple:
 
     def test_replace_is_checked(self):
         assert Triple(1, 2, 3)._replace(sym=4) == Triple(1, 2, 4)
-        with pytest.raises(ValueError, match="row label"):
+        with pytest.raises(PreconditionViolated, match="row label"):
             Triple(1, 2, 3)._replace(row=0)
 
 
@@ -117,14 +117,14 @@ class TestValidate:
         "bad, axis", [((0, 1, 1), "row"), ((1, True, 1), "col"), ((1, 1, 1.5), "sym")]
     )
     def test_rejects_bad_labels_naming_the_axis(self, bad, axis):
-        with pytest.raises(ValueError, match=f"^{axis} label must be a positive integer"):
+        with pytest.raises(PreconditionViolated, match=f"^{axis} label must be a positive integer"):
             validate([(1, 2, 2), bad])
 
     @pytest.mark.parametrize("bad", [(1, 1, True), (1, 1, 1.0), (1, [1], 1)])
     def test_a_bad_label_is_refused_before_anything_is_hashed(self, bad):
         # A label equal to an int must not collapse into the equal triple
         # before it, and an unhashable one must not end in TypeError.
-        with pytest.raises(ValueError, match="label must be a positive integer"):
+        with pytest.raises(PreconditionViolated, match="label must be a positive integer"):
             validate([(1, 1, 1), bad])
 
     def test_rejects_a_short_triple(self):
@@ -393,6 +393,18 @@ class TestHugeLabels:
         assert outcome(lambda ts: validate(ts).triples, triples) == expected
 
 
+@st.composite
+def relabelled_squares(draw):
+    """A square from ``squares`` whose labels on each axis are sent to
+    distinct labels that skip values and need not keep their order."""
+    pls = draw(squares())
+    maps = [
+        dict(enumerate(draw(st.lists(st.integers(1, 10**6), min_size=4, max_size=4, unique=True)), 1))
+        for _ in range(3)
+    ]
+    return validate(tuple(m[label] for m, label in zip(maps, t)) for t in pls.triples)
+
+
 class TestParametersOf:
     def test_single_cell(self):
         profile = parameters_of(validate([(1, 1, 1)]))
@@ -416,29 +428,17 @@ class TestParametersOf:
         pls = validate([(9, 1, 1), (9, 2, 2), (7, 1, 2)])
         assert parameters_of(pls).row_params == (1, 2)
 
-
-class TestParameterProfile:
-    def test_sum_must_match_volume(self):
-        with pytest.raises(ValueError):
-            ParameterProfile((2, 2), (3,), (3,), 3)
-        with pytest.raises(ValueError):
-            ParameterProfile((1,), (1,), (1,), 2)
-
-    def test_entries_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ParameterProfile((0, 3), (3,), (3,), 3)
-        for bad in (True, 1.0):
-            with pytest.raises(ValueError, match="row_params must be nonempty with positive"):
-                ParameterProfile((bad,), (1,), (1,), 1)
-
-    def test_families_must_be_nonempty(self):
-        with pytest.raises(ValueError):
-            ParameterProfile((), (1,), (1,), 1)
-
-    def test_volume_must_be_a_positive_int(self):
-        for bad in (True, 1.0):
-            with pytest.raises(ValueError, match="volume must be a positive integer"):
-                ParameterProfile((1,), (1,), (1,), bad)
+    @given(st.one_of(squares(), relabelled_squares()))
+    def test_profile_matches_a_count_per_label(self, pls):
+        # A profile is not checked on construction, so this is where its
+        # families are shown to be tuples of counts in label order.
+        profile = parameters_of(pls)
+        expected = []
+        for labels in zip(*pls.triples):
+            expected.append(tuple(labels.count(label) for label in sorted(set(labels))))
+        assert profile == (*expected, pls.volume)
+        assert all(type(family) is tuple for family in profile[:3])
+        assert all(sum(family) == profile.volume for family in profile[:3])
 
 
 class TestConjugate:
@@ -450,9 +450,12 @@ class TestConjugate:
         pls = validate([(1, 2, 3)])
         assert conjugate(pls, ("sym", "col", "row")) == validate([(3, 2, 1)])
 
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            conjugate(validate([(1, 1, 1)]), ("row", "row", "sym"))
+    @pytest.mark.parametrize(
+        "perm", [("row", "row", "sym"), ("row", 1, "sym"), ("row", ["col"], "sym"), ("row", "col")]
+    )
+    def test_rejects_non_permutation(self, perm):
+        with pytest.raises(PreconditionViolated, match="^perm must be a permutation"):
+            conjugate(validate([(1, 1, 1)]), perm)
 
     @given(squares(), st.sampled_from(AXIS_PERMS))
     def test_six_conjugations_undo(self, pls, perm):
@@ -530,7 +533,7 @@ POSITIVITY_ROUTES = [
     ),
     pytest.param(lambda x: prescribed(lambda: (None, None, None, 1, None, None, x), r=1, v=x),
                  PreconditionViolated, "v must be a positive integer", True, id="prescription-v"),
-    pytest.param(lambda x: validate([(1, 1, 1), (2, 2, x)]), ValueError,
+    pytest.param(lambda x: validate([(1, 1, 1), (2, 2, x)]), PreconditionViolated,
                  "sym label must be a positive integer, got {x!r}", False, id="validate"),
 ]
 

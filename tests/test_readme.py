@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import plskit
 from plskit.cli import run
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -49,6 +50,11 @@ def test_cli_example_prints_what_the_readme_shows(command, expected):
     # Every example is a verdict (0 or 1), never a usage or internal error.
     assert code in (0, 1)
     assert text.splitlines() == expected
+
+
+def test_the_public_name_count_is_the_packages():
+    (count,) = re.findall(r"`__all__`\s+lists (\d+) public names", README)
+    assert int(count) == len(plskit.__all__)
 
 
 def test_library_block_runs():

@@ -13,6 +13,7 @@ from plskit import (
     Budget,
     BudgetExceeded,
     DocumentError,
+    FeasibilityReport,
     Infeasible,
     NoSaturation,
     ParameterProfile,
@@ -37,6 +38,7 @@ def square():
 # class -> a function building one instance afresh, so equal twins differ in identity
 INSTANCES = {
     PartialLatinSquare: square,
+    Triple: lambda: Triple(1, 2, 3),
     ParameterProfile: lambda: ParameterProfile((2, 1), (2, 1), (2, 1), 3),
     Budget: lambda: Budget(max_rows=3),
     SweepResult: lambda: SweepResult(4, ((1, 2, True, False),)),
@@ -45,34 +47,21 @@ INSTANCES = {
 }
 each_class = pytest.mark.parametrize("cls", INSTANCES, ids=lambda cls: cls.__name__)
 
-def profile(*values):
-    return dict(zip(ParameterProfile._fields, values))
-
-
 # (class, keyword arguments, error) for inputs each class refuses
 INVALID = [
     (PartialLatinSquare, {"triples": []}, PreconditionViolated),
     (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 1, 2)]}, TriplePairError),
     (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 2, 1)]}, TriplePairError),
     (PartialLatinSquare, {"triples": [(1, 1, 1), (2, 1, 1)]}, TriplePairError),
-    (PartialLatinSquare, {"triples": [(0, 1, 1)]}, ValueError),
+    (PartialLatinSquare, {"triples": [(0, 1, 1)]}, PreconditionViolated),
     (PartialLatinSquare, {"triples": 5}, TypeError),
-    (ParameterProfile, profile((1,), (1,), (1,), 0), ValueError),
-    (ParameterProfile, profile((), (1,), (1,), 1), ValueError),
-    (ParameterProfile, profile((1,), (2,), (1,), 1), ValueError),
-    (ParameterProfile, profile((1,), None, (1,), 1), TypeError),
-    # The volume and every entry meet the positivity rule, and each family
-    # is a nonempty iterable with the volume's sum.
-    (ParameterProfile, profile((1,), (1,), (1,), True), ValueError),
-    (ParameterProfile, profile((1,), (1,), (1,), 1.0), ValueError),
-    (ParameterProfile, profile((1,), (True,), (1,), 1), ValueError),
-    (ParameterProfile, profile((1,), (1,), (0, 1), 1), ValueError),
-    (ParameterProfile, profile((1,), (1,), (), 1), ValueError),
-    (ParameterProfile, profile((2,), (1, 1), (1, 1), 3), ValueError),
-    (ParameterProfile, profile((1,), (1,), (1, 1), 1), ValueError),
-    (ParameterProfile, profile((1,), (1,), 1, 1), TypeError),
     *(
-        (Budget, {field: bad}, ValueError)
+        (Triple, {"row": 1, "col": 1, "sym": 1, field: bad}, PreconditionViolated)
+        for field in Triple._fields
+        for bad in (0, -1, True, "9")
+    ),
+    *(
+        (Budget, {field: bad}, PreconditionViolated)
         for field in Budget._fields
         for bad in (0, -1, True, "9")
     ),
@@ -95,6 +84,18 @@ def test_make_and_replace_go_through_the_same_check(cls, kwargs, error):
     fields = {**valid._asdict(), **kwargs}
     with pytest.raises(error):
         cls._make(fields[name] for name in cls._fields)
+
+
+@pytest.mark.parametrize("cls", [ParameterProfile, FeasibilityReport], ids=lambda cls: cls.__name__)
+def test_returned_types_are_plain_named_tuples(cls):
+    # Only a value a caller hands in is checked; these the library builds
+    # from values it has already checked, so they keep namedtuple's own
+    # constructor and _make, and take any fields.
+    base = cls.__mro__[1]
+    assert cls.__new__ is base.__new__ and cls._make.__func__ is base._make.__func__
+    odd = cls._make(range(len(cls._fields)))
+    assert tuple(odd) == tuple(range(len(cls._fields)))
+    assert odd._replace(**{cls._fields[0]: None})[0] is None
 
 
 @each_class
@@ -182,7 +183,7 @@ def test_budget_defaults():
 
 
 def test_properties_and_classmethods_are_kept():
-    params = ParameterProfile(row_params=[2, 1], col_params=(2, 1), sym_params=(1, 1, 1), volume=3)
+    params = ParameterProfile(row_params=(2, 1), col_params=(2, 1), sym_params=(1, 1, 1), volume=3)
     assert params.row_params == (2, 1) and (params.r, params.c, params.s) == (2, 2, 3)
     assert SweepResult(3, ()).clean and not SweepResult(3, ((1,),)).clean
     document = PlsDocument.from_pls(square())
