@@ -25,7 +25,6 @@ from .errors import (
     BudgetExceeded,
     DocumentError,
     Infeasible,
-    NoSaturation,
     PlsError,
     PreconditionViolated,
     TriplePairError,
@@ -38,7 +37,6 @@ from .feasibility import (
     check_sizes,
 )
 from .formats import PlsDocument, render_grid
-from .matching import merge_matchings, saturating_matching
 from .oracle import Budget, enumerate_pls, exists_full
 from .sweep import (
     SweepResult,
@@ -54,7 +52,6 @@ __all__ = [
     "DocumentError",
     "FeasibilityReport",
     "Infeasible",
-    "NoSaturation",
     "ParameterProfile",
     "PartialLatinSquare",
     "PlsDocument",
@@ -73,10 +70,8 @@ __all__ = [
     "enumerate_pls",
     "exists_full",
     "fill_symbols",
-    "merge_matchings",
     "parameters_of",
     "render_grid",
-    "saturating_matching",
     "split_symbols",
     "sweep_row_params",
     "sweep_sizes",

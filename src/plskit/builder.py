@@ -11,14 +11,14 @@ of them exists; removing it drops the maximum count to exactly p - 1.
 The peel works on one row and one column adjacency map for the whole
 run, each line's partners in increasing order, removes each layer's
 cells from them in place, and reads every line count off the list
-lengths.  The maps are the adjacency dicts that the public
-saturating_matching takes, so each layer starts as M =
-saturating_matching(rows, X1) for the tight rows X1, the same call any
-other caller makes.  When M already covers the tight columns Y1, M is
-the layer: merge_matchings would start from M and walk from no column,
-so N = saturating_matching(cols, Y1) and merge_matchings(M, N), which
-reads X1 and Y1 off their keys, run only when M leaves part of Y1
-uncovered.  M alone is every layer of a Latin or other regular profile.
+lengths.  The maps are the adjacency dicts that saturating_matching,
+the peel's build stage in plskit.matching, takes, so each layer starts
+as M = saturating_matching(rows, X1) for the tight rows X1.  When M
+already covers the tight columns Y1, M is the layer: merge_matchings
+would start from M and walk from no column, so N =
+saturating_matching(cols, Y1) and merge_matchings(M, N), which reads
+X1 and Y1 off their keys, run only when M leaves part of Y1 uncovered.
+M alone is every layer of a Latin or other regular profile.
 
 The peel never scans all lines for the peak.  A line at count p is
 tight; the layer takes exactly one cell from each tight line and at

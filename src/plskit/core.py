@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import repeat
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .errors import PreconditionViolated, TriplePairError
 
@@ -111,10 +111,10 @@ def _check_triples(triples: Iterable) -> frozenset[Triple]:
     # the arity, the exact int type and the positive minimum of every
     # label before anything is hashed, so a label such as True or 1.0
     # cannot collapse into an equal triple; then one C-level map makes
-    # every element a Triple.  The per-triple Triple(*t) scan runs only
-    # when that check fails: it walks the input in order, so it raises the
-    # first offender's error with an unchanged message, or accepts
-    # int-subclass labels.
+    # every element a Triple.  The per-triple scan runs only when that
+    # check fails: it walks the input in order, so it raises the first
+    # offender's error with an unchanged message, or accepts int-subclass
+    # labels.
     # A set collapses exact duplicates, and the square is clash-free
     # exactly when its (row, col), (row, sym) and (col, sym) projections
     # are all distinct.  The sorted scan runs only to name a clash: it
@@ -124,7 +124,7 @@ def _check_triples(triples: Iterable) -> frozenset[Triple]:
     if type(triples) in _BULK_INPUTS and _BULK_ELEMENTS.issuperset(map(type, triples)):
         axes = _plain_axes(triples)
     if axes is None:
-        checked = frozenset(t if isinstance(t, Triple) else Triple(*t) for t in triples)
+        checked = frozenset(map(_as_triple, _iterable(triples, "triples must be an iterable")))
         if not checked:
             raise PreconditionViolated("a partial Latin square must be nonempty")
         axes = zip(*checked)
@@ -143,6 +143,24 @@ def _check_triples(triples: Iterable) -> frozenset[Triple]:
     ):
         _raise_first_clash(checked)
     return checked
+
+
+def _as_triple(t) -> Triple:
+    # The per-triple coercion.  Its refusals name a type or a count, never
+    # an object's repr, so every fresh copy of an input reads the same.
+    if isinstance(t, Triple):
+        return t
+    labels = tuple(_iterable(t, "a triple must be an iterable of three labels"))
+    if len(labels) != 3:
+        raise PreconditionViolated(f"a triple must have three labels, got {len(labels)}")
+    return Triple(*labels)
+
+
+def _iterable(value, refusal: str) -> Iterator:
+    try:
+        return iter(value)
+    except TypeError:
+        raise PreconditionViolated(f"{refusal}, got {type(value).__name__}") from None
 
 
 def _plain_axes(triples: Iterable) -> tuple[tuple[int, ...], ...] | None:
@@ -233,8 +251,9 @@ def validate(triples: Iterable) -> PartialLatinSquare:
     """Check a set of triples and wrap it as a PartialLatinSquare.
 
     Accepts Triple instances or plain (row, col, sym) tuples.  Raises
-    PreconditionViolated on no triples or a bad label, or TriplePairError
-    naming the clash and its two offending triples.
+    PreconditionViolated on no triples, an input or element that is not
+    iterable, an element without exactly three labels or a bad label,
+    or TriplePairError naming the clash and its two offending triples.
     """
     return PartialLatinSquare(triples)
 

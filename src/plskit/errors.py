@@ -18,23 +18,8 @@ class TriplePairError(PlsError):
 
     def __reduce__(self):
         # Copies and pickles call __init__ with its own arguments, not with
-        # the message that .args holds; likewise below.
+        # the message that .args holds.
         return type(self), (self.description, self.first, self.second), self.__dict__
-
-
-class NoSaturation(PlsError):
-    """Hall's condition fails: no matching covers the requested targets."""
-
-    def __init__(self, witness: frozenset[int]) -> None:
-        self.witness = witness
-        members = ", ".join(str(z) for z in sorted(witness))
-        super().__init__(
-            "no matching saturates the targets; "
-            f"set {{{members}}} has more members than neighbors"
-        )
-
-    def __reduce__(self):
-        return type(self), (self.witness,), self.__dict__
 
 
 class PreconditionViolated(PlsError, ValueError):

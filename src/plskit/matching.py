@@ -20,22 +20,24 @@ and a right end two edges of one matching.  So a path keeps N exactly
 when that end is a Y1 vertex M leaves uncovered; other paths and all
 cycles keep M.
 
-Both functions work on plain ints and dicts, and the builder's peeling
-engine calls them like any other caller.  In the peel most targets have
-a free neighbor, so saturating_matching takes it in a greedy step that
-allocates nothing; only the rest grow an augmenting path, with an
-explicit stack, so path length is bounded by memory rather than by the
-interpreter's recursion limit.  Within one call the set of owned
-vertices only grows (augmenting reassigns owners, it never frees one),
-so a vertex whose neighbors were all owned once stays that way; the
-call remembers such vertices and no later path rescans them.
+This module is a build stage: the builder's peel is its one caller in
+the package, and it imports nothing from the package.  Both functions
+work on plain ints and dicts, trust what the peel hands them and assert
+what only a builder bug can break, so a failure here is an
+AssertionError (exit 4 on the command line), never a verdict on a
+caller's input.  In the peel most targets have a free neighbor, so
+saturating_matching takes it in a greedy step that allocates nothing;
+only the rest grow an augmenting path, with an explicit stack, so path
+length is bounded by memory rather than by the interpreter's recursion
+limit.  Within one call the set of owned vertices only grows
+(augmenting reassigns owners, it never frees one), so a vertex whose
+neighbors were all owned once stays that way; the call remembers such
+vertices and no later path rescans them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
-
-from .errors import NoSaturation, PreconditionViolated
 
 
 def saturating_matching(adj: Mapping[int, Sequence[int]], targets: Iterable[int]) -> dict[int, int]:
@@ -46,9 +48,10 @@ def saturating_matching(adj: Mapping[int, Sequence[int]], targets: Iterable[int]
     matched in increasing index order: a target takes its first free
     neighbor in ``adj`` order; failing that, an augmenting path is grown
     from it, rerouting matched neighbors in increasing index order.  The
-    result maps each target to its partner.  If some target cannot be
-    reached, Hall's condition fails and NoSaturation reports a witness
-    set of targets with more members than neighbors.
+    result maps each target to its partner.  The peel asks only for
+    vertices of maximum degree, which some matching always covers; a
+    target that no augmenting path reaches raises AssertionError, and
+    only a builder bug reaches that.
 
     A vertex whose free scan finds every neighbor owned is remembered for
     the rest of the call and later paths skip its scan: augmenting
@@ -115,13 +118,7 @@ def _augment(
                     return
             saturated.add(u)
         stack.append([u, neighbors, 0])
-    witness = frozenset({root} | {owner[v] for v in visited})
-    raise NoSaturation(witness)
-
-
-def _require(condition: bool, detail: str) -> None:
-    if not condition:
-        raise PreconditionViolated(f"matching merge invariant failed: {detail}")
+    raise AssertionError(f"no augmenting path from target {root}")
 
 
 def merge_matchings(m: Mapping[int, int], n: Mapping[int, int]) -> dict[int, int]:
@@ -131,14 +128,15 @@ def merge_matchings(m: Mapping[int, int], n: Mapping[int, int]) -> dict[int, int
     the two dicts saturating_matching returns for the left targets X1
     and the right targets Y1, which are their keys.  The result K maps
     left to right vertices, satisfies K subset of (M union N), is a
-    matching, and covers X1 union Y1, which is checked before it is
+    matching, and covers X1 union Y1, which is asserted before it is
     returned.  K starts as M; from each Y1 vertex that M leaves
     uncovered, in increasing order, the walk along its path swaps M
     edges for N edges (see the module docstring for why).  The order of
     the returned dict is not part of the contract.
     """
-    if len(set(m.values())) != len(m) or len(set(n.values())) != len(n):
-        raise PreconditionViolated("M and N must be matchings, but a partner repeats")
+    assert len(set(m.values())) == len(m) and len(set(n.values())) == len(n), (
+        "M and N must be matchings, but a partner repeats"
+    )
     kept = dict(m)
     for v in sorted(n.keys() - m.values()):
         # Take v's N edge (u, v) and free u's kept partner; the path goes
@@ -148,11 +146,10 @@ def merge_matchings(m: Mapping[int, int], n: Mapping[int, int]) -> dict[int, int
             kept[u], v = v, kept.get(u)
 
     rights = set(kept.values())
-    _require(len(rights) == len(kept), "merged edges share a right endpoint")
-    _require(m.keys() <= kept.keys(), "merged matching misses part of X1")
-    _require(n.keys() <= rights, "merged matching misses part of Y1")
-    _require(
-        all(m.get(l) == r or n.get(r) == l for l, r in kept.items()),
-        "merged matching left M union N",
+    assert len(rights) == len(kept), "merged edges share a right endpoint"
+    assert m.keys() <= kept.keys(), "merged matching misses part of X1"
+    assert n.keys() <= rights, "merged matching misses part of Y1"
+    assert all(m.get(l) == r or n.get(r) == l for l, r in kept.items()), (
+        "merged matching left M union N"
     )
     return kept

@@ -110,6 +110,26 @@ def adjacency(edges, side: str) -> dict[int, list[int]]:
     return adj
 
 
+def dominance_brute_force(n, m) -> bool:
+    """The full dominance condition: every k rows and l columns fit v + k * l cells."""
+    v = sum(n)
+    return all(
+        sum(rows) + sum(cols) <= v + k * l
+        for k in range(len(n) + 1)
+        for rows in itertools.combinations(n, k)
+        for l in range(len(m) + 1)
+        for cols in itertools.combinations(m, l)
+    )
+
+
+def random_composition(rng, total: int, max_parts: int) -> tuple[int, ...]:
+    """``total`` cut into 1..max_parts positive parts at distinct random points, in order."""
+    parts = rng.randint(1, min(max_parts, total))
+    cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
+    bounds = [0] + cuts + [total]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
 def dominance_double_loop(n, m):
     """The O(r * c) scan over every prefix pair; first strictly worst pair wins."""
     v = sum(n)

@@ -24,11 +24,10 @@ from plskit import (
     conjugate,
     exists_full,
     fill_symbols,
-    merge_matchings,
     parameters_of,
-    saturating_matching,
     validate,
 )
+from plskit.matching import merge_matchings, saturating_matching
 from plskit.oracle import FAMILIES
 from plskit.realization import realize_lines
 from plskit.sweep import (
@@ -43,11 +42,13 @@ from plskit.sweep import (
 
 from conftest import (
     adjacency,
+    dominance_brute_force,
     is_normalized,
     line_counts,
     ordered_row_params_tuples,
     ordered_sizes_tuples,
     ordered_theorem_tuples,
+    random_composition,
 )
 
 
@@ -369,32 +370,15 @@ def test_criterion_6_fill_symbols_exactness():
     )
 
 
-def brute_force_dominance(n, m):
-    import itertools
-
-    v = sum(n)
-    for k in range(len(n) + 1):
-        for rows in itertools.combinations(n, k):
-            for l in range(len(m) + 1):
-                for cols in itertools.combinations(m, l):
-                    if sum(rows) + sum(cols) > v + k * l:
-                        return False
-    return True
-
-
 def test_criterion_7_dominance_prefix_reduction():
     rng = random.Random(20240503)
     mismatches = 0
     for _ in range(1_000):
         n = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 5)))
-        total = sum(n)
-        parts = rng.randint(1, min(5, total))
-        cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
-        bounds = [0] + cuts + [total]
-        m = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        m = random_composition(rng, sum(n), 5)
         conditions = check_construction(n, m, max(n + m)).conditions
         holds = next(c for c in conditions if c.id == "dominance").satisfied
-        if holds != brute_force_dominance(n, m):
+        if holds != dominance_brute_force(n, m):
             mismatches += 1
     report(
         "criterion 7: dominance prefix check vs subset brute force",

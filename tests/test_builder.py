@@ -1,6 +1,8 @@
 """Symbol filling, symbol splitting, and the three build entry points."""
 
+import ast
 import hashlib
+import pathlib
 import random
 import time
 import tracemalloc
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plskit.builder
+import plskit.matching
+import plskit.realization
 from plskit import (
     BudgetExceeded,
     Infeasible,
@@ -20,15 +24,36 @@ from plskit import (
     build_proposition,
     build_theorem,
     fill_symbols,
-    merge_matchings,
     parameters_of,
-    saturating_matching,
     split_symbols,
     validate,
 )
+from plskit.matching import merge_matchings, saturating_matching
 from plskit.realization import realize_lines
 
 from conftest import adjacency, cell_sets, is_normalized, line_counts, nonzero_line_counts, squares
+
+
+def package_imports(module) -> list[str]:
+    """The modules that ``module``'s source imports from plskit, relative imports included."""
+    found = []
+    for node in ast.walk(ast.parse(pathlib.Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [name for name in names if name.startswith((".", "plskit"))]
+    return found
+
+
+@pytest.mark.parametrize("module", [plskit.matching, plskit.realization], ids=lambda m: m.__name__)
+def test_build_stages_import_nothing_from_the_package(module):
+    # A build stage trusts what the builder hands it and asserts its
+    # invariants, so it needs none of the package's checks or errors.
+    assert package_imports(plskit.builder) != []
+    assert package_imports(module) == []
 
 
 def max_line_count(cells) -> int:

@@ -516,6 +516,18 @@ class TestUsage:
         assert out == ""
         assert err == "error: internal error: AssertionError: row total 2 differs from column total 3\n"
 
+    def test_a_matching_that_does_not_saturate_is_an_internal_error(self, monkeypatch):
+        # The peel asks only for targets some matching covers; a builder
+        # bug that breaks this fails an assertion, reported as exit 4.
+        search = plskit.matching.saturating_matching
+        monkeypatch.setattr(plskit.builder, "saturating_matching", lambda adj, t: search({}, t))
+        code, out, err = invoke(
+            ["build", "theorem", "--rows", "2,1", "--cols", "2,1", "--symbols", "2"]
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal error: AssertionError: no augmenting path from target 1\n"
+
     def test_forms_call_the_functions_this_module_holds_now(self, monkeypatch):
         # The form table names its functions, so a wrapper set on the
         # module, as the benchmark's tracer sets one, sees each call.

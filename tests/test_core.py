@@ -128,8 +128,21 @@ class TestValidate:
             validate([(1, 1, 1), bad])
 
     def test_rejects_a_short_triple(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(PreconditionViolated, match="^a triple must have three labels, got 2$"):
             validate([(1, 1)])
+
+    @pytest.mark.parametrize(
+        "triples, message",
+        [
+            (5, "triples must be an iterable, got int"),
+            ([None], "a triple must be an iterable of three labels, got NoneType"),
+            ([(1, 1, 1), 5], "a triple must be an iterable of three labels, got int"),
+        ],
+        ids=["int-input", "none-element", "int-element"],
+    )
+    def test_rejects_what_is_not_iterable_by_its_type(self, triples, message):
+        with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+            validate(triples)
 
     def test_exact_duplicates_collapse(self):
         assert validate([(1, 1, 1), (1, 1, 1)]).volume == 1
@@ -204,8 +217,26 @@ class Label(int):
 
 
 def per_triple_reference(triples):
-    """validate's label check one triple at a time, then sorted_scan's clash scan."""
-    return sorted_scan(frozenset(t if isinstance(t, Triple) else Triple(*t) for t in triples))
+    """validate's label check one triple at a time, then sorted_scan's clash scan.
+
+    An input or element that is not iterable, or an element without
+    three labels, is refused by its type name or label count.
+    """
+    if not hasattr(triples, "__iter__"):
+        raise PreconditionViolated(f"triples must be an iterable, got {type(triples).__name__}")
+    checked = set()
+    for t in triples:
+        if not isinstance(t, Triple):
+            if not hasattr(t, "__iter__"):
+                raise PreconditionViolated(
+                    f"a triple must be an iterable of three labels, got {type(t).__name__}"
+                )
+            t = list(t)
+            if len(t) != 3:
+                raise PreconditionViolated(f"a triple must have three labels, got {len(t)}")
+            t = Triple(*t)
+        checked.add(t)
+    return sorted_scan(frozenset(checked))
 
 
 def any_outcome(check, make):

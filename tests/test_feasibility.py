@@ -17,20 +17,12 @@ from plskit import (
     check_sizes,
 )
 
-from conftest import dominance_double_loop, ordered_theorem_tuples
-
-
-def dominance_brute_force(n, m):
-    """The full condition: every pair of line subsets fits the board."""
-    v = sum(n)
-    for bits_n in itertools.product((0, 1), repeat=len(n)):
-        chosen_n = sum(k for k, b in zip(n, bits_n) if b)
-        size_n = sum(bits_n)
-        for bits_m in itertools.product((0, 1), repeat=len(m)):
-            chosen_m = sum(k for k, b in zip(m, bits_m) if b)
-            if chosen_n + chosen_m > v + size_n * sum(bits_m):
-                return False
-    return True
+from conftest import (
+    dominance_brute_force,
+    dominance_double_loop,
+    ordered_theorem_tuples,
+    random_composition,
+)
 
 
 def dominance_verdict(n, m):
@@ -48,13 +40,6 @@ def dominance_verdict(n, m):
 
 def dominance_holds(n, m):
     return dominance_verdict(n, m)[0]
-
-
-def random_composition(rng, total, max_parts):
-    parts = rng.randint(1, min(max_parts, total))
-    cuts = sorted(rng.sample(range(1, total), parts - 1)) if parts > 1 else []
-    bounds = [0] + cuts + [total]
-    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def reference_check_construction(n, m, s):

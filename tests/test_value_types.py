@@ -15,7 +15,6 @@ from plskit import (
     DocumentError,
     FeasibilityReport,
     Infeasible,
-    NoSaturation,
     ParameterProfile,
     PartialLatinSquare,
     PlsDocument,
@@ -54,7 +53,7 @@ INVALID = [
     (PartialLatinSquare, {"triples": [(1, 1, 1), (1, 2, 1)]}, TriplePairError),
     (PartialLatinSquare, {"triples": [(1, 1, 1), (2, 1, 1)]}, TriplePairError),
     (PartialLatinSquare, {"triples": [(0, 1, 1)]}, PreconditionViolated),
-    (PartialLatinSquare, {"triples": 5}, TypeError),
+    (PartialLatinSquare, {"triples": 5}, PreconditionViolated),
     *(
         (Triple, {"row": 1, "col": 1, "sym": 1, field: bad}, PreconditionViolated)
         for field in Triple._fields
@@ -129,7 +128,6 @@ ERRORS = {
     TriplePairError: lambda: TriplePairError(
         "two triples occupy the same cell", Triple(1, 1, 1), Triple(1, 1, 2)
     ),
-    NoSaturation: lambda: NoSaturation(frozenset({2, 3})),
     PreconditionViolated: lambda: PreconditionViolated("s must be a positive integer"),
     Infeasible: lambda: Infeasible("no such square", report=check_sizes(1, 1, 1, 2)),
     BudgetExceeded: lambda: BudgetExceeded("volume 9 above the budget cap 8"),
@@ -194,13 +192,13 @@ def test_properties_and_classmethods_are_kept():
 def test_the_public_names():
     assert sorted(plskit.__all__) == [
         "Budget", "BudgetExceeded", "Condition", "DocumentError",
-        "FeasibilityReport", "Infeasible", "NoSaturation",
+        "FeasibilityReport", "Infeasible",
         "ParameterProfile", "PartialLatinSquare", "PlsDocument", "PlsError",
         "PreconditionViolated", "SweepResult", "Triple",
         "TriplePairError", "build_corollary", "build_proposition", "build_theorem",
         "check_construction", "check_row_params", "check_sizes", "conjugate",
-        "enumerate_pls", "exists_full", "fill_symbols", "merge_matchings",
-        "parameters_of", "render_grid", "saturating_matching", "split_symbols", "sweep_row_params",
+        "enumerate_pls", "exists_full", "fill_symbols",
+        "parameters_of", "render_grid", "split_symbols", "sweep_row_params",
         "sweep_sizes", "sweep_theorem", "validate",
     ]
     assert all(hasattr(plskit, name) for name in plskit.__all__)
