@@ -42,15 +42,17 @@ realization hands the fill its row and column maps as it built them,
 already sorted, so a build never regroups cells; fill_symbols groups its
 own cells into the same maps.  The fill keeps each layer as the
 {row: col} matching dict it peeled, so the split gets its layers as
-{symbol: {row: col}}.  The split pops single cells out of a donor's
-dict and writes each straight to the square's triple list under its
-fresh symbol; the layers' remaining cells join that list last.  No
-stage keeps a tuple per cell before that list, and none re-checks the
-cells it is given: the one cell check of a build is validate, when the
-triple list becomes a PartialLatinSquare.  Its
-output is normalized without a relabeling pass: the realization fills
-every row 1..r and column 1..c, every peel layer is nonempty so the fill
-uses every symbol 1..max, and the split adds symbols max+1, max+2, ...
+{symbol: {row: col}}.  The square is built as three label columns,
+rows, columns and symbols, one cell per index: the split pops single
+cells out of a donor's dict and appends each to the columns under its
+fresh symbol, and each layer's remaining cells join them last as its
+dict's keys, its values and its symbol repeated.  No stage makes a
+tuple per cell, and none re-checks the cells it is given: the one cell
+check of a build is validate, which takes the columns as they are and
+makes the square's Triples.  Its output is normalized without a
+relabeling pass: the realization fills every row 1..r and column 1..c,
+every peel layer is nonempty so the fill uses every symbol 1..max, and
+the split adds symbols max+1, max+2, ...
 
 Each build_* validates its input in its own predicate and hands the
 checked or derived counts to realize_lines, which checks them no
@@ -62,9 +64,10 @@ allocates anything proportional to the volume.
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from typing import Iterable, Sequence
 
-from .core import PartialLatinSquare, is_positive_int, positive_int, validate
+from .core import PartialLatinSquare, _Columns, is_positive_int, positive_int, validate
 from .errors import BudgetExceeded, Infeasible, PreconditionViolated
 from .feasibility import (
     FeasibilityReport,
@@ -76,7 +79,6 @@ from .matching import merge_matchings, saturating_matching
 from .realization import Lines, distribute_rows, realize_lines
 
 Layers = dict[int, dict[int, int]]  # symbol -> {row: col} for each of its cells
-Triples = list[tuple[int, int, int]]
 
 MAX_CELLS = 10**6  # the largest volume a builder constructs
 
@@ -127,12 +129,17 @@ def _fill(rows: Lines, cols: Lines) -> Layers:
     return layers
 
 
-def _square(layers: Layers, triples: Triples) -> PartialLatinSquare:
-    # Adds the layers' cells to ``triples`` and consumes the layers: their
-    # cells are freed before the check runs.
-    triples += [(i, j, sym) for sym, cells in layers.items() for i, j in cells.items()]
+def _square(layers: Layers, columns: _Columns) -> PartialLatinSquare:
+    # Adds the layers' cells to the label ``columns``, three C-level
+    # extends per layer, and consumes the layers: their cells are freed
+    # before the check runs.
+    rows, cols, syms = columns
+    for sym, cells in layers.items():
+        rows += cells.keys()
+        cols += cells.values()
+        syms += repeat(sym, len(cells))
     layers.clear()
-    return validate(triples)
+    return validate(columns)
 
 
 def _cell(cell) -> tuple[int, int]:
@@ -164,14 +171,14 @@ def fill_symbols(cells: Iterable[tuple[int, int]]) -> PartialLatinSquare:
         cols.setdefault(j, []).append(i)
     for line in (*rows.values(), *cols.values()):
         line.sort()
-    return _square(_fill(rows, cols), [])
+    return _square(_fill(rows, cols), _Columns(([], [], [])))
 
 
-def _split(layers: Layers, s: int) -> Triples:
+def _split(layers: Layers, s: int) -> _Columns:
     # Move single cells out of the layers to fresh symbols until s symbols
-    # are in use, and return them as triples.  The donor is the symbol
-    # with the most cells, ties to the smallest label: the top of a heap
-    # of (-count, symbol), which the donor re-enters one cell down.  It
+    # are in use, and return them as label columns.  The donor is the
+    # symbol with the most cells, ties to the smallest label: the top of a
+    # heap of (-count, symbol), which the donor re-enters one cell down.  It
     # gives its lowest row first, which is its lowest (row, col) since a
     # symbol holds each row at most once; its rows are sorted, last row
     # lowest, on its first donation and never again.
@@ -179,8 +186,10 @@ def _split(layers: Layers, s: int) -> Triples:
     heapq.heapify(heap)
     donor_rows: dict[int, list[int]] = {}
     fresh = max(layers)
-    triples: Triples = []
-    for _ in range(s - len(layers)):
+    moves = s - len(layers)
+    moved_rows: list[int] = []
+    moved_cols: list[int] = []
+    for _ in range(moves):
         count, donor = heap[0]
         heapq.heapreplace(heap, (count + 1, donor))
         cells = layers[donor]
@@ -188,9 +197,9 @@ def _split(layers: Layers, s: int) -> Triples:
         if rows is None:
             rows = donor_rows[donor] = sorted(cells, reverse=True)
         row = rows.pop()
-        fresh += 1
-        triples.append((row, cells.pop(row), fresh))
-    return triples
+        moved_rows.append(row)
+        moved_cols.append(cells.pop(row))
+    return _Columns((moved_rows, moved_cols, list(range(fresh + 1, fresh + 1 + moves))))
 
 
 def split_symbols(pls: PartialLatinSquare, s: int) -> PartialLatinSquare:

@@ -97,6 +97,13 @@ class Triple(checked_namedtuple("Triple", AXES)):
         return f"({self.row}, {self.col}, {self.sym})"
 
 
+class _Columns(tuple):
+    # A square as three label columns (rows, cols, syms), one cell per
+    # index: the form a build hands validate, so no stage makes a tuple
+    # per cell.  Private, and recognised by exact type.
+    __slots__ = ()
+
+
 # A list, tuple or set whose elements are all tuples, lists or Triples is
 # label-checked in bulk, since it can be read twice.  Any other input
 # goes straight to the per-triple scan, which reads a generator or a
@@ -107,34 +114,41 @@ _BULK_ELEMENTS = frozenset((tuple, list, Triple))
 
 def _check_triples(triples: Iterable) -> frozenset[Triple]:
     # The one pass that coerces, label-checks and clash-checks a square.
-    # Labels are checked in bulk: the transposed axes of the input show
-    # the arity, the exact int type and the positive minimum of every
-    # label before anything is hashed, so a label such as True or 1.0
-    # cannot collapse into an equal triple; then one C-level map makes
-    # every element a Triple.  The per-triple scan runs only when that
-    # check fails: it walks the input in order, so it raises the first
-    # offender's error with an unchanged message, or accepts int-subclass
-    # labels.
-    # A set collapses exact duplicates, and the square is clash-free
-    # exactly when its (row, col), (row, sym) and (col, sym) projections
-    # are all distinct.  The sorted scan runs only to name a clash: it
-    # walks row-major order so the reported offending pair is
-    # deterministic.
-    axes = None
+    # Labels are checked in bulk before anything is hashed, so a label
+    # such as True or 1.0 cannot collapse into an equal triple: a column
+    # form checks the exact int type and the positive minimum of each
+    # column, and a triple input's transposed axes show the arity too.
+    # The per-triple scan runs only when that check fails: it walks the
+    # input in order, the column form cell by cell, so it raises the
+    # first offender's error with an unchanged message, or accepts
+    # int-subclass labels.
     if type(triples) in _BULK_INPUTS and _BULK_ELEMENTS.issuperset(map(type, triples)):
         axes = _plain_axes(triples)
-    if axes is None:
-        checked = frozenset(map(_as_triple, _iterable(triples, "triples must be an iterable")))
-        if not checked:
-            raise PreconditionViolated("a partial Latin square must be nonempty")
-        axes = zip(*checked)
-    else:
-        checked = frozenset(map(tuple.__new__, repeat(Triple), triples))
+        if axes is not None:
+            return _clash_checked(triples, axes)
+    elif type(triples) is _Columns:
+        if all(axis and _INTS.issuperset(map(type, axis)) and min(axis) > 0 for axis in triples):
+            return _clash_checked(zip(*triples), triples)
+        triples = zip(*triples)
+    cells = list(map(_as_triple, _iterable(triples, "triples must be an iterable")))
+    if not cells:
+        raise PreconditionViolated("a partial Latin square must be nonempty")
+    return _clash_checked(cells, zip(*cells))
+
+
+def _clash_checked(cells: Iterable, axes: Iterable[Sequence]) -> frozenset[Triple]:
+    # ``cells`` holds the (row, col, sym) labels of the label columns
+    # ``axes``, already checked; one C-level map makes each a Triple.  A
+    # set collapses exact duplicates, and the square is clash-free exactly
+    # when its (row, col), (row, sym) and (col, sym) projections are all
+    # distinct.
     # Each pair is keyed as the one int a * base + b: base exceeds every
     # column and symbol label, so the key is exact for any int size, and
-    # the sets hold no tuple for the cyclic collector to scan.
+    # the sets hold no tuple for the cyclic collector to scan.  The
+    # sorted scan runs only to name a clash.
+    checked = frozenset(map(tuple.__new__, repeat(Triple), cells))
     rows, cols, syms = axes
-    base = max(cols + syms) + 1
+    base = max(max(cols), max(syms)) + 1
     if not (
         len({i * base + j for i, j in zip(rows, cols)})
         == len({i * base + k for i, k in zip(rows, syms)})
@@ -166,7 +180,8 @@ def _iterable(value, refusal: str) -> Iterator:
 def _plain_axes(triples: Iterable) -> tuple[tuple[int, ...], ...] | None:
     # The rows, columns and symbols of ``triples`` if it is nonempty, each
     # triple has three labels and every label is a plain positive int;
-    # else None.
+    # else None.  One check over the concatenated axes is the cheapest
+    # for the oracle's witnesses of a few cells.
     try:
         rows, cols, syms = zip(*triples, strict=True)
     except ValueError:
@@ -304,5 +319,5 @@ def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquar
     # here rather than failing a sort or a hash.
     if not (len(perm) == 3 and all(axis in perm for axis in AXES)):
         raise PreconditionViolated(f"perm must be a permutation of {AXES}, got {perm!r}")
-    a, b, c = (AXES.index(axis) for axis in perm)
-    return PartialLatinSquare(frozenset((t[a], t[b], t[c]) for t in pls.triples))
+    axes = tuple(zip(*pls.triples))
+    return validate(_Columns(axes[AXES.index(axis)] for axis in perm))

@@ -17,6 +17,7 @@ from plskit import (
     parameters_of,
     validate,
 )
+from plskit.core import _Columns
 from plskit.oracle import Prescription, check_prescription
 
 from conftest import squares
@@ -422,6 +423,40 @@ class TestHugeLabels:
     def test_same_square_or_same_clash_as_the_sorted_scan(self, triples):
         expected = outcome(sorted_scan, triples)
         assert outcome(lambda ts: validate(ts).triples, triples) == expected
+
+
+@st.composite
+def variants(draw):
+    """The sorted triples of a square from ``squares``, as is or with one
+    fault: a repeated cell, a row or column clash, or a bad label."""
+    triples = [tuple(t) for t in draw(squares()).sorted_triples()]
+    fault = draw(st.sampled_from(["none", "duplicate", "cell", "row", "column", "label"]))
+    at = draw(st.integers(0, len(triples) - 1))
+    i, j, k = triples[at]
+    top = max(map(max, zip(*triples))) + 1
+    if fault == "label":
+        axis = draw(st.integers(0, 2))
+        bad = list(triples[at])
+        bad[axis] = draw(st.sampled_from([0, True, 1.0]))
+        triples[at] = tuple(bad)
+    elif fault != "none":
+        extra = {"duplicate": (i, j, k), "cell": (i, j, top), "row": (i, top, k),
+                 "column": (top, j, k)}[fault]
+        triples.insert(draw(st.integers(0, len(triples))), extra)
+    return triples
+
+
+class TestColumnsMatchTheTriples:
+    # A build hands validate its square as three label columns; every
+    # input must give the square or the refusal its triple list gives.
+    @settings(max_examples=500)
+    @given(variants())
+    def test_same_square_or_same_refusal(self, triples):
+        columns = _Columns(list(axis) for axis in zip(*triples))
+        assert outcome(validate, columns) == outcome(validate, triples)
+
+    def test_empty_columns(self):
+        assert outcome(validate, _Columns(([], [], []))) == outcome(validate, [])
 
 
 @st.composite

@@ -23,7 +23,12 @@ from plskit import (
     SweepResult,
     Triple,
     TriplePairError,
+    build_corollary,
+    build_proposition,
+    build_theorem,
     check_sizes,
+    fill_symbols,
+    split_symbols,
     validate,
 )
 import plskit
@@ -171,6 +176,19 @@ def test_a_square_is_validated_through_post_init(monkeypatch):
     with pytest.raises(PreconditionViolated):
         PartialLatinSquare(frozenset())
     assert len(calls) == 2
+    # Each build validates its square once.
+    given = square()
+    for build in (
+        lambda: build_theorem((2, 1), (2, 1), 2),
+        lambda: build_proposition((2, 1), 2, 3),
+        lambda: build_corollary(2, 2, 3, 3),
+        lambda: fill_symbols([(1, 1), (1, 2), (2, 1)]),
+        lambda: split_symbols(given, 2),
+        lambda: split_symbols(given, 3),
+    ):
+        calls.clear()
+        built = build()
+        assert calls == [built]
 
 
 def test_budget_defaults():
