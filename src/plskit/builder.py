@@ -67,7 +67,9 @@ import heapq
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .core import PartialLatinSquare, _Columns, is_positive_int, positive_int, validate
+from .core import (
+    PartialLatinSquare, _Columns, _iterable, is_positive_int, positive_int, positive_ints, validate
+)
 from .errors import BudgetExceeded, Infeasible, PreconditionViolated
 from .feasibility import (
     FeasibilityReport,
@@ -161,7 +163,7 @@ def fill_symbols(cells: Iterable[tuple[int, int]]) -> PartialLatinSquare:
     """
     # Every cell is checked before the fill sorts any line, so labels of
     # mixed types are refused here, not met as a TypeError in a sort.
-    cells = frozenset(map(_cell, cells))
+    cells = frozenset(map(_cell, _iterable(cells, "cells must be an iterable")))
     if not cells:
         raise PreconditionViolated("fill_symbols needs at least one cell")
     rows: Lines = {}
@@ -245,7 +247,7 @@ def build_theorem(n: Sequence[int], m: Sequence[int], s: int) -> PartialLatinSqu
     Infeasible carrying the check_construction report when the profile is
     impossible, and BudgetExceeded when the volume exceeds MAX_CELLS.
     """
-    n, m = tuple(n), tuple(m)
+    n, m = positive_ints("n", n), positive_ints("m", m)
     _require_feasible(check_construction(n, m, s))
     _require_volume(sum(n))
     return _build(n, m, s)
@@ -261,7 +263,7 @@ def build_proposition(n: Sequence[int], c: int, s: int) -> PartialLatinSquare:
     min(c, s).  Raises Infeasible with the check_row_params report, and
     BudgetExceeded when the volume exceeds MAX_CELLS.
     """
-    n = tuple(n)
+    n = positive_ints("n", n)
     _require_feasible(check_row_params(n, c, s))
     v = sum(n)
     _require_volume(v)

@@ -14,10 +14,11 @@ whose labels are checked on construction, ``_make`` and ``_replace``; it
 compares and hashes equal to the plain tuple, and tuple order is the
 row-major order used throughout.  A ParameterProfile is a plain named
 tuple: parameters_of reads it off a square that is already valid, so it
-has nothing left to check.  A set of cells is a plain frozenset of
-``(row, col)`` tuples with no type of its own: the builders hand one
-from stage to stage, and a build checks its labels once, when validate
-checks the finished square.
+has nothing left to check.  A build has no cell type of its own: its
+stages hand on line maps and {row: col} layer dicts.  Every producer in
+the package (plskit.builder, conjugate, plskit.oracle) hands validate its
+square as three label columns, checked at once; any other input is
+checked triple by triple, and the first offender is named.
 """
 
 from __future__ import annotations
@@ -51,7 +52,12 @@ def positive_ints(name: str, values: Sequence[int]) -> tuple[int, ...]:
     """Return ``values`` as a tuple if it is a nonempty run of positive integers."""
     # A run of plain ints is settled by two C-level passes; anything else
     # takes the full rule element by element, so exactly the same values pass.
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        if hasattr(values, "__iter__"):
+            raise  # the input's own iteration failed
+        values = ()  # not iterable, so refused below
     if not values or not (
         _INTS.issuperset(map(type, values)) and min(values) > 0
         or all(map(is_positive_int, values))
@@ -99,54 +105,43 @@ class Triple(checked_namedtuple("Triple", AXES)):
 
 class _Columns(tuple):
     # A square as three label columns (rows, cols, syms), one cell per
-    # index: the form a build hands validate, so no stage makes a tuple
-    # per cell.  Private, and recognised by exact type.
+    # index: the form every producer in the package hands validate, so a
+    # build makes no tuple per cell.  Private, and recognised by exact type.
     __slots__ = ()
-
-
-# A list, tuple or set whose elements are all tuples, lists or Triples is
-# label-checked in bulk, since it can be read twice.  Any other input
-# goes straight to the per-triple scan, which reads a generator or a
-# one-shot element exactly once.
-_BULK_INPUTS = frozenset((list, tuple, set, frozenset))
-_BULK_ELEMENTS = frozenset((tuple, list, Triple))
 
 
 def _check_triples(triples: Iterable) -> frozenset[Triple]:
     # The one pass that coerces, label-checks and clash-checks a square.
-    # Labels are checked in bulk before anything is hashed, so a label
-    # such as True or 1.0 cannot collapse into an equal triple: a column
-    # form checks the exact int type and the positive minimum of each
-    # column, and a triple input's transposed axes show the arity too.
-    # The per-triple scan runs only when that check fails: it walks the
-    # input in order, the column form cell by cell, so it raises the
-    # first offender's error with an unchanged message, or accepts
-    # int-subclass labels.
-    if type(triples) in _BULK_INPUTS and _BULK_ELEMENTS.issuperset(map(type, triples)):
-        axes = _plain_axes(triples)
-        if axes is not None:
-            return _clash_checked(triples, axes)
-    elif type(triples) is _Columns:
-        if all(axis and _INTS.issuperset(map(type, axis)) and min(axis) > 0 for axis in triples):
-            return _clash_checked(zip(*triples), triples)
+    # Labels are checked before anything is hashed, so a label such as
+    # True or 1.0 cannot collapse into an equal triple: a column form's
+    # three columns, concatenated for one check that costs the oracle's
+    # small witnesses least, must hold exact ints with a positive minimum.
+    # Any other input, and a column form that fails that check, takes the
+    # per-triple scan: it reads the input once, in order, and raises the
+    # first offender's error or accepts int-subclass labels.
+    if type(triples) is _Columns:
+        rows, cols, syms = triples
+        labels = rows + cols + syms
+        if labels and _INTS.issuperset(map(type, labels)) and min(labels) > 0:
+            # Checked labels: one C-level map makes each cell a Triple.
+            cells = map(tuple.__new__, repeat(Triple), zip(*triples))
+            return _clash_checked(frozenset(cells), triples)
         triples = zip(*triples)
-    cells = list(map(_as_triple, _iterable(triples, "triples must be an iterable")))
-    if not cells:
+    checked = frozenset(map(_as_triple, _iterable(triples, "triples must be an iterable")))
+    if not checked:
         raise PreconditionViolated("a partial Latin square must be nonempty")
-    return _clash_checked(cells, zip(*cells))
+    return _clash_checked(checked, zip(*checked))
 
 
-def _clash_checked(cells: Iterable, axes: Iterable[Sequence]) -> frozenset[Triple]:
-    # ``cells`` holds the (row, col, sym) labels of the label columns
-    # ``axes``, already checked; one C-level map makes each a Triple.  A
-    # set collapses exact duplicates, and the square is clash-free exactly
-    # when its (row, col), (row, sym) and (col, sym) projections are all
-    # distinct.
+def _clash_checked(checked: frozenset[Triple], axes: Iterable[Sequence]) -> frozenset[Triple]:
+    # ``checked`` holds the Triples whose labels are the columns ``axes``.
+    # The set has collapsed exact duplicates, and the square is clash-free
+    # exactly when its (row, col), (row, sym) and (col, sym) projections
+    # are all distinct.
     # Each pair is keyed as the one int a * base + b: base exceeds every
     # column and symbol label, so the key is exact for any int size, and
     # the sets hold no tuple for the cyclic collector to scan.  The
     # sorted scan runs only to name a clash.
-    checked = frozenset(map(tuple.__new__, repeat(Triple), cells))
     rows, cols, syms = axes
     base = max(max(cols), max(syms)) + 1
     if not (
@@ -175,21 +170,6 @@ def _iterable(value, refusal: str) -> Iterator:
         return iter(value)
     except TypeError:
         raise PreconditionViolated(f"{refusal}, got {type(value).__name__}") from None
-
-
-def _plain_axes(triples: Iterable) -> tuple[tuple[int, ...], ...] | None:
-    # The rows, columns and symbols of ``triples`` if it is nonempty, each
-    # triple has three labels and every label is a plain positive int;
-    # else None.  One check over the concatenated axes is the cheapest
-    # for the oracle's witnesses of a few cells.
-    try:
-        rows, cols, syms = zip(*triples, strict=True)
-    except ValueError:
-        return None
-    labels = rows + cols + syms
-    if not (_INTS.issuperset(map(type, labels)) and min(labels) > 0):
-        return None
-    return rows, cols, syms
 
 
 # Each injectivity condition: the two coordinates a clash repeats, and its name.
@@ -314,10 +294,15 @@ def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquar
     swaps the row and symbol roles, sending (1, 2, 3) to (3, 2, 1).
     Conjugation permutes the three parameter families the same way.
     """
-    perm = tuple(perm)
+    try:
+        perm = tuple(perm)
+    except TypeError:
+        if hasattr(perm, "__iter__"):
+            raise  # the input's own iteration failed
     # Membership compares by equality, so a label of any type is refused
-    # here rather than failing a sort or a hash.
-    if not (len(perm) == 3 and all(axis in perm for axis in AXES)):
+    # here rather than failing a sort or a hash, and so is a perm that is
+    # not iterable.
+    if not (type(perm) is tuple and len(perm) == 3 and all(axis in perm for axis in AXES)):
         raise PreconditionViolated(f"perm must be a permutation of {AXES}, got {perm!r}")
     axes = tuple(zip(*pls.triples))
     return validate(_Columns(axes[AXES.index(axis)] for axis in perm))

@@ -62,6 +62,10 @@ the next row.
 Soundness over the budget: when a dimension left unconstrained by the
 caller had to be capped by the budget, a fruitless search proves nothing,
 so BudgetExceeded is raised instead of returning a false negative.  A
+free volume is capped only by a cell cap below the board's largest
+square: a row holds at most one cell per column and one per symbol, and
+a column one per symbol, so no square holds more cells than the least
+product of two of the board's dimensions.  A
 search or enumeration deeper than the interpreter's stack also raises
 BudgetExceeded.  exists_full refuses a pinned volume of at least the
 recursion limit that passes the room rule this way before it builds any
@@ -82,7 +86,9 @@ import threading
 from collections import namedtuple
 from typing import Iterator, Sequence
 
-from .core import PartialLatinSquare, checked_namedtuple, positive_int, positive_ints, validate
+from .core import (
+    PartialLatinSquare, _Columns, checked_namedtuple, positive_int, positive_ints, validate
+)
 from .errors import BudgetExceeded, PreconditionViolated
 
 
@@ -224,15 +230,16 @@ def exists_full(
     n_rows = plan(r_eff, budget.max_rows, "row count")
     n_cols = plan(c_eff, budget.max_cols, "column count")
     n_syms = plan(s_eff, budget.max_symbols, "symbol count")
+    # The most cells a square on the board holds (the module docstring).
+    board = min(n_rows * n_cols, n_rows * n_syms, n_cols * n_syms)
     if v_eff is not None:
         if v_eff > budget.max_cells:
             raise BudgetExceeded(f"volume {v_eff} above the budget cap {budget.max_cells}")
         v_lo = v_hi = v_eff
     else:
         v_lo = 1
-        v_hi = min(budget.max_cells, n_rows * n_cols)
-        if n_rows * n_cols > budget.max_cells:
-            truncated = True
+        v_hi = min(budget.max_cells, board)
+        truncated |= board > budget.max_cells
 
     # Symmetry reductions, all induced by relabeling (the three rules of
     # the module docstring): row counts weakly decreasing (exactly the
@@ -244,11 +251,11 @@ def exists_full(
     sym_desc = sorted(sm, reverse=True) if sm is not None else None
     sym_cap = sym_desc[0] if sym_desc is not None else v_hi
 
-    # Room on the empty board: the volume fits each pair of dimensions,
-    # each family's largest entry both other dimensions; past it no
-    # dimension passes the cell cap.
+    # Room on the empty board: the volume fits the board, each family's
+    # largest entry both other dimensions; past it no dimension passes
+    # the cell cap.
     if (
-        v_lo > min(n_rows * n_cols, n_rows * n_syms, n_cols * n_syms)
+        v_lo > board
         or max(r_eff or 0, c_eff or 0, s_eff or 0) > v_hi
         or (row_target is not None and row_target[0] > min(n_cols, n_syms))
         or (col_target is not None and col_target[0] > min(n_rows, n_syms))
@@ -383,7 +390,7 @@ def exists_full(
         return _no_witness(truncated)
     # A successful search leaves its placements in chosen, already
     # normalized (see the module docstring).
-    return True, validate(chosen)
+    return True, validate(_Columns(zip(*chosen)))
 
 
 def enumerate_pls(
@@ -419,10 +426,10 @@ def _enumerate_pls(
     col_sym: set[tuple[int, int]] = set()
 
     def emit() -> PartialLatinSquare | None:
-        cols = {t[1] for t in triples}
-        syms = {t[2] for t in triples}
-        if len(cols) == max(cols) and len(syms) == max(syms):
-            return validate(triples)
+        columns = _Columns(zip(*triples))
+        _, cols, syms = columns
+        if len(set(cols)) == max(cols) and len(set(syms)) == max(syms):
+            return validate(columns)
         return None
 
     def rec() -> Iterator[PartialLatinSquare]:

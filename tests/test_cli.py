@@ -240,6 +240,14 @@ class TestOracle:
         assert code == 1
         assert out.strip() == "does not exist"
 
+    def test_a_free_volume_is_capped_by_the_symbols_too(self):
+        # One symbol fills at most 3 of the 5 columns, and no square on a
+        # 3 x 5 board with one symbol holds more than 3 cells: refuted
+        # within the default 12-cell cap, not a budget error.
+        code, out, _ = invoke(["oracle", "exists", "--r", "3", "--c", "5", "--s", "1"])
+        assert code == 1
+        assert out.strip() == "does not exist"
+
     def test_file_prescription(self):
         code, out, _ = invoke(
             ["oracle", "exists", "--file", "-"],

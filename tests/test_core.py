@@ -11,9 +11,13 @@ from plskit import (
     PreconditionViolated,
     Triple,
     TriplePairError,
+    build_proposition,
+    build_theorem,
     check_construction,
     check_row_params,
     conjugate,
+    exists_full,
+    fill_symbols,
     parameters_of,
     validate,
 )
@@ -360,17 +364,26 @@ class TestValidateMatchesThePerTripleCheck:
         assert got == any_outcome(per_triple_reference, make)
 
 
+# A list of triples as label columns of plain ints, or as triples of an
+# int subclass, which the column check refuses and the scan accepts.
+BOTH_PATHS = pytest.mark.parametrize(
+    "form",
+    [lambda ts: _Columns(zip(*ts)), lambda ts: [tuple(map(Label, t)) for t in ts]],
+    ids=["columns", "per-triple"],
+)
+
+
 class TestHugeLabels:
     # The clash check keys each projection as one int.  Labels past float
     # precision must neither merge two distinct pairs nor hide a clash, on
-    # the bulk path (plain ints) and the per-triple path (an int subclass).
-    @pytest.mark.parametrize("label", [int, Label], ids=["bulk", "per-triple"])
-    def test_rows_apart_only_past_float_precision(self, label):
+    # the column path and the per-triple path.
+    @BOTH_PATHS
+    def test_rows_apart_only_past_float_precision(self, form):
         assert float(2**53) == float(2**53 + 1)
-        pls = validate([(label(2**53), 1, 1), (label(2**53 + 1), 1, 2)])
+        pls = validate(form([(2**53, 1, 1), (2**53 + 1, 1, 2)]))
         assert pls.triples == {(2**53, 1, 1), (2**53 + 1, 1, 2)}
 
-    @pytest.mark.parametrize("label", [int, Label], ids=["bulk", "per-triple"])
+    @BOTH_PATHS
     @pytest.mark.parametrize(
         "offsets, clash, first, second",
         [
@@ -395,11 +408,11 @@ class TestHugeLabels:
         ],
         ids=["cell", "row", "column"],
     )
-    def test_each_clash_near_10_to_the_30(self, label, offsets, clash, first, second):
+    def test_each_clash_near_10_to_the_30(self, form, offsets, clash, first, second):
         big = 10**30
         first, second = (Triple(*(big + d for d in t)) for t in (first, second))
         with pytest.raises(TriplePairError) as exc:
-            validate([tuple(label(big + d) for d in t) for t in offsets])
+            validate(form([tuple(big + d for d in t) for t in offsets]))
         assert (exc.value.first, exc.value.second) == (first, second)
         assert str(exc.value) == f"{clash}: {first} and {second}"
 
@@ -636,6 +649,33 @@ def test_a_family_is_any_nonempty_iterable_read_once(call, message):
     call(one_shot(1))
     with pytest.raises(PreconditionViolated) as refused:
         call(())
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_construction(5, (1,), 1), f"n {FAMILY}"),
+        (lambda: check_construction((1,), 5, 1), f"m {FAMILY}"),
+        (lambda: check_row_params(None, 1, 1), f"n {FAMILY}"),
+        (lambda: exists_full(rows=5), f"rows {FAMILY}"),
+        (lambda: build_theorem(5, (1,), 1), f"n {FAMILY}"),
+        (lambda: build_theorem((1,), 5, 1), f"m {FAMILY}"),
+        (lambda: build_proposition(5, 1, 1), f"n {FAMILY}"),
+        (lambda: fill_symbols(5), "cells must be an iterable, got int"),
+        (
+            lambda: conjugate(validate([(1, 1, 1)]), 5),
+            "perm must be a permutation of ('row', 'col', 'sym'), got 5",
+        ),
+    ],
+    ids=[
+        "construction-n", "construction-m", "row-params", "exists-full", "theorem-n",
+        "theorem-m", "proposition", "fill-symbols", "conjugate",
+    ],
+)
+def test_a_sequence_argument_that_is_not_iterable_is_refused(call, message):
+    with pytest.raises(PreconditionViolated) as refused:
+        call()
     assert str(refused.value) == message
 
 

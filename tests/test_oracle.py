@@ -1,9 +1,10 @@
 """Exhaustive search: existence queries and the enumeration stream."""
 
+import random
 import sys
 import threading
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from plskit import (
     parameters_of,
     validate,
 )
+from plskit.core import AXES
 from plskit.errors import PlsError
 
 from conftest import is_normalized, squares
@@ -182,6 +184,17 @@ class TestExistsFull:
         with pytest.raises(BudgetExceeded, match="truncated"):
             exists_full(r=20, budget=Budget(12, 20, 6, 6))
 
+    def test_a_free_volume_is_capped_by_the_largest_square_on_the_board(self):
+        # One symbol on a 3 x 5 board fills at most 3 cells, within the
+        # 12-cell cap, so no witness is lost and every conjugate is False.
+        for r, c, s in permutations((3, 5, 1)):
+            assert exists_full(r=r, c=c, s=s) == (False, None), (r, c, s)
+        # 4 rows, columns and symbols need 4 cells, past a 3-cell cap,
+        # and the board holds 16: a larger volume holds what the search
+        # could not reach.
+        with pytest.raises(BudgetExceeded, match="truncated"):
+            exists_full(r=4, c=4, s=4, budget=Budget(3, 6, 6, 6))
+
     def test_row_longer_than_a_truncated_board_raises(self):
         # A row of 3 cannot fit the 2 columns the budget allows, but the
         # columns were left free: a wider board might hold it.
@@ -284,11 +297,14 @@ class TestExistsFull:
     def test_free_columns_open_in_order(self):
         # Without a column family a row opens only the first unused
         # column; leaving it empty skips the rest of the row, so this
-        # refutation opens 15 frames where trying every fresh column of
-        # each row would open 271.
-        got, frames = recurse_frames(r=2, c=5, s=2, budget=Budget(12, 6, 6, 6))
+        # refutation opens 187 frames where trying every fresh column of
+        # each row would open 2,246.  Two symbols of 3 cells each need
+        # all 3 rows, but the last row holds one cell.
+        got, frames = recurse_frames(
+            rows=(3, 3, 1), symbols=(3, 3, 1), c=5, budget=Budget(12, 6, 6, 6)
+        )
         assert got == (False, None)
-        assert frames == 15
+        assert frames == 187
 
     def test_volume_beyond_rows_times_symbols_opens_no_frame(self):
         # 3 rows of at most 2 symbols each hold 6 cells, so 7 cells are
@@ -551,6 +567,15 @@ def _profile_key(pls):
     return (*(tuple(sorted(f)) for f in families), profile.volume)
 
 
+def _mix_kwargs(mix, v, budget):
+    # exists_full's arguments for a mix: per axis nothing, a count or a family.
+    kwargs = {"v": v, "budget": budget}
+    for want, family, count in zip(mix, ("rows", "cols", "symbols"), "rcs"):
+        if want is not None:
+            kwargs[family if isinstance(want, tuple) else count] = want
+    return kwargs
+
+
 def _meets(key, mix, v):
     # Each axis of the mix is free (None), a count or a sorted family.
     *families, volume = key
@@ -580,13 +605,9 @@ class TestOracleMeetsTheEnumeratedSpec:
             for v in [None, *totals] if totals else [None, *range(1, 10)]:
                 if v is None and mix == (None, None, None):
                     continue
-                kwargs = {"v": v, "budget": budget}
-                for want, family, count in zip(mix, ("rows", "cols", "symbols"), "rcs"):
-                    if want is not None:
-                        kwargs[family if isinstance(want, tuple) else count] = want
                 expected = any(_meets(key, mix, v) for key in keys)
                 try:
-                    found, witness = exists_full(**kwargs)
+                    found, witness = exists_full(**_mix_kwargs(mix, v, budget))
                 except BudgetExceeded:
                     assert not expected, (mix, v)
                 else:
@@ -604,3 +625,126 @@ def _compositions(total, length):
     for first in range(1, total - length + 2):
         for rest in _compositions(total - first, length - 1):
             yield (first,) + rest
+
+
+def _random_square(rng):
+    # Greedy insertion of random cells of a random box of sides 1 to 5
+    # that clash with nothing so far, up to a random volume of 1 to 12.
+    sides = [rng.randint(1, 6) for _ in range(3)]
+    max_cells = rng.randint(1, 16)
+    chosen, seen = [], set()
+    for _ in range(3 * max_cells):
+        i, j, k = (rng.randint(1, side) for side in sides)
+        if len(chosen) < max_cells and seen.isdisjoint({(0, i, j), (1, i, k), (2, j, k)}):
+            chosen.append((i, j, k))
+            seen |= {(0, i, j), (1, i, k), (2, j, k)}
+    return validate(chosen or [(1, 1, 1)])
+
+
+def _question(rng):
+    # Read off a random square: per axis its family, its count moved by
+    # -1 to +2, or nothing; the volume kept, moved or dropped; and a
+    # random budget.  Families, counts and budget sides are listed in
+    # (row, col, sym) order.
+    # A count is drawn twice as often as a family or nothing, as it is
+    # the count that the budget caps.
+    profile = parameters_of(_random_square(rng))
+    axes = []
+    for family in profile[:3]:
+        kind = rng.choice(("family", "count", "count", None))
+        if kind == "family":
+            axes.append(tuple(rng.sample(family, len(family))))
+        else:
+            axes.append(len(family) + rng.randint(-1, 2) if kind else None)
+    v = rng.choice([profile.volume, profile.volume + rng.randint(-2, 2), None])
+    sides = tuple(rng.randint(3, 6) for _ in range(3))
+    return axes, v, rng.randint(6, 16), sides
+
+
+def _ask(axes, v, cells, sides):
+    try:
+        return exists_full(**_mix_kwargs(axes, v, Budget(cells, *sides)))
+    except (BudgetExceeded, PreconditionViolated) as exc:
+        return type(exc), None
+
+
+class TestConjugateQuestionsAgree:
+    # A square's conjugate is a square whose families, counts and budget
+    # sides are permuted alike, so all six conjugates of a question must
+    # get one outcome: True, False, BudgetExceeded or PreconditionViolated;
+    # and each witness, conjugated back, must meet the original question.
+    def test_random_questions(self):
+        rng = random.Random(20140318)
+        outcomes = set()
+        for _ in range(3000):
+            axes, v, cells, sides = question = _question(rng)
+            mix = [tuple(sorted(a)) if isinstance(a, tuple) else a for a in axes]
+            seen = set()
+            for perm in AXIS_PERMS:
+                at = [AXES.index(axis) for axis in perm]
+                found, witness = _ask([axes[a] for a in at], v, cells, [sides[a] for a in at])
+                seen.add(found)
+                if witness is not None:
+                    back = tuple(AXES[at.index(a)] for a in range(3))
+                    assert _meets(_profile_key(conjugate(witness, back)), mix, v), (question, perm)
+            assert len(seen) == 1, (question, seen)
+            outcomes |= seen
+        assert outcomes == {True, False, BudgetExceeded, PreconditionViolated}
+
+
+def _up_set_to_v(verdicts, v):
+    # verdicts[x - 1] for x = 1, 2, ...: True from its first True through
+    # x = v, and False at v + 1 when the grid reaches it.
+    on = verdicts[:v]
+    first = on.index(True) if True in on else len(on)
+    return all(on[first:]) and not any(verdicts[v:v + 1])
+
+
+def _families(max_len, max_entry):
+    return [
+        family
+        for length in range(1, max_len + 1)
+        for family in combinations_with_replacement(range(max_entry, 0, -1), length)
+    ]
+
+
+class TestSplitAndMoveFacts:
+    # Split: a square with s < v symbols repeats one, and giving one of
+    # its cells a fresh symbol moves no cell.  Move: a square with c < v
+    # columns has a column with two cells, and moving one to a fresh
+    # column keeps every row and symbol count.  So with the rest pinned,
+    # existence is an up-set along s, and along a count r or c, on
+    # [1, v], and false at v + 1.  The oracle checks both facts here on
+    # full small grids, rather than a sweep assuming them.
+    def test_sizes(self):
+        budget = Budget(9, 4, 4, 4)
+        for v in range(1, 10):
+            verdict = {
+                key: exists_full(r=key[0], c=key[1], s=key[2], v=v, budget=budget)[0]
+                for key in product(range(1, 5), repeat=3)
+            }
+            for axis, (a, b) in product(range(3), product(range(1, 5), repeat=2)):
+                line = [verdict[(a, b)[:axis] + (x,) + (a, b)[axis:]] for x in range(1, 5)]
+                assert _up_set_to_v(line, v), (axis, a, b, v)
+
+    def test_theorem(self):
+        families = _families(3, 3)
+        for n, m in product(families, repeat=2):
+            v = sum(n)
+            if sum(m) != v:
+                continue
+            budget = Budget(9, 3, 3, v + 1)
+            line = [exists_full(rows=n, cols=m, s=s, budget=budget)[0] for s in range(1, v + 2)]
+            assert _up_set_to_v(line, v), (n, m)
+
+    def test_rows(self):
+        for n in _families(3, 3):
+            v = sum(n)
+            budget = Budget(9, 3, v + 1, v + 1)
+            verdict = {
+                (c, s): exists_full(rows=n, c=c, s=s, budget=budget)[0]
+                for c, s in product(range(1, v + 2), repeat=2)
+            }
+            for a in range(1, v + 2):
+                assert _up_set_to_v([verdict[(a, s)] for s in range(1, v + 2)], v), (n, a)
+                assert _up_set_to_v([verdict[(c, a)] for c in range(1, v + 2)], v), (n, a)
