@@ -145,11 +145,15 @@ def _square(layers: Layers, columns: _Columns) -> PartialLatinSquare:
 
 
 def _cell(cell) -> tuple[int, int]:
-    if not (
-        isinstance(cell, (tuple, list)) and len(cell) == 2 and all(map(is_positive_int, cell))
-    ):
-        raise PreconditionViolated(f"cell {cell!r} must be a (row, col) pair of positive integers")
-    return tuple(cell)
+    if isinstance(cell, (tuple, list)) and len(cell) == 2 and all(map(is_positive_int, cell)):
+        return tuple(cell)
+    # As validate's, a refusal names a type, a count or a label, never a repr.
+    if not isinstance(cell, (tuple, list)):
+        raise PreconditionViolated(f"a cell must be a tuple or list, got {type(cell).__name__}")
+    if len(cell) != 2:
+        raise PreconditionViolated(f"a cell must have two labels, got {len(cell)}")
+    axis, label = next(pair for pair in zip(("row", "col"), cell) if not is_positive_int(pair[1]))
+    raise PreconditionViolated(f"{axis} label must be a positive integer, got {label!r}")
 
 
 def fill_symbols(cells: Iterable[tuple[int, int]]) -> PartialLatinSquare:

@@ -7,8 +7,10 @@ exceeded; 4 when the program itself failed, so that a crash never reads
 as a negative answer.
 
 The forms of check, build and sweep are the rows of ``plskit.sweep.FORMS``,
-which names each form's predicate, builder, sweep and range bounds; this
-module adds only their help text and flags, named as oracle.Prescription's fields.
+which names each form's predicate, builder, sweep, range bounds, help text
+and flags.  This module looks those functions up in its own namespace when
+it calls them, so a wrapper set here sees every call, and a new form needs
+its row plus its predicate, builder and sweep imported here.
 """
 
 from __future__ import annotations
@@ -51,27 +53,11 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 # The command line only parses text; the library checks every value.
-# Each Prescription field's flag (name, type, metavar): a family takes a
-# comma separated list, a count one int.
+# Each Prescription field's type and metavar: a family takes a comma
+# separated list, a count one int, shown as its upper-case name.
 _METAVARS = ("N1,N2,...", "M1,M2,...", "S1,S2,...")
-_FLAGS = {field: (field, int, None) for field in Prescription._fields}
-_FLAGS.update((field, (field, _int_list, metavar)) for field, metavar in zip(FAMILIES, _METAVARS))
-
-# Each form of check and build: help text, and the flags of its predicate
-# and builder, one per FORMS field in argument order; the theorem's count s
-# keeps its flag --symbols.  The functions are named in FORMS and looked up
-# here when called, so a wrapper set on this module sees the call.
-_FORMS = {
-    "theorem": (
-        "row and column parameters, symbol count",
-        (*map(_FLAGS.get, FORMS["theorem"].fields[:2]), ("symbols", int, "S")),
-    ),
-    "rows": (
-        "row parameters, column count, symbol count",
-        tuple(map(_FLAGS.get, FORMS["rows"].fields)),
-    ),
-    "sizes": ("row, column, symbol, and cell counts", tuple(map(_FLAGS.get, FORMS["sizes"].fields))),
-}
+_FLAGS = {field: (int, None) for field in Prescription._fields}
+_FLAGS.update((field, (_int_list, metavar)) for field, metavar in zip(FAMILIES, _METAVARS))
 
 # enumerate_pls's caps and one flag per Budget field (name, default).
 _CAPS = (("max_rows", 2), ("max_cols", 2), ("max_symbols", 2), ("max_cells", 4))
@@ -84,8 +70,8 @@ def _values(args: argparse.Namespace, flags: tuple) -> list:
 
 def _call(role: str, args: argparse.Namespace):
     # The form's predicate or builder, as this module holds it now.
-    function = getattr(FORMS[args.form], role)
-    return globals()[function](*_values(args, _FORMS[args.form][1]))
+    row = FORMS[args.form]
+    return globals()[getattr(row, role)](*(getattr(args, field) for field in row.fields))
 
 
 def _add_counts(parser: argparse.ArgumentParser, counts: Iterable[tuple]) -> None:
@@ -210,9 +196,11 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
 
-def _populate_form(form: argparse.ArgumentParser, flags: tuple, handler, with_grid: bool) -> None:
-    for flag, kind, metavar in flags:
-        form.add_argument("--" + flag, type=kind, required=True, metavar=metavar)
+def _populate_form(form: argparse.ArgumentParser, row, handler, with_grid: bool) -> None:
+    # A flag's value lands under its field, whose upper-case name a count shows.
+    for field, flag in zip(row.fields, row.flags):
+        kind, metavar = _FLAGS[field]
+        form.add_argument("--" + flag, dest=field, type=kind, required=True, metavar=metavar)
     if with_grid:
         form.add_argument("--grid", action="store_true", help="print a board view")
     form.set_defaults(handler=handler)
@@ -220,9 +208,9 @@ def _populate_form(form: argparse.ArgumentParser, flags: tuple, handler, with_gr
 
 def _populate_forms(command: argparse.ArgumentParser, handler, with_grid: bool) -> None:
     forms = command.add_subparsers(dest="form", required=True)
-    for form_name, (help_text, flags) in _FORMS.items():
-        populate = partial(_populate_form, flags=flags, handler=handler, with_grid=with_grid)
-        forms.add_parser(form_name, help=help_text, populate=populate)
+    for form_name, row in FORMS.items():
+        populate = partial(_populate_form, row=row, handler=handler, with_grid=with_grid)
+        forms.add_parser(form_name, help=row.help, populate=populate)
 
 
 def _populate_oracle(oracle: argparse.ArgumentParser) -> None:
@@ -232,8 +220,8 @@ def _populate_oracle(oracle: argparse.ArgumentParser) -> None:
 
 
 def _populate_exists(exists: argparse.ArgumentParser) -> None:
-    for flag, kind, metavar in _FLAGS.values():
-        exists.add_argument("--" + flag, type=kind, default=None, metavar=metavar)
+    for field, (kind, metavar) in _FLAGS.items():
+        exists.add_argument("--" + field, type=kind, default=None, metavar=metavar)
     exists.add_argument("--file", default=None, help="prescription document, '-' for stdin")
     _add_counts(exists, _BUDGET)
     exists.set_defaults(handler=_cmd_oracle_exists)

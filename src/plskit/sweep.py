@@ -24,13 +24,15 @@ symbols swaps c and s with the row family fixed, and any permutation of
 
 ``FORMS`` is the one place a form is defined: its predicate and builder,
 the ``exists_full`` constraints its values pin, its canonical cases, its
-range bounds, the oracle budget they need, and its public sweep, whose
-signature holds the bounds' defaults.  The command line reads its check,
-build and sweep forms from it, so a new shape of prescription is one
-more row.  Functions are named, not held, and each caller looks a name
-up in its own module when it calls: a wrapper set on a module (a tracer,
-a test double) sees every call.  ``sweep`` reads ``exists_full`` and the
-predicates from this module, one call each per checked prescription.
+range bounds, the oracle budget they need, its public sweep, whose
+signature holds the bounds' defaults, and its command line help text and
+flags.  Functions are named, not held, and each caller looks a name up
+in its own module when it calls: a wrapper set on a module (a tracer, a
+test double) sees every call.  So a new form is one more row, with its
+predicate and cases in this module and its predicate, builder and sweep
+imported into ``plskit.cli``, whose check, build and sweep commands read
+every row.  ``sweep`` reads ``exists_full`` and the predicates from this
+module, one call each per checked prescription.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from collections import namedtuple
 from typing import Iterator
 
 from .core import positive_int
+from .errors import PreconditionViolated
 from .feasibility import check_construction, check_row_params, check_sizes
 from .oracle import Budget, exists_full
 
@@ -56,25 +59,29 @@ class SweepResult(namedtuple("SweepResult", ("checked", "mismatches"))):
 
 # One form of prescription: the names of its predicate, builder, canonical
 # case generator and sweep; the exists_full constraints its values pin and
-# its range bounds, each in order; and the budget caps (cells, rows,
-# columns, symbols) that a range with those bounds needs.
-Form = namedtuple("Form", ("predicate", "builder", "cases", "sweep", "fields", "bounds", "caps"))
+# its range bounds, each in order; the budget caps (cells, rows, columns,
+# symbols) that a range with those bounds needs; and its check and build
+# help text, and the command line flag of each field, in field order.
+Form = namedtuple("Form", "predicate builder cases sweep fields bounds caps help flags")
 
 FORMS = {
     "theorem": Form(
         "check_construction", "build_theorem", "theorem_tuples", "sweep_theorem",
         ("rows", "cols", "s"), ("max_side", "max_entry", "max_cells"),
         lambda side, entry, cells: (cells, side, side, cells),
+        "row and column parameters, symbol count", ("rows", "cols", "symbols"),
     ),
     "rows": Form(
         "check_row_params", "build_proposition", "row_params_tuples", "sweep_row_params",
         ("rows", "c", "s"), ("max_side", "max_entry", "max_symbols"),
         lambda side, entry, symbols: (side * entry, side, side, symbols),
+        "row parameters, column count, symbol count", ("rows", "c", "s"),
     ),
     "sizes": Form(
         "check_sizes", "build_corollary", "sizes_tuples", "sweep_sizes",
         ("r", "c", "s", "v"), ("max_side", "max_cells"),
         lambda side, cells: (cells, side, side, side),
+        "row, column, symbol, and cell counts", ("r", "c", "s", "v"),
     ),
 }
 
@@ -177,7 +184,12 @@ def sweep(form: str, *bounds: int) -> SweepResult:
 
     ``bounds`` are the form's range bounds, in the order ``FORMS`` names them.
     """
-    row = FORMS[form]
+    row = FORMS.get(form) if isinstance(form, str) else None
+    if row is None:
+        raise PreconditionViolated(f"form must be one of {', '.join(FORMS)}")
+    if len(bounds) != len(row.bounds):
+        names = ", ".join(row.bounds)
+        raise PreconditionViolated(f"a {form} sweep takes the bounds {names}; got {len(bounds)}")
     # A bound below 1 would make an empty range, and so a vacuous clean.
     for name, value in zip(row.bounds, bounds):
         positive_int(name, value)

@@ -191,6 +191,28 @@ class TestFillSymbols:
         with pytest.raises(PreconditionViolated):
             fill_symbols(cells)
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (lambda: [iter((1, 1))], "a cell must be a tuple or list, got tuple_iterator"),
+            (lambda: [{1, 2}], "a cell must be a tuple or list, got set"),
+            (lambda: [list(range(1, 100_001))], "a cell must have two labels, got 100000"),
+            (lambda: [(1, 1, 1)], "a cell must have two labels, got 3"),
+            (lambda: [(0, 1)], "row label must be a positive integer, got 0"),
+            (lambda: [[1, True]], "col label must be a positive integer, got True"),
+            (lambda: [(1, 1), ("a", 2)], "row label must be a positive integer, got 'a'"),
+        ],
+        ids=["iterator", "set", "long-list", "triple", "row-0", "col-True", "row-str"],
+    )
+    def test_a_bad_cell_is_named_by_its_type_length_or_label(self, cells, message):
+        # Never by the cell's repr: fresh copies of one input read the same.
+        refusals = set()
+        for _ in range(2):
+            with pytest.raises(PreconditionViolated) as refused:
+                fill_symbols(cells())
+            refusals.add(str(refused.value))
+        assert refusals == {message}
+
     def test_any_iterable_gives_the_square_of_its_set(self):
         cells = [(1, 1), (1, 2), (2, 1), (3, 3)]
         expected = fill_symbols(frozenset(cells))

@@ -575,6 +575,43 @@ def test_command_line_text_matches_the_golden_capture(case, monkeypatch):
     expected = (case["code"], case["stdout"], case["stderr"])
     assert invoke(case["argv"], stdin_text=case["stdin"]) == expected
 
+
+def test_a_new_form_table_row_gets_check_build_and_sweep_commands(monkeypatch):
+    # A fourth row that reuses the sizes row's names: every command gets a
+    # form for it, taking the row's flags.
+    monkeypatch.setitem(FORMS, "counts", FORMS["sizes"])
+    for command in ("check", "build"):
+        sizes = invoke([command, "sizes", *FORM_FLAGS["sizes"]])
+        assert sizes[0] == 0
+        assert invoke([command, "counts", *FORM_FLAGS["sizes"]]) == sizes
+    bounds = ["--max-side", "2", "--max-cells", "3"]
+    assert invoke(["sweep", "counts", *bounds]) == invoke(["sweep", "sizes", *bounds])
+    # Under help text and flags of its own, check and build show and take those.
+    flags = ("height", "width", "symbols", "volume")
+    row = FORMS["sizes"]._replace(help="by other flags", flags=flags)
+    monkeypatch.setitem(FORMS, "counts", row)
+    own = [token for pair in zip(("--" + flag for flag in flags), "2223") for token in pair]
+    for command in ("check", "build"):
+        sizes = invoke([command, "sizes", *FORM_FLAGS["sizes"]])
+        assert invoke([command, "counts", *own]) == sizes
+        code, _, err = invoke([command, "counts", *FORM_FLAGS["sizes"]])
+        assert code == 2
+        assert "the following arguments are required: --height, --width" in err
+        assert "by other flags" in invoke([command, "--help"])[1]
+
+
+def test_the_module_entry_point_prints_what_run_prints(tmp_path):
+    argv = ["check", "theorem", "--rows", "2,1", "--cols", "2,1", "--symbols", "2"]
+    src = os.path.dirname(os.path.dirname(plskit.cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "plskit.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    code, out, err = invoke(argv)
+    assert code == 0
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
 FORM_FLAGS = {
     "theorem": ["--rows", "2,1", "--cols", "2,1", "--symbols", "2"],
     "rows": ["--rows", "2,1", "--c", "2", "--s", "2"],
@@ -624,12 +661,12 @@ COUNTS = st.sampled_from((1, 2, 7, 10**8, 10**11, 10**30))
 
 @st.composite
 def check_and_build_commands(draw):
-    """A check or build command line from the CLI's own form flags, sometimes with --grid."""
+    """A check or build command line from the form table's flags, sometimes with --grid."""
     command = draw(st.sampled_from(("check", "build")))
-    form = draw(st.sampled_from(sorted(plskit.cli._FORMS)))
+    form = draw(st.sampled_from(sorted(FORMS)))
     argv = [command, form]
-    for flag, kind, _ in plskit.cli._FORMS[form][1]:
-        if kind is int:
+    for field, flag in zip(FORMS[form].fields, FORMS[form].flags):
+        if plskit.cli._FLAGS[field][0] is int:
             value = str(draw(COUNTS))
         else:
             value = ",".join(map(str, draw(st.lists(COUNTS, min_size=1, max_size=3))))
@@ -718,7 +755,7 @@ def oracle_exists_commands(draw):
     v = draw(COUNTS)
     lengths = {}  # scalar flag -> the length of its drawn family
     argv = ["oracle", "exists"]
-    for flag, kind, _ in plskit.cli._FLAGS.values():
+    for flag, (kind, _) in plskit.cli._FLAGS.items():
         if draw(st.booleans()):
             if flag == "v":
                 value = str(v)

@@ -76,6 +76,26 @@ def test_every_bound_must_be_a_positive_int(form, bad):
             sweep(*bounds)
 
 
+@pytest.mark.parametrize(
+    "form, bounds, message",
+    [
+        ("bogus", (1,), "form must be one of theorem, rows, sizes"),
+        (["theorem"], (3, 3, 9), "form must be one of theorem, rows, sizes"),
+        ("theorem", (3,), "a theorem sweep takes the bounds max_side, max_entry, max_cells; got 1"),
+        (
+            "rows", (3, 3, 3, 3),
+            "a rows sweep takes the bounds max_side, max_entry, max_symbols; got 4",
+        ),
+        ("sizes", (), "a sizes sweep takes the bounds max_side, max_cells; got 0"),
+    ],
+    ids=["unknown", "unhashable", "theorem-short", "rows-long", "sizes-none"],
+)
+def test_a_form_or_bound_count_outside_the_table_is_refused(form, bounds, message):
+    with pytest.raises(PreconditionViolated) as refused:
+        plskit.sweep.sweep(form, *bounds)
+    assert str(refused.value) == message
+
+
 def record_calls(monkeypatch, name: str, target) -> list:
     """Wrap the sweep module's ``name``; return the list of its calls."""
     calls = []
