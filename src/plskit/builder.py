@@ -68,7 +68,8 @@ from itertools import repeat
 from typing import Iterable, Sequence
 
 from .core import (
-    PartialLatinSquare, _Columns, _iterable, is_positive_int, positive_int, positive_ints, validate
+    PartialLatinSquare, _Columns, _iterable, _label_name, is_positive_int, positive_int,
+    positive_ints, validate,
 )
 from .errors import BudgetExceeded, Infeasible, PreconditionViolated
 from .feasibility import (
@@ -145,22 +146,24 @@ def _square(layers: Layers, columns: _Columns) -> PartialLatinSquare:
 
 
 def _cell(cell) -> tuple[int, int]:
-    if isinstance(cell, (tuple, list)) and len(cell) == 2 and all(map(is_positive_int, cell)):
+    # Any iterable of two labels, as validate takes any of three.
+    if not isinstance(cell, (tuple, list)):
+        cell = tuple(_iterable(cell, "a cell must be an iterable of two labels"))
+    if len(cell) == 2 and all(map(is_positive_int, cell)):
         return tuple(cell)
     # As validate's, a refusal names a type, a count or a label, never a repr.
-    if not isinstance(cell, (tuple, list)):
-        raise PreconditionViolated(f"a cell must be a tuple or list, got {type(cell).__name__}")
     if len(cell) != 2:
         raise PreconditionViolated(f"a cell must have two labels, got {len(cell)}")
     axis, label = next(pair for pair in zip(("row", "col"), cell) if not is_positive_int(pair[1]))
-    raise PreconditionViolated(f"{axis} label must be a positive integer, got {label!r}")
+    raise PreconditionViolated(f"{axis} label must be a positive integer, got {_label_name(label)}")
 
 
 def fill_symbols(cells: Iterable[tuple[int, int]]) -> PartialLatinSquare:
     """Fill the given (row, col) cells using the minimum number of symbols.
 
-    ``cells`` is any iterable of pairs of positive integers, read once; a
-    repeated cell counts once.  The result occupies exactly those cells
+    ``cells`` is any iterable of cells, read once, each any iterable of
+    two positive integers, as ``validate`` takes its triples; a repeated
+    cell counts once.  The result occupies exactly those cells
     and its symbol count equals their maximum line count; the cells
     removed at count p all receive symbol p.  Raises PreconditionViolated
     for an empty input or any other cell.

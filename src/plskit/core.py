@@ -78,6 +78,16 @@ def checked_namedtuple(typename: str, fields: Sequence[str], defaults: Sequence 
     return base
 
 
+def _label_name(value) -> str:
+    # A refused label as a message names it: a plain int by its value,
+    # anything else by its type, never by its repr, so the message stays
+    # short and reads the same for every copy of the input.  An int too
+    # long to print is named by its size.
+    if type(value) is not int:
+        return type(value).__name__
+    return str(value) if value.bit_length() <= 64 else f"an int of {value.bit_length()} bits"
+
+
 class Triple(checked_namedtuple("Triple", AXES)):
     """One occupied cell: symbol ``sym`` placed at (``row``, ``col``).
 
@@ -95,7 +105,7 @@ class Triple(checked_namedtuple("Triple", AXES)):
             for axis, value in zip(AXES, (row, col, sym)):
                 if not is_positive_int(value):
                     raise PreconditionViolated(
-                        f"{axis} label must be a positive integer, got {value!r}"
+                        f"{axis} label must be a positive integer, got {_label_name(value)}"
                     )
         return tuple.__new__(cls, (row, col, sym))
 

@@ -32,13 +32,34 @@ test double) sees every call.  So a new form is one more row, with its
 predicate and cases in this module and its predicate, builder and sweep
 imported into ``plskit.cli``, whose check, build and sweep commands read
 every row.  ``sweep`` reads ``exists_full`` and the predicates from this
-module, one call each per checked prescription.
+module when it calls them.
+
+A sweep calls the predicate once per checked prescription, in case
+order, but asks the oracle only where its verdict can change, by one
+elementary fact.  Split: a square with s < v symbols uses some symbol
+twice, and giving one of those cells a fresh symbol keeps the cells and
+makes s + 1 symbols.  So with every other field fixed, existence is
+non-decreasing in s on [1, v], and false above v, as v cells hold at
+most v symbols.  Every form has an s, so ``sweep`` groups the cases
+that differ only in s.  A case with s > v is False by count; on the
+others, s ascending, the oracle's True cases are a suffix.  The sweep
+asks the oracle at the predicate's first True case, which should be
+found, and at the case before it, which should not; if both answers
+hold they settle the group.  Otherwise it asks the group's top case,
+and if that is found, bisects between the answers so far for the first
+found case.  Every verdict follows from the oracle's answers and the
+fact, none from the predicate, so a wrong predicate is reported at
+every case it gets wrong.  Each form's cases list s ascending within a
+group, and a group lies within one block of cases sharing the fields
+before s, so the sweep holds one block at a time: for sizes, whose v
+is innermost, one (r, c) block.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from operator import itemgetter
 from typing import Iterator
 
 from .core import positive_int
@@ -197,15 +218,55 @@ def sweep(form: str, *bounds: int) -> SweepResult:
     # cases the oracle refuses: its caps are the range's own.
     budget = Budget(*row.caps(*bounds))
     predicate = globals()[row.predicate]
+    at = row.fields.index("s")
+    head, tail = itemgetter(slice(at)), itemgetter(slice(at + 1, None))
     mismatches = []
     checked = 0
-    for case in globals()[row.cases](*bounds):
-        checked += 1
-        predicted = predicate(*case).feasible
-        actual, _ = exists_full(**dict(zip(row.fields, case)), budget=budget)
-        if predicted != actual:
-            mismatches.append((*case, predicted, actual))
+    for _, block in itertools.groupby(globals()[row.cases](*bounds), key=head):
+        block = list(block)
+        checked += len(block)
+        predicted = [predicate(*case).feasible for case in block]
+        groups = {}
+        for index, rest in enumerate(map(tail, block)):
+            groups.setdefault(rest, []).append(index)
+        actual = [False] * len(block)
+        for group in groups.values():
+            for index in _found(block, group, predicted, row.fields, at, budget):
+                actual[index] = True
+        if actual != predicted:
+            mismatches.extend(
+                (*case, guess, verdict)
+                for case, guess, verdict in zip(block, predicted, actual)
+                if guess != verdict
+            )
     return SweepResult(checked, tuple(mismatches))
+
+
+def _found(block, group, predicted, fields, at, budget) -> list[int]:
+    # The indices in group of the cases the oracle finds.  group holds
+    # the indices into block of cases that differ only in s (field number
+    # at), s ascending.  By the split fact the found cases run from the
+    # first found one up to the volume, so positions lo and hi bracket
+    # that first one: lo is not found and hi is, each -1 or top until the
+    # oracle says so.
+    question = dict(zip(fields, block[group[0]]))
+    # Every form pins the volume, by v or by its row family.
+    volume = question["v"] if "v" in question else sum(question["rows"])
+    top = len(group)
+    while top and block[group[top - 1]][at] > volume:
+        top -= 1
+    guess = next((k for k in range(top) if predicted[group[k]]), top)
+    probes = [guess, guess - 1, top - 1]
+    lo, hi = -1, top
+    while hi - lo > 1:
+        k = probes.pop(0) if probes else (lo + hi) // 2
+        if lo < k < hi:
+            question["s"] = block[group[k]][at]
+            if exists_full(**question, budget=budget)[0]:
+                hi = k
+            else:
+                lo = k
+    return group[hi:top]
 
 
 def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> SweepResult:

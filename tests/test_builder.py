@@ -194,15 +194,20 @@ class TestFillSymbols:
     @pytest.mark.parametrize(
         "cells, message",
         [
-            (lambda: [iter((1, 1))], "a cell must be a tuple or list, got tuple_iterator"),
-            (lambda: [{1, 2}], "a cell must be a tuple or list, got set"),
+            (lambda: [5], "a cell must be an iterable of two labels, got int"),
+            (lambda: [iter((1, 1, 1))], "a cell must have two labels, got 3"),
             (lambda: [list(range(1, 100_001))], "a cell must have two labels, got 100000"),
             (lambda: [(1, 1, 1)], "a cell must have two labels, got 3"),
             (lambda: [(0, 1)], "row label must be a positive integer, got 0"),
-            (lambda: [[1, True]], "col label must be a positive integer, got True"),
-            (lambda: [(1, 1), ("a", 2)], "row label must be a positive integer, got 'a'"),
+            (lambda: [[1, True]], "col label must be a positive integer, got bool"),
+            (lambda: [(1, 1), ("a", 2)], "row label must be a positive integer, got str"),
+            (lambda: [(list(range(100_000)), 1)], "row label must be a positive integer, got list"),
+            (lambda: [iter((1, object()))], "col label must be a positive integer, got object"),
         ],
-        ids=["iterator", "set", "long-list", "triple", "row-0", "col-True", "row-str"],
+        ids=[
+            "int", "long-iterator", "long-list", "triple", "row-0", "col-True", "row-str",
+            "row-list", "col-object",
+        ],
     )
     def test_a_bad_cell_is_named_by_its_type_length_or_label(self, cells, message):
         # Never by the cell's repr: fresh copies of one input read the same.
@@ -212,6 +217,15 @@ class TestFillSymbols:
                 fill_symbols(cells())
             refusals.add(str(refused.value))
         assert refusals == {message}
+
+    def test_a_cell_is_any_iterable_of_two_labels(self):
+        # As validate takes any iterable of three labels as a triple.
+        cells = [(1, 1), (1, 2), (2, 1)]
+        expected = fill_symbols(cells)
+        assert fill_symbols([iter(cell) for cell in cells]) == expected
+        assert fill_symbols(map(list, cells)) == expected
+        assert fill_symbols([range(1, 3), (label for label in (1, 1)), iter((2, 1))]) == expected
+        assert validate([iter((1, 1, 1))]) == fill_symbols([iter((1, 1))])
 
     def test_any_iterable_gives_the_square_of_its_set(self):
         cells = [(1, 1), (1, 2), (2, 1), (3, 3)]

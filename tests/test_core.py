@@ -149,6 +149,30 @@ class TestValidate:
         with pytest.raises(PreconditionViolated, match=f"^{message}$"):
             validate(triples)
 
+    @pytest.mark.parametrize(
+        "triples, message",
+        [
+            (lambda: [(list(range(100_000)), 1, 1)], "row label must be a positive integer, got list"),
+            (lambda: [(1, object(), 1)], "col label must be a positive integer, got object"),
+            (lambda: [(1, 1, True)], "sym label must be a positive integer, got bool"),
+            (lambda: [(1, 1, "1")], "sym label must be a positive integer, got str"),
+            (lambda: [(1, 1, -7)], "sym label must be a positive integer, got -7"),
+            (lambda: [(1, 1, -(2**64) + 1)], f"sym label must be a positive integer, got {-(2**64) + 1}"),
+            (lambda: [(1, 1, -(10**5000))], "sym label must be a positive integer, got an int of 16610 bits"),
+        ],
+        ids=["list", "object", "bool", "str", "int", "int-64-bits", "int-5001-digits"],
+    )
+    def test_a_bad_label_is_named_by_its_type_or_a_short_value(self, triples, message):
+        # Never by its repr: fresh copies of one input read the same, and
+        # the message stays short however large the label.
+        refusals = set()
+        for make in (validate, lambda cells: Triple(*cells[0])):
+            for _ in range(2):
+                with pytest.raises(PreconditionViolated) as refused:
+                    make(triples())
+                refusals.add(str(refused.value))
+        assert refusals == {message}
+
     def test_exact_duplicates_collapse(self):
         assert validate([(1, 1, 1), (1, 1, 1)]).volume == 1
 
@@ -613,7 +637,7 @@ POSITIVITY_ROUTES = [
     pytest.param(lambda x: prescribed(lambda: (None, None, None, 1, None, None, x), r=1, v=x),
                  PreconditionViolated, "v must be a positive integer", True, id="prescription-v"),
     pytest.param(lambda x: validate([(1, 1, 1), (2, 2, x)]), PreconditionViolated,
-                 "sym label must be a positive integer, got {x!r}", False, id="validate"),
+                 "sym label must be a positive integer, got {label}", False, id="validate"),
 ]
 
 
@@ -630,7 +654,9 @@ def test_every_count_and_label_meets_one_positivity_rule(
     else:
         with pytest.raises(error) as refused:
             call(value)
-        assert str(refused.value) == message.format(x=value)
+        # A label is named by its value when a plain int, else by its type.
+        label = value if type(value) is int else type(value).__name__
+        assert str(refused.value) == message.format(label=label)
 
 
 @pytest.mark.parametrize(

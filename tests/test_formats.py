@@ -61,8 +61,8 @@ class TestPlsDocument:
         # A bad label is left to validate, and to_pls reports core's message.
         for triples, label in (
             ("[[1, 1, 0]]", "0"),
-            ("[[1, 1, true]]", "True"),
-            ("[[1, 1, 1], [1, 2, 1.0]]", "1.0"),
+            ("[[1, 1, true]]", "bool"),
+            ("[[1, 1, 1], [1, 2, 1.0]]", "float"),
         ):
             document = PlsDocument.from_json('{"schema": "1", "triples": %s}' % triples)
             message = f"sym label must be a positive integer, got {label}"

@@ -131,6 +131,17 @@ def test_canonical_cases_are_one_per_class_of_the_ordered_range(form, bounds):
     assert set(cases) == {representative(form, case, bounds) for case in ordered(*bounds)}
 
 
+def volume(form: str, case: tuple) -> int:
+    """The cell count a case pins: its row family's total, or its v."""
+    return case[3] if form == "sizes" else sum(case[0])
+
+
+def groups(form: str, cases) -> set:
+    """The cases with s at most the volume, less their s: one per group the oracle settles."""
+    at = plskit.sweep.FORMS[form].fields.index("s")
+    return {case[:at] + case[at + 1:] for case in cases if case[at] <= volume(form, case)}
+
+
 def test_mismatch_is_reported_on_a_canonical_case(monkeypatch):
     flipped_case = ((2, 1), (2, 1), 2)
     real_predicate = plskit.sweep.check_construction
@@ -141,24 +152,26 @@ def test_mismatch_is_reported_on_a_canonical_case(monkeypatch):
             return SimpleNamespace(feasible=not report.feasible)
         return report
 
-    monkeypatch.setattr(plskit.sweep, "check_construction", predicate)
+    predicate_calls = record_calls(monkeypatch, "check_construction", predicate)
     calls = record_calls(monkeypatch, "exists_full", exists_full)
     result = sweep_theorem(2, 2, 4)
     predicted = not real_predicate(*flipped_case).feasible
     actual, _ = exists_full(rows=(2, 1), cols=(2, 1), s=2)
     assert result.checked == 10
     assert result.mismatches == ((*flipped_case, predicted, actual),)
+    assert predicate_calls == list(theorem_tuples(2, 2, 4))
+    # The flip sends its group to the fallback, which asks the oracle
+    # there, but never about a case twice.
     searched = [(call["rows"], call["cols"], call["s"]) for call in calls]
-    assert len(searched) == result.checked
-    assert searched.count(flipped_case) == 1
+    assert flipped_case in searched
+    assert len(set(searched)) == len(searched) < result.checked
 
 
 @pytest.mark.parametrize(
-    "sweep, bounds",
-    [(sweep_theorem, (2, 2, 4)), (sweep_row_params, ()), (sweep_sizes, ())],
+    "form, bounds", [("theorem", (2, 2, 4)), ("rows", ()), ("sizes", ())],
     ids=["theorem-2-2-4", "rows", "sizes"],
 )
-def test_every_true_verdict_carries_a_validated_witness(monkeypatch, sweep, bounds):
+def test_every_true_verdict_carries_a_validated_witness(monkeypatch, form, bounds):
     # The oracle's True is only as sound as its witness: each one it
     # returns has passed validate, once, and is the square validate built.
     real_validate = plskit.oracle.validate
@@ -176,25 +189,114 @@ def test_every_true_verdict_carries_a_validated_witness(monkeypatch, sweep, boun
         return verdicts[-1]
 
     monkeypatch.setattr(plskit.sweep, "exists_full", recorded)
+    sweep, defaults, canonical = FORMS[form][:3]
     result = sweep(*bounds)
     witnesses = [witness for found, witness in verdicts if found]
-    assert len(verdicts) == result.checked
+    cases = canonical(*(bounds or defaults))
+    assert result.clean
+    assert len(verdicts) <= 2 * len(groups(form, cases))
+    assert len(verdicts) < result.checked
     assert witnesses
     assert len(validated) == len(witnesses)
     assert all(square is witness for square, witness in zip(validated, witnesses))
 
 
 @pytest.mark.parametrize("form, checked", [("theorem", 102), ("rows", 114), ("sizes", 90)])
-def test_default_sweeps_call_each_route_once_per_case(monkeypatch, form, checked):
+def test_default_sweeps_call_the_predicate_per_case_and_the_oracle_at_most_twice_per_group(
+    monkeypatch, form, checked
+):
     sweep, defaults, canonical, _, predicate_name, names = FORMS[form]
-    predicate_calls = record_calls(monkeypatch, predicate_name, getattr(plskit.sweep, predicate_name))
+    predicate = getattr(plskit.sweep, predicate_name)
+    predicate_calls = record_calls(monkeypatch, predicate_name, predicate)
     oracle_calls = record_calls(monkeypatch, "exists_full", exists_full)
     result = sweep(*defaults)
     cases = list(canonical(*defaults))
     assert result.clean
     assert result.checked == len(cases) == checked
     assert predicate_calls == cases
-    assert [tuple(call[name] for name in names) for call in oracle_calls] == cases
+    searched = [tuple(call[name] for name in names) for call in oracle_calls]
+    assert len(searched) <= 2 * len(groups(form, cases))
+    assert len(searched) < result.checked
+    # A right predicate settles each group with the oracle asked at its
+    # first found case and at the case before, and nowhere else.
+    at = names.index("s")
+    firsts = {}
+    for case in cases:
+        if case[at] <= volume(form, case):
+            group = firsts.setdefault(case[:at] + case[at + 1:], [None, None])
+            if group[1] is None:
+                group[predicate(*case).feasible] = case
+    assert sorted(searched) == sorted(case for group in firsts.values() for case in group if case)
+
+
+# The seven ranges of the benchmark's verify-sweep workload, then the
+# three default ranges.
+VERDICT_RANGES = [
+    ("theorem", (4, 3, 10)),
+    ("theorem", (3, 4, 10)),
+    ("rows", (4, 3, 3)),
+    ("rows", (3, 4, 3)),
+    ("rows", (3, 3, 4)),
+    ("sizes", (4, 9)),
+    ("sizes", (3, 10)),
+    ("theorem", (3, 3, 9)),
+    ("rows", (3, 3, 3)),
+    ("sizes", (3, 9)),
+]
+
+
+@pytest.mark.parametrize(
+    "form, bounds",
+    VERDICT_RANGES,
+    ids=[f"{form}-{'-'.join(map(str, bounds))}" for form, bounds in VERDICT_RANGES],
+)
+def test_grouped_verdicts_are_the_oracles_at_every_case(monkeypatch, form, bounds):
+    # A predicate that gets every case wrong has every case reported, with
+    # the verdict the sweep settled for it: each must be what the oracle
+    # says when asked about that case alone.
+    row = plskit.sweep.FORMS[form]
+    budget = Budget(*row.caps(*bounds))
+    full = {
+        case: exists_full(**dict(zip(row.fields, case)), budget=budget)[0]
+        for case in getattr(plskit.sweep, row.cases)(*bounds)
+    }
+    assert plskit.sweep.sweep(form, *bounds) == (len(full), ())
+    real_predicate = getattr(plskit.sweep, row.predicate)
+    monkeypatch.setattr(
+        plskit.sweep, row.predicate,
+        lambda *case: SimpleNamespace(feasible=not real_predicate(*case).feasible),
+    )
+    result = plskit.sweep.sweep(form, *bounds)
+    assert result.checked == len(full)
+    assert [mismatch[:-2] for mismatch in result.mismatches] == list(full)
+    assert {mismatch[:-2]: mismatch[-1] for mismatch in result.mismatches} == full
+
+
+@pytest.mark.parametrize(
+    "form, bounds, checked",
+    [("theorem", (2, 2, 4), 10), ("rows", (2, 2, 2), 15), ("sizes", (2, 4), 16)],
+)
+def test_a_predicate_wrong_at_one_case_is_reported_there_alone(monkeypatch, form, bounds, checked):
+    # Each case in turn is the one the predicate gets wrong, so every
+    # probe misses somewhere and the bisection runs.
+    row = plskit.sweep.FORMS[form]
+    cases = list(getattr(plskit.sweep, row.cases)(*bounds))
+    real_predicate = getattr(plskit.sweep, row.predicate)
+    assert len(cases) == checked
+    for flipped in cases:
+
+        def predicate(*case):
+            report = real_predicate(*case)
+            return SimpleNamespace(feasible=report.feasible != (case == flipped))
+
+        calls = record_calls(monkeypatch, row.predicate, predicate)
+        result = plskit.sweep.sweep(form, *bounds)
+        actual, _ = exists_full(
+            **dict(zip(row.fields, flipped)), budget=Budget(*row.caps(*bounds))
+        )
+        assert result == (checked, ((*flipped, not actual, actual),))
+        assert calls == cases
+        monkeypatch.undo()
 
 
 def test_oracle_verdict_is_the_same_on_every_ordering():
