@@ -296,6 +296,20 @@ def parameters_of(pls: PartialLatinSquare) -> ParameterProfile:
     return ParameterProfile(*(tuple(map(n.__getitem__, sorted(n))) for n in axes), pls.volume)
 
 
+def _perm_name(perm) -> str:
+    # A refused perm as a message names it, briefly and alike for every
+    # copy of the input: by its entry count unless it has three, else
+    # entry by entry, an axis by its name and anything else as a label.
+    if type(perm) is not tuple:
+        return _label_name(perm)
+    if len(perm) != 3:
+        return f"{len(perm)} entries"
+    names = (
+        repr(axis) if type(axis) is str and axis in AXES else _label_name(axis) for axis in perm
+    )
+    return f"({', '.join(names)})"
+
+
 def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquare:
     """Permute the three coordinate roles of every triple.
 
@@ -313,6 +327,6 @@ def conjugate(pls: PartialLatinSquare, perm: Sequence[str]) -> PartialLatinSquar
     # here rather than failing a sort or a hash, and so is a perm that is
     # not iterable.
     if not (type(perm) is tuple and len(perm) == 3 and all(axis in perm for axis in AXES)):
-        raise PreconditionViolated(f"perm must be a permutation of {AXES}, got {perm!r}")
+        raise PreconditionViolated(f"perm must be a permutation of {AXES}, got {_perm_name(perm)}")
     axes = tuple(zip(*pls.triples))
     return validate(_Columns(axes[AXES.index(axis)] for axis in perm))

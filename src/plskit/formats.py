@@ -62,8 +62,14 @@ class PlsDocument(namedtuple("PlsDocument", ("triples",))):
         if not isinstance(raw, list) or not raw:
             raise DocumentError("triples must be a nonempty array")
         for entry in raw:
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise DocumentError(f"each triple must be a three element array, got {entry!r}")
+            # Named by its type or length, never its repr, as validate does.
+            if not isinstance(entry, list):
+                refused = type(entry).__name__
+            elif len(entry) != 3:
+                refused = f"an array of {len(entry)}"
+            else:
+                continue
+            raise DocumentError(f"each triple must be a three element array, got {refused}")
         return cls(tuple(map(tuple, raw)))
 
     def to_pls(self) -> PartialLatinSquare:

@@ -23,41 +23,68 @@ symbols swaps c and s with the row family fixed, and any permutation of
 ``checked`` counts these.
 
 ``FORMS`` is the one place a form is defined: its predicate and builder,
-the ``exists_full`` constraints its values pin, its canonical cases, its
-range bounds, the oracle budget they need, its public sweep, whose
-signature holds the bounds' defaults, and its command line help text and
-flags.  Functions are named, not held, and each caller looks a name up
-in its own module when it calls: a wrapper set on a module (a tracer, a
-test double) sees every call.  So a new form is one more row, with its
-predicate and cases in this module and its predicate, builder and sweep
-imported into ``plskit.cli``, whose check, build and sweep commands read
-every row.  ``sweep`` reads ``exists_full`` and the predicates from this
-module when it calls them.
+the ``exists_full`` constraints its values pin, its canonical cases and
+their groups' parents, its range bounds, the oracle budget they need,
+its public sweep, whose signature holds the bounds' defaults, and its
+command line help text and flags.  Functions are named, not held, and
+each caller looks a name up in its own module when it calls: a wrapper
+set on a module (a tracer, a test double) sees every call.  So a new
+form is one more row, with its predicate, cases and parents in this
+module and its predicate, builder and sweep imported into
+``plskit.cli``, whose check, build and sweep commands read every row.
+``sweep`` reads ``exists_full``, the predicates and the parents from
+this module when it calls them.
 
 A sweep calls the predicate once per checked prescription, in case
-order, but asks the oracle only where its verdict can change, by one
-elementary fact.  Split: a square with s < v symbols uses some symbol
+order, but asks the oracle only where its verdict can change, by two
+elementary facts.  Split: a square with s < v symbols uses some symbol
 twice, and giving one of those cells a fresh symbol keeps the cells and
 makes s + 1 symbols.  So with every other field fixed, existence is
 non-decreasing in s on [1, v], and false above v, as v cells hold at
-most v symbols.  Every form has an s, so ``sweep`` groups the cases
-that differ only in s.  A case with s > v is False by count; on the
-others, s ascending, the oracle's True cases are a suffix.  The sweep
-asks the oracle at the predicate's first True case, which should be
-found, and at the case before it, which should not; if both answers
-hold they settle the group.  Otherwise it asks the group's top case,
-and if that is found, bisects between the answers so far for the first
-found case.  Every verdict follows from the oracle's answers and the
-fact, none from the predicate, so a wrong predicate is reported at
-every case it gets wrong.  Each form's cases list s ascending within a
-group, and a group lies within one block of cases sharing the fields
-before s, so the sweep holds one block at a time: for sizes, whose v
-is innermost, one (r, c) block.
+most v symbols.  Move: a square with a column of two or more cells
+keeps its rows and symbols when one of those cells, (i, j, k), moves to
+a fresh column, as row i still holds k once and the new column holds
+only k.  So a column count c found stays found at c + 1 while c + 1 <= v
+(c columns need c cells), and a column family found stays found when
+one entry e >= 2 becomes e - 1 and a new entry 1; rows alike, by
+transposition.  A group's parents are the groups one move back, each
+written canonically:
+
+- theorem (n, m): (n, m+) for each m+ made by joining m's trailing 1
+  onto one of its other entries, one per distinct value, and (n+, m)
+  likewise, each pair in order;
+- rows (n, c): (n+, c), and (n, c - 1) when 1 < c <= sum(n) and
+  (n, c - 1, s) is canonical for the group's s, that is c <= the symbol
+  bound or c - 1 above it;
+- sizes (r, c, v): (r, c - 1, v) when 1 < c <= v, as (c - 1, r, v) if
+  c - 1 < r, and (r - 1, c, v) when 1 < r <= v.
+
+Every form has an s, so ``sweep`` groups the cases that differ only in
+s.  A case with s > v is False by count; on the others, s ascending,
+the oracle's True cases are a suffix, and ``sweep`` keeps the least s
+found in each settled group.  A group the predicate calls feasible
+somewhere takes as its bound the least such s among its settled
+parents: every case from the bound up is found, unasked.  Below the
+bound the sweep asks the oracle at the predicate's first True case,
+which should be found, and at the case before it, which should not; if
+both answers hold they settle the group.  Otherwise it asks the group's
+top case, and if that is found, bisects between the answers so far for
+the first found case.  Every verdict follows from the oracle's answers
+and the facts, none from the predicate, so a wrong predicate is
+reported at every case it gets wrong.  Each form's cases list s
+ascending within a group and its parents before each group, but for
+some theorem pairs whose join sorts after them (a parent not yet
+settled only gives no bound), and a group lies within one block of
+cases sharing the fields before s, so the sweep holds one block at a
+time: for sizes, whose v is innermost, one (r, c) block.  Moves keep
+the volume, and the theorem's cases ascend in it, so a theorem sweep
+keeps the found s of one total at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from operator import itemgetter
 from typing import Iterator
@@ -79,27 +106,31 @@ class SweepResult(namedtuple("SweepResult", ("checked", "mismatches"))):
 
 
 # One form of prescription: the names of its predicate, builder, canonical
-# case generator and sweep; the exists_full constraints its values pin and
-# its range bounds, each in order; the budget caps (cells, rows, columns,
+# case generator, parents (called with a group's fields but s, then the
+# range bounds, it yields the groups one move back, as the module
+# docstring lists them) and sweep; the exists_full constraints its values
+# pin and its range bounds, each in order; the budget caps (cells, rows, columns,
 # symbols) that a range with those bounds needs; and its check and build
 # help text, and the command line flag of each field, in field order.
-Form = namedtuple("Form", "predicate builder cases sweep fields bounds caps help flags")
+Form = namedtuple("Form", "predicate builder cases parents sweep fields bounds caps help flags")
 
 FORMS = {
     "theorem": Form(
-        "check_construction", "build_theorem", "theorem_tuples", "sweep_theorem",
+        "check_construction", "build_theorem", "theorem_tuples", "theorem_parents",
+        "sweep_theorem",
         ("rows", "cols", "s"), ("max_side", "max_entry", "max_cells"),
         lambda side, entry, cells: (cells, side, side, cells),
         "row and column parameters, symbol count", ("rows", "cols", "symbols"),
     ),
     "rows": Form(
-        "check_row_params", "build_proposition", "row_params_tuples", "sweep_row_params",
+        "check_row_params", "build_proposition", "row_params_tuples", "row_params_parents",
+        "sweep_row_params",
         ("rows", "c", "s"), ("max_side", "max_entry", "max_symbols"),
         lambda side, entry, symbols: (side * entry, side, side, symbols),
         "row parameters, column count, symbol count", ("rows", "c", "s"),
     ),
     "sizes": Form(
-        "check_sizes", "build_corollary", "sizes_tuples", "sweep_sizes",
+        "check_sizes", "build_corollary", "sizes_tuples", "sizes_parents", "sweep_sizes",
         ("r", "c", "s", "v"), ("max_side", "max_cells"),
         lambda side, cells: (cells, side, side, side),
         "row, column, symbol, and cell counts", ("r", "c", "s", "v"),
@@ -200,6 +231,40 @@ def sizes_tuples(max_side: int, max_cells: int) -> Iterator[tuple[int, int, int,
                     yield r, c, s, v
 
 
+def _joins(family: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    # The families one move back from a non-increasing family: its
+    # trailing 1 joined onto one of its other entries, one per distinct
+    # value, each raised at its first place so the family stays sorted.
+    if len(family) > 1 and family[-1] == 1:
+        for i, entry in enumerate(family[:-1]):
+            if i == 0 or entry < family[i - 1]:
+                yield family[:i] + (entry + 1,) + family[i + 1:-1]
+
+
+def theorem_parents(n, m, *bounds) -> Iterator[tuple]:
+    """The theorem groups one move back from (n, m): m or n joined, the pair in order."""
+    for joined in _joins(m):
+        yield (n, joined) if n <= joined else (joined, n)
+    for joined in _joins(n):
+        yield (joined, m) if joined <= m else (m, joined)
+
+
+def row_params_parents(n, c, max_side, max_entry, max_symbols) -> Iterator[tuple]:
+    """The rows groups one move back from (n, c): n joined, and c - 1 where canonical."""
+    for joined in _joins(n):
+        yield joined, c
+    if 1 < c <= sum(n) and (c <= max_symbols or c - 1 > max_symbols):
+        yield n, c - 1
+
+
+def sizes_parents(r, c, v, *bounds) -> Iterator[tuple]:
+    """The sizes groups one move back from (r, c, v): one column fewer, or one row fewer."""
+    if 1 < c <= v:
+        yield (r, c - 1, v) if r < c else (c - 1, r, v)
+    if 1 < r <= v:
+        yield r - 1, c, v
+
+
 def sweep(form: str, *bounds: int) -> SweepResult:
     """Compare a form's predicate with the oracle over the canonical cases of a range.
 
@@ -218,10 +283,14 @@ def sweep(form: str, *bounds: int) -> SweepResult:
     # cases the oracle refuses: its caps are the range's own.
     budget = Budget(*row.caps(*bounds))
     predicate = globals()[row.predicate]
+    parents = globals()[row.parents]
     at = row.fields.index("s")
     head, tail = itemgetter(slice(at)), itemgetter(slice(at + 1, None))
     mismatches = []
     checked = 0
+    # The least s found in each settled group, by its fields but s.
+    first = {}
+    total = None
     for _, block in itertools.groupby(globals()[row.cases](*bounds), key=head):
         block = list(block)
         checked += len(block)
@@ -230,9 +299,30 @@ def sweep(form: str, *bounds: int) -> SweepResult:
         for index, rest in enumerate(map(tail, block)):
             groups.setdefault(rest, []).append(index)
         actual = [False] * len(block)
-        for group in groups.values():
-            for index in _found(block, group, predicted, row.fields, at, budget):
-                actual[index] = True
+        for rest, group in groups.items():
+            case = block[group[0]]
+            key = head(case) + rest
+            question = dict(zip(row.fields, case))
+            # Every form pins the volume, by v or by its row family.
+            volume = question["v"] if "v" in question else sum(question["rows"])
+            # Moves keep the volume, and the theorem's cases ascend in it.
+            if form == "theorem" and volume != total:
+                first.clear()
+                total = volume
+            keys = [block[index][at] for index in group]
+            top = bisect_right(keys, volume)
+            guess = next((k for k in range(top) if predicted[group[k]]), top)
+            hi = top
+            if guess < top:
+                # Every key from the least s found among the settled
+                # parents is found.
+                found = (first[parent] for parent in parents(*key, *bounds) if parent in first)
+                hi = bisect_left(keys, min(found, default=volume + 1), 0, top)
+            hi = _first_found(question, keys, guess, hi, top, budget)
+            if hi < top:
+                first[key] = keys[hi]
+                for index in group[hi:top]:
+                    actual[index] = True
         if actual != predicted:
             mismatches.extend(
                 (*case, guess, verdict)
@@ -242,31 +332,23 @@ def sweep(form: str, *bounds: int) -> SweepResult:
     return SweepResult(checked, tuple(mismatches))
 
 
-def _found(block, group, predicted, fields, at, budget) -> list[int]:
-    # The indices in group of the cases the oracle finds.  group holds
-    # the indices into block of cases that differ only in s (field number
-    # at), s ascending.  By the split fact the found cases run from the
-    # first found one up to the volume, so positions lo and hi bracket
-    # that first one: lo is not found and hi is, each -1 or top until the
-    # oracle says so.
-    question = dict(zip(fields, block[group[0]]))
-    # Every form pins the volume, by v or by its row family.
-    volume = question["v"] if "v" in question else sum(question["rows"])
-    top = len(group)
-    while top and block[group[top - 1]][at] > volume:
-        top -= 1
-    guess = next((k for k in range(top) if predicted[group[k]]), top)
+def _first_found(question, keys, guess, hi, top, budget) -> int:
+    # The position of the first key the oracle finds among keys[:top],
+    # a group's s values up to the volume, ascending, or top if none.  By
+    # the split fact the found keys run from it to top, so lo and hi
+    # bracket it: lo is not found and hi is, each -1 or top until the
+    # oracle says so, but hi may start lower, at a parent's bound.
     probes = [guess, guess - 1, top - 1]
-    lo, hi = -1, top
+    lo = -1
     while hi - lo > 1:
         k = probes.pop(0) if probes else (lo + hi) // 2
         if lo < k < hi:
-            question["s"] = block[group[k]][at]
+            question["s"] = keys[k]
             if exists_full(**question, budget=budget)[0]:
                 hi = k
             else:
                 lo = k
-    return group[hi:top]
+    return hi
 
 
 def sweep_theorem(max_side: int = 3, max_entry: int = 3, max_cells: int = 9) -> SweepResult:

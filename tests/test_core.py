@@ -560,6 +560,27 @@ class TestConjugate:
         with pytest.raises(PreconditionViolated, match="^perm must be a permutation"):
             conjugate(validate([(1, 1, 1)]), perm)
 
+    @pytest.mark.parametrize(
+        "perm, refused",
+        [
+            (lambda: (object(), 1, 2), "(object, 1, 2)"),
+            (lambda: ("row", ["col"] * 100_000, "sym"), "('row', list, 'sym')"),
+            (lambda: ("row", "row", "s" * 100_000), "('row', 'row', str)"),
+            (lambda: list(range(100_000)), "100000 entries"),
+            (lambda: ("row", "col"), "2 entries"),
+            (lambda: 10**5000, "an int of 16610 bits"),
+        ],
+    )
+    def test_a_refused_perm_is_named_by_its_axes_types_or_length(self, perm, refused):
+        # Every fresh copy of a perm reads the same, and a long one briefly.
+        pls = validate([(1, 1, 1)])
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(PreconditionViolated) as refusal:
+                conjugate(pls, perm())
+            messages.add(str(refusal.value))
+        assert messages == {f"perm must be a permutation of ('row', 'col', 'sym'), got {refused}"}
+
     @given(squares(), st.sampled_from(AXIS_PERMS))
     def test_six_conjugations_undo(self, pls, perm):
         # Every permutation of three axes has order 1, 2 or 3.

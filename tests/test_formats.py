@@ -69,6 +69,21 @@ class TestPlsDocument:
             with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
                 document.to_pls()
 
+    def test_a_bad_entry_is_named_by_its_type_or_length(self):
+        # A message names an entry by its type or length, never its repr,
+        # so a long entry gives a short message.
+        for entry, refused in (
+            (json.dumps(list(range(100_000))), "an array of 100000"),
+            ("[1, 1]", "an array of 2"),
+            ("5", "int"),
+            ('"%s"' % ("x" * 100_000), "str"),
+            ("null", "NoneType"),
+        ):
+            with pytest.raises(DocumentError) as refused_entry:
+                PlsDocument.from_json('{"schema": "1", "triples": [[1, 1, 1], %s]}' % entry)
+            message = f"each triple must be a three element array, got {refused}"
+            assert str(refused_entry.value) == message
+
     def test_clashing_document_fails_at_to_pls(self):
         doc = PlsDocument.from_json('{"schema": "1", "triples": [[1, 1, 1], [1, 2, 1]]}')
         with pytest.raises(TriplePairError) as exc:

@@ -708,14 +708,24 @@ def _families(max_len, max_entry):
     ]
 
 
+def _splits(family):
+    # The families one move on: an entry e >= 2 split into e - 1 and a new 1.
+    return {
+        tuple(sorted(family[:i] + (entry - 1, 1) + family[i + 1:], reverse=True))
+        for i, entry in enumerate(family)
+        if entry >= 2
+    }
+
+
 class TestSplitAndMoveFacts:
     # Split: a square with s < v symbols repeats one, and giving one of
     # its cells a fresh symbol moves no cell.  Move: a square with c < v
     # columns has a column with two cells, and moving one to a fresh
     # column keeps every row and symbol count.  So with the rest pinned,
     # existence is an up-set along s, and along a count r or c, on
-    # [1, v], and false at v + 1.  The oracle checks both facts here on
-    # full small grids, rather than a sweep assuming them.
+    # [1, v], and false at v + 1; and a found family stays found when an
+    # entry e >= 2 splits into e - 1 and a new 1.  The oracle checks these
+    # facts here on full small grids, rather than a sweep assuming them.
     def test_sizes(self):
         budget = Budget(9, 4, 4, 4)
         for v in range(1, 10):
@@ -748,3 +758,24 @@ class TestSplitAndMoveFacts:
             for a in range(1, v + 2):
                 assert _up_set_to_v([verdict[(a, s)] for s in range(1, v + 2)], v), (n, a)
                 assert _up_set_to_v([verdict[(c, a)] for c in range(1, v + 2)], v), (n, a)
+
+    def test_theorem_family_move(self):
+        budget = Budget(9, 4, 4, 9)
+        for n, m in product(_families(3, 3), repeat=2):
+            if sum(m) != sum(n):
+                continue
+            for s in range(1, sum(n) + 1):
+                if exists_full(rows=n, cols=m, s=s, budget=budget)[0]:
+                    for split in _splits(m):
+                        assert exists_full(rows=n, cols=split, s=s, budget=budget)[0], (n, m, s)
+                    for split in _splits(n):
+                        assert exists_full(rows=split, cols=m, s=s, budget=budget)[0], (n, m, s)
+
+    def test_rows_family_move(self):
+        for n in _families(3, 3):
+            v = sum(n)
+            budget = Budget(9, 4, v, v)
+            for c, s in product(range(1, v + 1), repeat=2):
+                if exists_full(rows=n, c=c, s=s, budget=budget)[0]:
+                    for split in _splits(n):
+                        assert exists_full(rows=split, c=c, s=s, budget=budget)[0], (n, c, s)

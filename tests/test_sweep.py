@@ -201,6 +201,37 @@ def test_every_true_verdict_carries_a_validated_witness(monkeypatch, form, bound
     assert all(square is witness for square, witness in zip(validated, witnesses))
 
 
+def splits(family: tuple) -> set:
+    """The families one move on: an entry e >= 2 split into e - 1 and a new 1."""
+    return {
+        descending(family[:i] + (entry - 1, 1) + family[i + 1:])
+        for i, entry in enumerate(family)
+        if entry >= 2
+    }
+
+
+def moves(form: str, group: tuple, bounds: tuple) -> set:
+    """The canonical groups one move on from a group: a family split, or a count one up.
+
+    A count goes up only while it stays within the volume, and a rows
+    column count c only to a c + 1 whose keys are canonical at the same s
+    as c's, that is c + 1 within the symbol bound or c above it.
+    """
+    if form == "theorem":
+        n, m = group
+        return {tuple(sorted((n, split))) for split in splits(m)} | {
+            tuple(sorted((split, m))) for split in splits(n)
+        }
+    if form == "rows":
+        n, c = group
+        found = {(split, c) for split in splits(n)}
+        if c < sum(n) and (c + 1 <= bounds[2] or c > bounds[2]):
+            found.add((n, c + 1))
+        return found
+    r, c, v = group
+    return {(*sorted(sides), v) for sides in ((r + 1, c), (r, c + 1)) if max(sides) <= v}
+
+
 @pytest.mark.parametrize("form, checked", [("theorem", 102), ("rows", 114), ("sizes", 90)])
 def test_default_sweeps_call_the_predicate_per_case_and_the_oracle_at_most_twice_per_group(
     monkeypatch, form, checked
@@ -217,8 +248,10 @@ def test_default_sweeps_call_the_predicate_per_case_and_the_oracle_at_most_twice
     searched = [tuple(call[name] for name in names) for call in oracle_calls]
     assert len(searched) <= 2 * len(groups(form, cases))
     assert len(searched) < result.checked
-    # A right predicate settles each group with the oracle asked at its
-    # first found case and at the case before, and nowhere else.
+    # A right predicate settles each group, in case order, with the
+    # oracle asked at its first found case and at the case before, and
+    # nowhere else, unless a move from a group settled earlier already
+    # finds that first case: then only the case before is asked.
     at = names.index("s")
     firsts = {}
     for case in cases:
@@ -226,11 +259,26 @@ def test_default_sweeps_call_the_predicate_per_case_and_the_oracle_at_most_twice
             group = firsts.setdefault(case[:at] + case[at + 1:], [None, None])
             if group[1] is None:
                 group[predicate(*case).feasible] = case
-    assert sorted(searched) == sorted(case for group in firsts.values() for case in group if case)
+    bound = {}
+    expected = []
+    for group, (before, found) in firsts.items():
+        least = bound.get(group, volume(form, before or found) + 1)
+        if before:
+            assert before[at] < least
+            expected.append(before)
+        if found:
+            if least > found[at]:
+                expected.append(found)
+            for child in moves(form, group, defaults):
+                bound[child] = min(bound.get(child, found[at]), found[at])
+    assert sorted(searched) == sorted(expected)
+    assert len(expected) == {"theorem": 28, "rows": 46, "sizes": 39}[form]
 
 
-# The seven ranges of the benchmark's verify-sweep workload, then the
-# three default ranges.
+# The seven ranges of the benchmark's verify-sweep workload, the three
+# default ranges, then two rows ranges whose column counts run past the
+# cells of their short families: a move from c - 1 columns to c needs
+# c <= v, and a negated predicate asks for the bound on every group.
 VERDICT_RANGES = [
     ("theorem", (4, 3, 10)),
     ("theorem", (3, 4, 10)),
@@ -242,6 +290,8 @@ VERDICT_RANGES = [
     ("theorem", (3, 3, 9)),
     ("rows", (3, 3, 3)),
     ("sizes", (3, 9)),
+    ("rows", (5, 2, 2)),
+    ("rows", (6, 2, 3)),
 ]
 
 
