@@ -167,12 +167,14 @@ def _clash_checked(checked: frozenset[Triple], axes: Iterable[Sequence]) -> froz
 def _as_triple(t) -> Triple:
     # The per-triple coercion.  Its refusals name a type or a count, never
     # an object's repr, so every fresh copy of an input reads the same.
+    # A plain tuple is used as it is, with no copy.
     if isinstance(t, Triple):
         return t
-    labels = tuple(_iterable(t, "a triple must be an iterable of three labels"))
-    if len(labels) != 3:
-        raise PreconditionViolated(f"a triple must have three labels, got {len(labels)}")
-    return Triple(*labels)
+    if type(t) is not tuple:
+        t = tuple(_iterable(t, "a triple must be an iterable of three labels"))
+    if len(t) != 3:
+        raise PreconditionViolated(f"a triple must have three labels, got {len(t)}")
+    return Triple(*t)
 
 
 def _iterable(value, refusal: str) -> Iterator:

@@ -7,9 +7,14 @@ exception; exceptions are reserved for malformed inputs.
 Conditions and reports are plain named tuples, so they are cheap to
 build and compare equal to the plain tuples (id, satisfied, witness) and
 (feasible, conditions).  The predicates check their inputs, the one
-value a caller hands in, and raise PreconditionViolated on a bad one; a
-report is only ever built by from_conditions, which computes its verdict
-as the conjunction of its conditions, so it has nothing left to check.
+value a caller hands in, and raise PreconditionViolated on a bad one.
+Each predicate decides its conditions with plain comparisons first.
+When they all hold it returns its one all-held report, built at import
+by from_conditions from the shared held conditions: reports are
+immutable, so sharing one is safe.  Otherwise it builds the report
+through from_conditions, with a witness text only for a condition that
+fails.  from_conditions computes the verdict as the conjunction of the
+conditions, so a report has nothing left to check.
 
 The dominance condition is the Gale-Ryser style inequality
 ``sum(top k of n) + sum(top l of m) <= v + k * l`` for every prefix pair
@@ -58,6 +63,16 @@ class FeasibilityReport(namedtuple("FeasibilityReport", ("feasible", "conditions
 
     def violated(self) -> tuple[Condition, ...]:
         return tuple(c for c in self.conditions if not c.satisfied)
+
+
+def _all_held(*ids: str) -> FeasibilityReport:
+    return FeasibilityReport.from_conditions([_HELD[name] for name in ids])
+
+
+# Each predicate's report when every condition holds, in its condition order.
+_CONSTRUCTION_HELD = _all_held("equal-sums", "dominance", "symbol-bounds")
+_ROW_PARAMS_HELD = _all_held("volume-bounds", "row-caps")
+_SIZES_HELD = _all_held("lower-bound", "upper-bound")
 
 
 def _worst_pair(n_desc: list[int], m_desc: list[int], v: int) -> tuple[int, int] | None:
@@ -111,6 +126,8 @@ def check_construction(n: Sequence[int], m: Sequence[int], s: int) -> Feasibilit
     n_desc = sorted(n, reverse=True)
     m_desc = sorted(m, reverse=True)
     worst = _worst_pair(n_desc, m_desc, v)
+    if worst is None and n_desc[0] <= s and m_desc[0] <= s <= v:
+        return _CONSTRUCTION_HELD
     if worst is None:
         dominance = _HELD["dominance"]
     else:
@@ -141,6 +158,9 @@ def check_row_params(n: Sequence[int], c: int, s: int) -> FeasibilityReport:
     s = positive_int("s", s)
 
     v = sum(n)
+    longest = max(n)
+    if c <= v and s <= v <= c * s and longest <= c and longest <= s:
+        return _ROW_PARAMS_HELD
     if v < max(c, s):
         volume = Condition("volume-bounds", False, f"v = {v} < max(c, s) = {max(c, s)}")
     elif v > c * s:
@@ -149,7 +169,7 @@ def check_row_params(n: Sequence[int], c: int, s: int) -> FeasibilityReport:
         volume = _HELD["volume-bounds"]
 
     cap = min(c, s)
-    if max(n) > cap:
+    if longest > cap:
         i, k = next((i, k) for i, k in enumerate(n, 1) if k > cap)
         caps = Condition("row-caps", False, f"n[{i}] = {k} > min(c, s) = {cap}")
     else:
@@ -167,6 +187,8 @@ def check_sizes(r: int, c: int, s: int, v: int) -> FeasibilityReport:
     s = positive_int("s", s)
     v = positive_int("v", v)
 
+    if r <= v and c <= v and s <= v <= r * c and v <= c * s and v <= r * s:
+        return _SIZES_HELD
     if v < max(r, c, s):
         lower = Condition("lower-bound", False, f"v = {v} < max(r, c, s) = {max(r, c, s)}")
     else:

@@ -76,9 +76,14 @@ ascending within a group and its parents before each group, but for
 some theorem pairs whose join sorts after them (a parent not yet
 settled only gives no bound), and a group lies within one block of
 cases sharing the fields before s, so the sweep holds one block at a
-time: for sizes, whose v is innermost, one (r, c) block.  Moves keep
-the volume, and the theorem's cases ascend in it, so a theorem sweep
-keeps the found s of one total at a time.
+time: for sizes, whose v is innermost, one (r, c) block.  A block runs
+s-major, each s with the same run of fields after s, so its groups need
+no table: the block's first width cases start its width groups, group j
+is every width-th case from the j-th, all of them share one list of s
+values, and a group's found run is one slice of the block's verdicts.
+For theorem and rows, whose s is the last field, a block is one group.
+Moves keep the volume, and the theorem's cases ascend in it, so a
+theorem sweep keeps the found s of one total at a time.
 """
 
 from __future__ import annotations
@@ -291,17 +296,18 @@ def sweep(form: str, *bounds: int) -> SweepResult:
     # The least s found in each settled group, by its fields but s.
     first = {}
     total = None
-    for _, block in itertools.groupby(globals()[row.cases](*bounds), key=head):
+    for fixed, block in itertools.groupby(globals()[row.cases](*bounds), key=head):
         block = list(block)
         checked += len(block)
         predicted = [predicate(*case).feasible for case in block]
-        groups = {}
-        for index, rest in enumerate(map(tail, block)):
-            groups.setdefault(rest, []).append(index)
+        # The block's groups, s-major: group j is every width-th case from
+        # case j, and keys holds every group's s values.
+        keys = [case[at] for case in block]
+        width = bisect_right(keys, keys[0])
+        keys = keys[::width]
         actual = [False] * len(block)
-        for rest, group in groups.items():
-            case = block[group[0]]
-            key = head(case) + rest
+        for j, case in enumerate(block[:width]):
+            key = fixed + tail(case)
             question = dict(zip(row.fields, case))
             # Every form pins the volume, by v or by its row family.
             volume = question["v"] if "v" in question else sum(question["rows"])
@@ -309,20 +315,24 @@ def sweep(form: str, *bounds: int) -> SweepResult:
             if form == "theorem" and volume != total:
                 first.clear()
                 total = volume
-            keys = [block[index][at] for index in group]
             top = bisect_right(keys, volume)
-            guess = next((k for k in range(top) if predicted[group[k]]), top)
+            guess = 0
+            while guess < top and not predicted[j + guess * width]:
+                guess += 1
             hi = top
-            if guess < top:
+            if guess < top and first:
                 # Every key from the least s found among the settled
                 # parents is found.
-                found = (first[parent] for parent in parents(*key, *bounds) if parent in first)
-                hi = bisect_left(keys, min(found, default=volume + 1), 0, top)
+                bound = volume + 1
+                for parent in parents(*key, *bounds):
+                    found = first.get(parent, bound)
+                    if found < bound:
+                        bound = found
+                hi = bisect_left(keys, bound, 0, top)
             hi = _first_found(question, keys, guess, hi, top, budget)
             if hi < top:
                 first[key] = keys[hi]
-                for index in group[hi:top]:
-                    actual[index] = True
+                actual[j + hi * width:j + top * width:width] = [True] * (top - hi)
         if actual != predicted:
             mismatches.extend(
                 (*case, guess, verdict)
@@ -337,11 +347,13 @@ def _first_found(question, keys, guess, hi, top, budget) -> int:
     # a group's s values up to the volume, ascending, or top if none.  By
     # the split fact the found keys run from it to top, so lo and hi
     # bracket it: lo is not found and hi is, each -1 or top until the
-    # oracle says so, but hi may start lower, at a parent's bound.
-    probes = [guess, guess - 1, top - 1]
+    # oracle says so, but hi may start lower, at a parent's bound.  The
+    # oracle is asked at the guess, the key before it and the top key,
+    # each while it lies in the bracket, then at the bracket's midpoint.
+    probes = iter((guess, guess - 1, top - 1))
     lo = -1
     while hi - lo > 1:
-        k = probes.pop(0) if probes else (lo + hi) // 2
+        k = next(probes, (lo + hi) // 2)
         if lo < k < hi:
             question["s"] = keys[k]
             if exists_full(**question, budget=budget)[0]:

@@ -70,6 +70,48 @@ def reference_check_construction(n, m, s):
     return FeasibilityReport.from_conditions([Condition("equal-sums", True), dominance, bounds])
 
 
+def positive(value):
+    return type(value) is int and value >= 1
+
+
+def reference_check_row_params(n, c, s):
+    """check_row_params spelled out: validate, the volume bounds, the first row above its cap."""
+    n = tuple(n)
+    if not n or not all(map(positive, n)) or not positive(c) or not positive(s):
+        raise PreconditionViolated("bad parameters")
+    v = sum(n)
+    if v < max(c, s):
+        volume = Condition("volume-bounds", False, f"v = {v} < max(c, s) = {max(c, s)}")
+    elif v > c * s:
+        volume = Condition("volume-bounds", False, f"v = {v} > c * s = {c * s}")
+    else:
+        volume = Condition("volume-bounds", True)
+    over = [(i, k) for i, k in enumerate(n, 1) if k > min(c, s)]
+    if over:
+        i, k = over[0]
+        caps = Condition("row-caps", False, f"n[{i}] = {k} > min(c, s) = {min(c, s)}")
+    else:
+        caps = Condition("row-caps", True)
+    return FeasibilityReport.from_conditions([volume, caps])
+
+
+def reference_check_sizes(r, c, s, v):
+    """check_sizes spelled out: validate, the lower bound, the first of the smallest products."""
+    if not all(map(positive, (r, c, s, v))):
+        raise PreconditionViolated("bad parameters")
+    if v < max(r, c, s):
+        lower = Condition("lower-bound", False, f"v = {v} < max(r, c, s) = {max(r, c, s)}")
+    else:
+        lower = Condition("lower-bound", True)
+    products = {"r*c": r * c, "c*s": c * s, "r*s": r * s}
+    label = min(products, key=products.get)
+    if v > products[label]:
+        upper = Condition("upper-bound", False, f"v = {v} > {label} = {products[label]}")
+    else:
+        upper = Condition("upper-bound", True)
+    return FeasibilityReport.from_conditions([lower, upper])
+
+
 class TestDominanceCheck:
     # The condition as check_construction reports it, and the prefix pair
     # its witness names.
@@ -143,6 +185,23 @@ class TestFeasibilityReport:
             [Condition("a", True), Condition("b", False, "w")]
         )
         assert [c.id for c in report.violated()] == ["b"]
+
+    @pytest.mark.parametrize(
+        "predicate, cases, ids",
+        [
+            (check_construction, [((1,), (1,), 1), ((3, 2), (2, 2, 1), 3)],
+             ("equal-sums", "dominance", "symbol-bounds")),
+            (check_row_params, [((1,), 1, 1), ((2, 1), 2, 3)], ("volume-bounds", "row-caps")),
+            (check_sizes, [(1, 1, 1, 1), (2, 3, 3, 5)], ("lower-bound", "upper-bound")),
+        ],
+        ids=["construction", "row-params", "sizes"],
+    )
+    def test_each_predicate_shares_one_all_held_report(self, predicate, cases, ids):
+        # Reports are immutable, so every case whose conditions all hold
+        # can return the same one.
+        first, second = (predicate(*case) for case in cases)
+        assert first == FeasibilityReport.from_conditions([Condition(i, True) for i in ids])
+        assert second is first
 
 
 class TestCheckConstruction:
@@ -243,6 +302,17 @@ class TestCheckRowParams:
         assert "volume-bounds" in violated
 
 
+    def test_matches_the_reference_on_every_small_case(self):
+        # Every ordered family, since the witness names the first row above its cap.
+        checked = 0
+        for length in range(1, 5):
+            for n in itertools.product(range(1, 5), repeat=length):
+                for c, s in itertools.product(range(1, 7), repeat=2):
+                    assert check_row_params(n, c, s) == reference_check_row_params(n, c, s), (n, c, s)
+                    checked += 1
+        assert checked == (4 + 16 + 64 + 256) * 36
+
+
 class TestCheckSizes:
     def test_feasible_small(self):
         assert check_sizes(2, 2, 2, 3).feasible
@@ -267,3 +337,9 @@ class TestCheckSizes:
             check_sizes(0, 1, 1, 1)
         with pytest.raises(PreconditionViolated):
             check_sizes(True, 1, 1, 1)
+
+    def test_matches_the_reference_on_every_small_case(self):
+        cases = list(itertools.product(range(1, 7), repeat=4))
+        for case in cases:
+            assert check_sizes(*case) == reference_check_sizes(*case), case
+        assert len(cases) == 6**4

@@ -275,6 +275,37 @@ def test_default_sweeps_call_the_predicate_per_case_and_the_oracle_at_most_twice
     assert len(expected) == {"theorem": 28, "rows": 46, "sizes": 39}[form]
 
 
+# The seven ranges of the benchmark's verify-sweep workload, each with the
+# number of oracle calls its groups make: 469 in all.
+ORACLE_CALLS = [
+    ("theorem", (4, 3, 10), 38),
+    ("theorem", (3, 4, 10), 69),
+    ("rows", (4, 3, 3), 132),
+    ("rows", (3, 4, 3), 91),
+    ("rows", (3, 3, 4), 46),
+    ("sizes", (4, 9), 48),
+    ("sizes", (3, 10), 45),
+]
+
+
+@pytest.mark.parametrize(
+    "form, bounds, asked",
+    ORACLE_CALLS,
+    ids=[f"{form}-{'-'.join(map(str, bounds))}" for form, bounds, _ in ORACLE_CALLS],
+)
+def test_each_verify_sweep_range_asks_the_oracle_a_pinned_number_of_times(
+    monkeypatch, form, bounds, asked
+):
+    row = plskit.sweep.FORMS[form]
+    predicate_calls = record_calls(monkeypatch, row.predicate, getattr(plskit.sweep, row.predicate))
+    oracle_calls = record_calls(monkeypatch, "exists_full", exists_full)
+    result = plskit.sweep.sweep(form, *bounds)
+    assert result.clean
+    assert predicate_calls == list(getattr(plskit.sweep, row.cases)(*bounds))
+    assert len(predicate_calls) == result.checked
+    assert len(oracle_calls) == asked
+
+
 # The seven ranges of the benchmark's verify-sweep workload, the three
 # default ranges, then two rows ranges whose column counts run past the
 # cells of their short families: a move from c - 1 columns to c needs
